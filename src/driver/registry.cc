@@ -366,9 +366,20 @@ std::vector<ScenarioKnob> MakeKnobs() {
         }
         return true;
       });
-  add("scheduling_target_utilization", "double in [0, 1]",
+  add("scheduling_target_utilization", "double in [0, 1)",
       "root-scale the fleet to this average before scheduling (0 = as generated)",
-      FractionKnob(&ScenarioConfig::scheduling_target_utilization));
+      [](ScenarioConfig& config, std::string_view value, std::string* error) {
+        double parsed = 0.0;
+        if (!ParseNonNegativeDouble(value, &parsed, error)) {
+          return false;
+        }
+        // The rescale solves for an average strictly below 1.
+        if (parsed >= 1.0) {
+          return Fail(error, "value must be in [0, 1)");
+        }
+        config.scheduling_target_utilization = parsed;
+        return true;
+      });
   add("power_accounting", "bool",
       "energy / cost accounting riding the scheduling co-simulation (adds the "
       "\"energy\" block)",

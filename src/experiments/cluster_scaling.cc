@@ -7,10 +7,9 @@ namespace harvest {
 
 Cluster ScaleClusterUtilization(const Cluster& cluster, ScalingMethod method,
                                 double target_average) {
-  // Solve the scaling parameter on the per-server traces (deduplicated, so
-  // shared tenant traces are not over-weighted relative to their server
-  // counts -- the fleet average weights each server equally, so we keep one
-  // entry per server but avoid copying shared traces).
+  // Solve the scaling parameter on one copy of the trace per server: the
+  // fleet average weights each server equally, so a trace shared by several
+  // servers is copied once for each of them.
   std::vector<UtilizationTrace> flat;
   flat.reserve(cluster.num_servers());
   for (const auto& server : cluster.servers()) {

@@ -255,6 +255,26 @@ TEST(ScenarioOverrideTest, UnknownKeyAndBadValueAreDistinctStatuses) {
   EXPECT_EQ(config.trace_dir, "some/dir");
 }
 
+TEST(ScenarioOverrideTest, TargetUtilizationOfOneIsABadValue) {
+  // The rescale solves for an average strictly below 1: a target of 1 must
+  // be refused as a usage error, not abort the run after the fleet is built.
+  ScenarioConfig config = *FindScenario("fleet_sweep");
+  std::string error;
+  EXPECT_EQ(ApplyScenarioOverrideStatus(config, "scheduling_target_utilization", "1", &error),
+            OverrideStatus::kBadValue);
+  EXPECT_NE(error.find("[0, 1)"), std::string::npos) << error;
+  EXPECT_EQ(ApplyScenarioOverrideStatus(config, "scheduling_target_utilization", "1.5", &error),
+            OverrideStatus::kBadValue);
+  EXPECT_EQ(ApplyScenarioOverrideStatus(config, "scheduling_target_utilization", "-0.1", &error),
+            OverrideStatus::kBadValue);
+  EXPECT_EQ(ApplyScenarioOverrideStatus(config, "scheduling_target_utilization", "0.999", &error),
+            OverrideStatus::kOk);
+  EXPECT_DOUBLE_EQ(config.scheduling_target_utilization, 0.999);
+  EXPECT_EQ(ApplyScenarioOverrideStatus(config, "scheduling_target_utilization", "0", &error),
+            OverrideStatus::kOk);
+  EXPECT_EQ(config.scheduling_target_utilization, 0.0);
+}
+
 TEST(ScenarioOverrideTest, ValidateScenarioCatchesCrossKnobConflicts) {
   ScenarioConfig config = *FindScenario("dc9_testbed");
   EXPECT_EQ(ValidateScenario(config), "");
