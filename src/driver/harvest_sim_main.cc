@@ -3,7 +3,8 @@
 // scheduling -> Algorithm-2 replica placement -> durability / availability
 // experiments into one run selected by a registered scenario, and writes
 // deterministic JSON results (same scenario + seed + scale => byte-identical
-// output for any --threads value, suitable for diffing in CI).
+// output for any --threads value, suitable for diffing in CI). Wall-clock and
+// memory telemetry goes to stderr, after the human summary.
 //
 //   ./build/harvest_sim --scenario=dc9_testbed --seed=42 --out=results.json
 //   ./build/harvest_sim --scenario=fleet_sweep --set fleet_scale=0.2
@@ -17,6 +18,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "src/driver/pipeline.h"
@@ -81,6 +83,15 @@ void PrintFaults() {
   }
   std::printf(
       "\nexample: --set fault_plan=rack_outage:7200,1,7200+telemetry_blackout:3600,7200\n");
+}
+
+// Writes `text` to `file` and closes it; false if any step failed (a full
+// disk can surface at fwrite, fflush or fclose, depending on buffering).
+bool WriteAndClose(std::FILE* file, const std::string& text) {
+  const bool written = std::fwrite(text.data(), 1, text.size(), file) == text.size();
+  const bool flushed = std::fflush(file) == 0;
+  const bool closed = std::fclose(file) == 0;
+  return written && flushed && closed;
 }
 
 // Accepts --key=value and --key value spellings; returns false on mismatch.
@@ -246,16 +257,18 @@ int main(int argc, char** argv) {
                options.scale, overrides.size());
   harvest::ScenarioRunResult result = harvest::RunScenario(config, options);
 
-  if (out_path == "-") {
-    std::fwrite(result.json.data(), 1, result.json.size(), stdout);
-  } else {
-    std::FILE* file = std::fopen(out_path.c_str(), "wb");
-    if (file == nullptr) {
-      std::fprintf(stderr, "harvest_sim: cannot open '%s' for writing\n", out_path.c_str());
-      return 1;
-    }
-    std::fwrite(result.json.data(), 1, result.json.size(), file);
-    std::fclose(file);
+  const bool to_stdout = out_path == "-";
+  std::FILE* file = to_stdout ? stdout : std::fopen(out_path.c_str(), "wb");
+  if (file == nullptr) {
+    std::fprintf(stderr, "harvest_sim: cannot open '%s' for writing\n", out_path.c_str());
+    return 1;
+  }
+  if (!WriteAndClose(file, result.json)) {
+    const std::string target = to_stdout ? "stdout" : "'" + out_path + "'";
+    const std::string reason = std::generic_category().message(errno);
+    std::fprintf(stderr, "harvest_sim: cannot write results to %s: %s\n", target.c_str(),
+                 reason.c_str());
+    return 1;
   }
 
   const harvest::ScenarioSummary& s = result.summary;
@@ -267,5 +280,6 @@ int main(int argc, char** argv) {
                s.datacenters, s.servers, s.tenants, static_cast<long long>(s.jobs_completed),
                s.mean_scheduling_improvement_percent, s.worst_stock_lost_percent,
                s.worst_history_lost_percent, result.json.size(), out_path.c_str());
+  std::fputs(harvest::FormatRunTelemetry(result).c_str(), stderr);
   return 0;
 }

@@ -20,8 +20,7 @@
 namespace harvest {
 namespace {
 
-// Wall-clock seconds of one stage call; stored next to the stage's result so
-// every run carries its own perf trajectory (tools/perf_sched.sh reads it).
+// Wall-clock seconds of one stage call, recorded in the DC's DcStageTiming.
 template <typename Fn>
 auto Timed(double& seconds_out, Fn&& fn) {
   auto start = std::chrono::steady_clock::now();
@@ -91,55 +90,60 @@ void WriteTraceManifest(const std::string& dir, const ScenarioConfig& config,
       << "short write to trace manifest '" << path << "'";
 }
 
-}  // namespace
-
-void ClearTimingForDiff(ScenarioResult& result) {
-  result.timing = RunTiming{};
-  for (DatacenterResult& dc : result.datacenters) {
-    dc.timing = DcStageTiming{};
-  }
+// Appends " key=value" to a telemetry line.
+void AppendField(std::string& line, const char* key, int64_t value) {
+  line += std::string(" ") + key + "=" + std::to_string(value);
 }
 
-DatacenterResult RunDatacenterStages(const DcContext& ctx) {
+void AppendField(std::string& line, const char* key, double value) {
+  char text[32];
+  std::snprintf(text, sizeof(text), "%.6g", value);
+  line += std::string(" ") + key + "=" + text;
+}
+
+}  // namespace
+
+DatacenterResult RunDatacenterStages(const DcContext& ctx, DcStageTiming& timing) {
   auto dc_start = std::chrono::steady_clock::now();
+  timing = DcStageTiming{};
   DatacenterResult dc;
   dc.name = ctx.label;
   FleetBuildOutput fleet =
-      Timed(dc.timing.fleet_build_seconds, [&] { return RunFleetBuildStage(ctx); });
+      Timed(timing.fleet_build_seconds, [&] { return RunFleetBuildStage(ctx); });
   dc.fleet = fleet.stats;
   dc.clustering =
-      Timed(dc.timing.clustering_seconds, [&] { return RunClusteringStage(ctx, fleet.cluster); });
+      Timed(timing.clustering_seconds, [&] { return RunClusteringStage(ctx, fleet.cluster); });
   if (ctx.config->run_scheduling) {
     dc.has_scheduling = true;
-    dc.scheduling = Timed(dc.timing.scheduling_seconds,
+    dc.scheduling = Timed(timing.scheduling_seconds,
                           [&] { return RunSchedulingStage(ctx, fleet.cluster); });
-    dc.timing.arena_high_water_bytes = dc.scheduling.arena_high_water_bytes;
+    timing.arena_high_water_bytes = dc.scheduling.arena_high_water_bytes;
     if (ctx.config->power_accounting) {
       dc.has_power = true;
-      dc.power = Timed(dc.timing.power_seconds,
+      dc.power = Timed(timing.power_seconds,
                        [&] { return RunPowerStage(ctx, dc.scheduling); });
     }
   }
-  dc.placement = Timed(dc.timing.placement_seconds,
+  dc.placement = Timed(timing.placement_seconds,
                        [&] { return RunPlacementAuditStage(ctx, fleet.cluster); });
   if (ctx.config->run_durability) {
     dc.has_durability = true;
-    dc.durability = Timed(dc.timing.durability_seconds,
+    dc.durability = Timed(timing.durability_seconds,
                           [&] { return RunDurabilityStage(ctx, fleet.cluster); });
   }
   if (ctx.config->run_availability) {
     dc.has_availability = true;
-    dc.availability = Timed(dc.timing.availability_seconds,
+    dc.availability = Timed(timing.availability_seconds,
                             [&] { return RunAvailabilityStage(ctx, fleet.cluster); });
   }
   if (!ctx.config->fault_plan.empty()) {
     dc.has_faults = true;
-    dc.faults = Timed(dc.timing.fault_seconds, [&] {
+    dc.faults = Timed(timing.fault_seconds, [&] {
       return RunFaultStage(ctx, fleet.cluster,
                            dc.has_scheduling ? &dc.scheduling : nullptr);
     });
   }
-  dc.timing.total_seconds =
+  timing.total_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - dc_start).count();
   return dc;
 }
@@ -175,6 +179,44 @@ ScenarioSummary SummarizeScenario(const ScenarioResult& result) {
   return summary;
 }
 
+std::string FormatRunTelemetry(const ScenarioRunResult& run) {
+  const RunTelemetry& telemetry = run.telemetry;
+  std::string text = "harvest_sim: telemetry";
+  AppendField(text, "threads", int64_t{telemetry.threads});
+  AppendField(text, "rm_shards", int64_t{telemetry.rm_shards});
+  AppendField(text, "nn_shards", int64_t{telemetry.nn_shards});
+  AppendField(text, "peak_rss_bytes", telemetry.peak_rss_bytes);
+  AppendField(text, "total_seconds", telemetry.total_seconds);
+  text += "\n";
+  for (size_t i = 0; i < telemetry.datacenters.size(); ++i) {
+    const DatacenterResult& dc = run.result.datacenters[i];
+    const DcStageTiming& timing = telemetry.datacenters[i];
+    text += "harvest_sim: telemetry name=" + dc.name;
+    AppendField(text, "fleet_build_seconds", timing.fleet_build_seconds);
+    AppendField(text, "arena_high_water_bytes", timing.arena_high_water_bytes);
+    AppendField(text, "clustering_seconds", timing.clustering_seconds);
+    if (dc.has_scheduling) {
+      AppendField(text, "scheduling_seconds", timing.scheduling_seconds);
+    }
+    if (dc.has_power) {
+      AppendField(text, "power_seconds", timing.power_seconds);
+    }
+    AppendField(text, "placement_seconds", timing.placement_seconds);
+    if (dc.has_durability) {
+      AppendField(text, "durability_seconds", timing.durability_seconds);
+    }
+    if (dc.has_availability) {
+      AppendField(text, "availability_seconds", timing.availability_seconds);
+    }
+    if (dc.has_faults) {
+      AppendField(text, "fault_seconds", timing.fault_seconds);
+    }
+    AppendField(text, "total_seconds", timing.total_seconds);
+    text += "\n";
+  }
+  return text;
+}
+
 ScenarioRunResult RunScenario(const ScenarioConfig& base_config,
                               const ScenarioRunOptions& options) {
   // harvest_sim surfaces this as a usage error before calling; library
@@ -205,8 +247,8 @@ ScenarioRunResult RunScenario(const ScenarioConfig& base_config,
   run.result.scale = options.scale;
   run.result.trace_source = MakeTraceSource(config).Provenance();
   // Execution-layout overrides (shard counts) are provenance of HOW the run
-  // executed, not WHAT it computed: they go in the stripped "timing" block,
-  // so `--set rm_shards=8` cannot change a deterministic byte. The trace
+  // executed, not WHAT it computed: they go in the run telemetry, so
+  // `--set rm_shards=8` cannot change a deterministic byte. The trace
   // MANIFEST keeps the full override list (its replay line must reproduce
   // the exact invocation).
   for (const std::string& override_text : options.overrides) {
@@ -216,6 +258,8 @@ ScenarioRunResult RunScenario(const ScenarioConfig& base_config,
     }
   }
   run.result.datacenters.resize(labels.size());
+  RunTelemetry& telemetry = run.telemetry;
+  telemetry.datacenters.resize(labels.size());
 
   const int threads = options.threads > 0 ? options.threads : DefaultDriverThreads();
   // Split the thread budget: the per-DC loop soaks up min(threads, DCs)
@@ -235,17 +279,18 @@ ScenarioRunResult RunScenario(const ScenarioConfig& base_config,
     ctx.suite = &suite;
     ctx.task_threads = task_threads;
     ctx.dump_traces_dir = options.dump_traces_dir;
-    result.datacenters[static_cast<size_t>(i)] = RunDatacenterStages(ctx);
+    const size_t index = static_cast<size_t>(i);
+    result.datacenters[index] = RunDatacenterStages(ctx, telemetry.datacenters[index]);
   });
-  result.timing.threads = threads;
-  result.timing.rm_shards = config.rm_shards;
-  result.timing.nn_shards = config.nn_shards;
+  telemetry.threads = threads;
+  telemetry.rm_shards = config.rm_shards;
+  telemetry.nn_shards = config.nn_shards;
   struct rusage usage;
   if (getrusage(RUSAGE_SELF, &usage) == 0) {
     // Linux reports ru_maxrss in kilobytes.
-    result.timing.peak_rss_bytes = static_cast<int64_t>(usage.ru_maxrss) * 1024;
+    telemetry.peak_rss_bytes = static_cast<int64_t>(usage.ru_maxrss) * 1024;
   }
-  result.timing.total_seconds =
+  telemetry.total_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - run_start).count();
   if (!options.dump_traces_dir.empty()) {
     WriteTraceManifest(options.dump_traces_dir, config, options, labels, result);

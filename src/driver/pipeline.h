@@ -9,6 +9,8 @@
 // contract: same (scenario, seed, scale) => byte-identical JSON for ANY
 // --threads value, because every stage draws from a stream derived from
 // (seed, dc index, stage tag) alone and results are assembled by index.
+// Wall-clock and memory telemetry stays out of the JSON (RunTelemetry), so
+// results compare with plain `cmp`.
 
 #ifndef HARVEST_SRC_DRIVER_PIPELINE_H_
 #define HARVEST_SRC_DRIVER_PIPELINE_H_
@@ -53,14 +55,36 @@ struct ScenarioSummary {
   double worst_history_lost_percent = 0.0;
 };
 
+// How the run executed, as opposed to what it computed: wall clock, memory
+// and the execution layout. Varies from run to run and with --threads, so
+// it is never rendered into the result JSON; harvest_sim prints it on stderr
+// (FormatRunTelemetry).
+struct RunTelemetry {
+  int threads = 0;  // worker threads the per-DC loop used
+  // Execution-layout knobs as configured (0 = auto). Kept out of the
+  // rendered "overrides" so layout never changes a result byte.
+  int rm_shards = 0;
+  int nn_shards = 0;
+  // Peak resident set of the whole process (getrusage ru_maxrss), bytes.
+  int64_t peak_rss_bytes = 0;
+  double total_seconds = 0.0;  // RunScenario wall time
+  // Per-DC stage wall times, in the order of ScenarioResult::datacenters.
+  std::vector<DcStageTiming> datacenters;
+};
+
 struct ScenarioRunResult {
   ScenarioSummary summary;
-  ScenarioResult result;  // typed stage results, per datacenter
-  std::string json;       // RenderScenarioJson(result)
+  ScenarioResult result;   // typed stage results, per datacenter
+  RunTelemetry telemetry;  // never rendered
+  std::string json;        // RenderScenarioJson(result)
 };
 
 // Computed from the typed results; exposed for tests.
 ScenarioSummary SummarizeScenario(const ScenarioResult& result);
+
+// The run's telemetry as "harvest_sim: telemetry key=value ..." lines: one
+// for the whole run, then one per datacenter naming every stage that ran.
+std::string FormatRunTelemetry(const ScenarioRunResult& run);
 
 ScenarioRunResult RunScenario(const ScenarioConfig& config, const ScenarioRunOptions& options);
 

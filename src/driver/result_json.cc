@@ -232,47 +232,6 @@ void WriteFaults(JsonWriter& json, const FaultStageResult& faults) {
   json.EndObject();
 }
 
-// The per-stage wall-clock block. Placed between "overrides" and
-// "datacenters" so the diff tooling (tests/golden_check.sh,
-// tests/thread_determinism.sh) can strip the whole object as a line range
-// without disturbing comma placement around it.
-void WriteTiming(JsonWriter& json, const ScenarioResult& result) {
-  json.Key("timing").BeginObject();
-  json.Field("threads", result.timing.threads);
-  json.Field("rm_shards", result.timing.rm_shards);
-  json.Field("nn_shards", result.timing.nn_shards);
-  json.Field("peak_rss_bytes", result.timing.peak_rss_bytes);
-  json.Field("total_seconds", result.timing.total_seconds);
-  json.Key("datacenters").BeginArray();
-  for (const DatacenterResult& dc : result.datacenters) {
-    json.BeginObject();
-    json.Field("name", dc.name);
-    json.Field("fleet_build_seconds", dc.timing.fleet_build_seconds);
-    json.Field("arena_high_water_bytes", dc.timing.arena_high_water_bytes);
-    json.Field("clustering_seconds", dc.timing.clustering_seconds);
-    if (dc.has_scheduling) {
-      json.Field("scheduling_seconds", dc.timing.scheduling_seconds);
-    }
-    if (dc.has_power) {
-      json.Field("power_seconds", dc.timing.power_seconds);
-    }
-    json.Field("placement_seconds", dc.timing.placement_seconds);
-    if (dc.has_durability) {
-      json.Field("durability_seconds", dc.timing.durability_seconds);
-    }
-    if (dc.has_availability) {
-      json.Field("availability_seconds", dc.timing.availability_seconds);
-    }
-    if (dc.has_faults) {
-      json.Field("fault_seconds", dc.timing.fault_seconds);
-    }
-    json.Field("total_seconds", dc.timing.total_seconds);
-    json.EndObject();
-  }
-  json.EndArray();
-  json.EndObject();
-}
-
 }  // namespace
 
 void WriteDatacenterResult(JsonWriter& json, const DatacenterResult& dc) {
@@ -313,7 +272,6 @@ std::string RenderScenarioJson(const ScenarioResult& result) {
     json.Value(override_text);
   }
   json.EndArray();
-  WriteTiming(json, result);
   json.Key("datacenters").BeginArray();
   for (const DatacenterResult& dc : result.datacenters) {
     WriteDatacenterResult(json, dc);

@@ -14,9 +14,11 @@ namespace harvest {
 
 class JsonWriter;
 
-// The full document, schema_version 2. Key order is fixed by the structs'
-// declaration order; values use JsonWriter's %.12g formatting, so one
-// (scenario, seed, scale) triple renders byte-identically within a build.
+// The full document, ScenarioResult::schema_version. Key order is fixed by
+// the structs' declaration order; values use JsonWriter's %.12g formatting,
+// so one (scenario, seed, scale) triple renders byte-identically within a
+// build. No wall-clock telemetry is rendered: the output is compared with
+// plain `cmp` against tests/golden/.
 std::string RenderScenarioJson(const ScenarioResult& result);
 
 // Individual renderers, exposed for tests that check one stage's section.

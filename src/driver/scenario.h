@@ -123,8 +123,9 @@ struct ScenarioConfig {
   // Accounting shards for the scheduler RM and the storage NameNodes;
   // 0 = auto from fleet size (FleetTable::AutoShardCount). Like --threads,
   // these are layout knobs: the driver excludes them from the rendered
-  // "overrides" provenance (they go in the stripped "timing" block instead)
-  // and tests/shard_determinism.sh enforces byte-identity across values.
+  // "overrides" provenance (harvest_sim reports them with the run telemetry
+  // on stderr instead) and tests/golden_check.sh enforces byte-identity
+  // across values.
   int rm_shards = 0;
   int nn_shards = 0;
 

@@ -159,8 +159,8 @@ struct SchedulingStageResult {
   double mean_interarrival_seconds = 0.0;
   double target_utilization = 0.0;
   std::string storage_variant;
-  // Max RM scratch-arena high water across the PT / H runs (timing-block
-  // telemetry; not rendered with the scheduling results).
+  // Max RM scratch-arena high water across the PT / H runs (run telemetry
+  // copied into DcStageTiming; never rendered).
   int64_t arena_high_water_bytes = 0;
   SchedulingRunResult primary_aware;
   SchedulingRunResult history;
@@ -322,13 +322,11 @@ FaultStageResult RunFaultStage(const DcContext& ctx, const Cluster& cluster,
 // --- Composition ----------------------------------------------------------
 
 // Wall-clock seconds per stage of one datacenter's pipeline. Pure telemetry:
-// nothing downstream reads it, so results are unaffected. Rendered under the
-// JSON "timing" key, which every byte-diff (goldens, thread determinism)
-// strips or zeroes first.
+// nothing downstream reads it and it is never rendered into the result JSON
+// (harvest_sim prints it on stderr), so results are unaffected.
 struct DcStageTiming {
   double fleet_build_seconds = 0.0;
-  // High-water mark of the scheduling RM's per-slot scratch arena (bytes);
-  // memory telemetry riding the timing block, stripped like the wall times.
+  // High-water mark of the scheduling RM's per-slot scratch arena (bytes).
   int64_t arena_high_water_bytes = 0;
   double clustering_seconds = 0.0;
   double scheduling_seconds = 0.0;
@@ -355,23 +353,11 @@ struct DatacenterResult {
   AvailabilityStageResult availability;
   bool has_faults = false;
   FaultStageResult faults;
-  DcStageTiming timing;
 };
 
-// Whole-run timing telemetry (the top half of the JSON "timing" block).
-struct RunTiming {
-  int threads = 0;            // worker threads the per-DC loop used
-  // Resolved execution-layout knobs (0 = auto): provenance for the run's
-  // shard configuration, kept out of "overrides" so layout never changes
-  // the deterministic bytes.
-  int rm_shards = 0;
-  int nn_shards = 0;
-  // Peak resident set of the whole process (getrusage ru_maxrss), bytes.
-  int64_t peak_rss_bytes = 0;
-  double total_seconds = 0.0; // RunScenario wall time
-};
-
-// The whole run, typed. result_json.cc renders it; pipeline.cc summarizes it.
+// The whole run, typed and deterministic: everything here is rendered by
+// result_json.cc, so it holds no wall-clock or layout telemetry (that lives
+// in ScenarioRunResult, src/driver/pipeline.h). pipeline.cc summarizes it.
 // Schema v3 made the storage experiments grid objects (axes + cells) with
 // the full placement-kind coverage; v4 adds workload provenance
 // ("trace_source": synthetic vs replay); v5 adds the per-DC "energy" block
@@ -388,17 +374,13 @@ struct ScenarioResult {
   std::string trace_source = "synthetic";
   // `--set key=value` overrides applied to the preset, for provenance.
   std::vector<std::string> overrides;
-  RunTiming timing;
   std::vector<DatacenterResult> datacenters;
 };
 
-// Zeroes every wall-clock field so two runs of the same (scenario, seed,
-// scale) can be byte-compared; timing is the only nondeterministic output.
-void ClearTimingForDiff(ScenarioResult& result);
-
-// Runs the stage sequence for one datacenter. Thread-safe for distinct
-// contexts: everything mutable is local.
-DatacenterResult RunDatacenterStages(const DcContext& ctx);
+// Runs the stage sequence for one datacenter, recording each stage's wall
+// time in `timing`. Thread-safe for distinct contexts: everything mutable is
+// local.
+DatacenterResult RunDatacenterStages(const DcContext& ctx, DcStageTiming& timing);
 
 }  // namespace harvest
 

@@ -61,7 +61,7 @@ struct SchedulingSimOptions {
   // Accounting shards for the RM and the co-simulated NameNode (0 = auto
   // from fleet size, FleetTable::AutoShardCount) and the worker cap for the
   // RM's per-slot refresh. Execution layout only: results are byte-identical
-  // for every combination (tests/shard_determinism.sh).
+  // for every combination (tests/golden_check.sh).
   int rm_shards = 0;
   int nn_shards = 0;
   int slot_threads = 1;
@@ -145,8 +145,8 @@ struct SchedulingSimResult {
   // Average of per-server p99 (ms) per latency window, when collected.
   std::vector<double> p99_series_ms;
   StorageStats storage;
-  // High-water mark of the RM's per-slot scratch arena (memory telemetry for
-  // the driver's "timing" block; nothing deterministic reads it).
+  // High-water mark of the RM's per-slot scratch arena (the driver's memory
+  // telemetry; nothing deterministic reads it).
   int64_t rm_arena_high_water_bytes = 0;
   // Telemetry by the ground-truth pattern of the hosting server's tenant
   // (indexed by UtilizationPattern): where containers ran and where they

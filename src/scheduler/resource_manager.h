@@ -28,7 +28,7 @@
 // ordered active-node set instead of the whole fleet. Shard count and
 // thread count are execution-layout knobs: neither may change any emitted
 // byte (src/util/sharded_picker.h has the draw-exactness argument;
-// tests/shard_determinism.sh enforces the contract end to end).
+// tests/golden_check.sh enforces the contract end to end).
 //
 // Not thread-safe: one RM belongs to one simulation thread (the slot
 // refresh may *internally* fan out to slot_threads workers, but all
@@ -177,7 +177,7 @@ class ResourceManager {
   const FleetTable& fleet_table() const { return table_; }
 
   // High-water mark of the per-slot scratch arena, for the driver's memory
-  // telemetry (the "timing" block golden_check strips).
+  // telemetry (printed on stderr, never rendered into results).
   int64_t arena_high_water_bytes() const {
     return static_cast<int64_t>(arena_.high_water_bytes());
   }

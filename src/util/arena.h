@@ -5,9 +5,9 @@
 // availability snapshots). Routing them through one arena instead of
 // individual std::vector heap churn keeps the per-slot refresh free of
 // malloc traffic and -- because the arena records its high-water mark --
-// makes the scratch footprint observable: the driver surfaces
-// `arena_high_water_bytes` in the (timing-stripped) telemetry block so
-// BENCH files can track memory scaling next to wall time.
+// makes the scratch footprint observable: harvest_sim prints
+// `arena_high_water_bytes` with its stderr telemetry, next to wall time and
+// peak RSS.
 //
 // Lifetime rules (documented in DESIGN.md "Memory layout and sharding"):
 //   * Allocate/AllocateArray return storage valid until the next Reset().

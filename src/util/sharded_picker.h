@@ -19,7 +19,7 @@
 // integer below 2^53, so the comparisons agree with the dense subtraction
 // scan. Shard count is therefore an execution-layout knob, like thread
 // count: tests/rm_oracle_test.cc re-runs its oracle at several shard counts
-// and tests/shard_determinism.sh byte-compares whole scenario runs.
+// and tests/golden_check.sh byte-compares whole scenario runs.
 
 #ifndef HARVEST_SRC_UTIL_SHARDED_PICKER_H_
 #define HARVEST_SRC_UTIL_SHARDED_PICKER_H_

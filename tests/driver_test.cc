@@ -7,6 +7,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <set>
 #include <string>
 
 #include "src/driver/json_writer.h"
@@ -333,17 +334,31 @@ TEST(ResultJsonTest, RendersOverridesAndTopLevelFields) {
   EXPECT_NE(json.find("\"datacenters\": []"), std::string::npos);
 }
 
-// Renders a run's JSON with all wall-clock telemetry zeroed: the "timing"
-// block is the only intentionally nondeterministic output, so byte
-// comparisons go through this.
-std::string JsonWithoutTiming(ScenarioRunResult run) {
-  ClearTimingForDiff(run.result);
-  return RenderScenarioJson(run.result);
+// The layout CTests (one per file under tests/golden, see CMakeLists.txt)
+// loop over goldens, not over the registry: a scenario without a golden
+// would escape every byte check, and a golden without a scenario would fail
+// to run. Goldens are named <scenario>.seed<N>.json.
+TEST(GoldenCoverageTest, EveryScenarioHasAGoldenAndEveryGoldenAScenario) {
+  std::set<std::string> blessed;
+  for (const auto& entry : std::filesystem::directory_iterator(HARVEST_GOLDEN_DIR)) {
+    const std::string file = entry.path().filename().string();
+    const size_t seed_at = file.rfind(".seed");
+    ASSERT_TRUE(seed_at != std::string::npos && entry.path().extension() == ".json")
+        << "golden " << file << " is not named <scenario>.seed<N>.json";
+    const std::string scenario = file.substr(0, seed_at);
+    EXPECT_NE(FindScenario(scenario), nullptr)
+        << "golden " << file << " names no registered scenario";
+    blessed.insert(scenario);
+  }
+  for (const ScenarioConfig& scenario : AllScenarios()) {
+    EXPECT_EQ(blessed.count(scenario.name), 1u)
+        << "scenario " << scenario.name << " has no golden under " << HARVEST_GOLDEN_DIR
+        << " (bless it with tools/bless_goldens.sh)";
+  }
 }
 
 // The driver's core contract: one (scenario, seed, scale) triple produces
-// byte-identical JSON across runs (modulo the wall-clock "timing" block),
-// so results can be diffed by CI.
+// byte-identical JSON across runs, so results can be diffed by CI.
 TEST(DriverPipelineTest, SameScenarioAndSeedProduceIdenticalJson) {
   const ScenarioConfig* scenario = FindScenario("dc9_testbed");
   ASSERT_NE(scenario, nullptr);
@@ -352,7 +367,7 @@ TEST(DriverPipelineTest, SameScenarioAndSeedProduceIdenticalJson) {
   options.scale = 0.2;
   ScenarioRunResult first = RunScenario(*scenario, options);
   ScenarioRunResult second = RunScenario(*scenario, options);
-  EXPECT_EQ(JsonWithoutTiming(first), JsonWithoutTiming(second));
+  EXPECT_EQ(first.json, second.json);
   EXPECT_FALSE(first.json.empty());
   // The run exercised every stage of the pipeline.
   EXPECT_NE(first.json.find("\"clustering\""), std::string::npos);
@@ -389,9 +404,8 @@ TEST(DriverPipelineTest, StormScenarioKeepsHistoryAtOrBelowStockLoss) {
 }
 
 // The threading determinism contract: the JSON document is byte-identical
-// (modulo timing telemetry) for any worker-thread count, on every registered
-// scenario. --threads=4 on a single-DC scenario also exercises the intra-DC
-// PT/H task split.
+// for any worker-thread count, on every registered scenario. --threads=4 on
+// a single-DC scenario also exercises the intra-DC PT/H task split.
 TEST(DriverPipelineTest, ThreadCountNeverChangesJson) {
   for (const ScenarioConfig& scenario : AllScenarios()) {
     ScenarioRunOptions options;
@@ -401,15 +415,14 @@ TEST(DriverPipelineTest, ThreadCountNeverChangesJson) {
     ScenarioRunResult serial = RunScenario(scenario, options);
     options.threads = 4;
     ScenarioRunResult parallel = RunScenario(scenario, options);
-    EXPECT_EQ(JsonWithoutTiming(serial), JsonWithoutTiming(parallel))
-        << "scenario " << scenario.name;
+    EXPECT_EQ(serial.json, parallel.json) << "scenario " << scenario.name;
     EXPECT_FALSE(serial.json.empty());
   }
 }
 
-// Every run carries its own perf trajectory: the timing block is rendered,
-// populated for the stages that ran, and cleanly removable for diffs.
-TEST(DriverPipelineTest, TimingTelemetryIsRenderedAndStrippable) {
+// Wall-clock and memory telemetry never reaches the result JSON, so results
+// compare with plain `cmp`; it is kept, typed, in ScenarioRunResult.
+TEST(DriverPipelineTest, TelemetryIsPopulatedButNeverRendered) {
   const ScenarioConfig* scenario = FindScenario("reimage_storm");
   ASSERT_NE(scenario, nullptr);
   ScenarioRunOptions options;
@@ -417,25 +430,60 @@ TEST(DriverPipelineTest, TimingTelemetryIsRenderedAndStrippable) {
   options.scale = 0.05;
   options.threads = 2;
   ScenarioRunResult run = RunScenario(*scenario, options);
-  EXPECT_NE(run.json.find("\"timing\": {"), std::string::npos);
-  EXPECT_NE(run.json.find("\"fleet_build_seconds\""), std::string::npos);
-  EXPECT_EQ(run.result.timing.threads, 2);
-  EXPECT_GT(run.result.timing.total_seconds, 0.0);
-  ASSERT_EQ(run.result.datacenters.size(), 1u);
-  const DcStageTiming& timing = run.result.datacenters[0].timing;
+  EXPECT_EQ(run.json.find("\"timing\""), std::string::npos);
+  EXPECT_EQ(run.json, RenderScenarioJson(run.result));
+  EXPECT_EQ(run.telemetry.threads, 2);
+  EXPECT_GT(run.telemetry.total_seconds, 0.0);
+  EXPECT_GT(run.telemetry.peak_rss_bytes, 0);
+  ASSERT_EQ(run.telemetry.datacenters.size(), 1u);
+  const DcStageTiming& timing = run.telemetry.datacenters[0];
   EXPECT_GT(timing.total_seconds, 0.0);
-  EXPECT_GE(timing.fleet_build_seconds, 0.0);
-  EXPECT_GE(timing.durability_seconds, 0.0);
-  // Stage times are measured inside the DC's own wall time.
+  // Stage times are disjoint slices of the DC's own wall time (the slack
+  // only absorbs rounding in the per-stage double conversions).
   EXPECT_LE(timing.fleet_build_seconds + timing.clustering_seconds +
-                timing.scheduling_seconds + timing.placement_seconds +
-                timing.durability_seconds + timing.availability_seconds,
-            timing.total_seconds + 1e-6);
-  // Clearing the telemetry removes every timing byte from the rendering.
-  std::string stripped = JsonWithoutTiming(run);
-  EXPECT_NE(stripped.find("\"timing\": {"), std::string::npos);
-  EXPECT_NE(stripped.find("\"total_seconds\": 0"), std::string::npos);
-  EXPECT_EQ(stripped.find("\"threads\": 2"), std::string::npos);
+                timing.scheduling_seconds + timing.power_seconds +
+                timing.placement_seconds + timing.durability_seconds +
+                timing.availability_seconds + timing.fault_seconds,
+            timing.total_seconds + 1e-9);
+}
+
+// harvest_sim prints FormatRunTelemetry on stderr; every telemetry field must
+// appear there, each stage field only for a stage that ran.
+TEST(DriverPipelineTest, TelemetryLinesCarryEveryField) {
+  ScenarioRunResult run;
+  run.telemetry.threads = 3;
+  run.telemetry.rm_shards = 4;
+  run.telemetry.nn_shards = 1;
+  run.telemetry.peak_rss_bytes = 1048576;
+  run.telemetry.total_seconds = 9.5;
+  DatacenterResult dc;
+  dc.name = "DC-0";
+  dc.has_scheduling = dc.has_power = dc.has_durability = true;
+  dc.has_availability = dc.has_faults = true;
+  DcStageTiming timing;
+  timing.fleet_build_seconds = 0.5;
+  timing.arena_high_water_bytes = 4096;
+  timing.clustering_seconds = 0.25;
+  timing.scheduling_seconds = 3.0;
+  timing.power_seconds = 0.125;
+  timing.placement_seconds = 0.0625;
+  timing.durability_seconds = 1.5;
+  timing.availability_seconds = 2.0;
+  timing.fault_seconds = 1.0;
+  timing.total_seconds = 9.0;
+  run.result.datacenters = {dc, DatacenterResult{}};
+  run.result.datacenters[1].name = "DC-1";
+  run.telemetry.datacenters = {timing, DcStageTiming{}};
+  EXPECT_EQ(FormatRunTelemetry(run),
+            "harvest_sim: telemetry threads=3 rm_shards=4 nn_shards=1 "
+            "peak_rss_bytes=1048576 total_seconds=9.5\n"
+            "harvest_sim: telemetry name=DC-0 fleet_build_seconds=0.5 "
+            "arena_high_water_bytes=4096 clustering_seconds=0.25 scheduling_seconds=3 "
+            "power_seconds=0.125 placement_seconds=0.0625 durability_seconds=1.5 "
+            "availability_seconds=2 fault_seconds=1 total_seconds=9\n"
+            "harvest_sim: telemetry name=DC-1 fleet_build_seconds=0 "
+            "arena_high_water_bytes=0 clustering_seconds=0 placement_seconds=0 "
+            "total_seconds=0\n");
 }
 
 TEST(DriverPipelineTest, TypedResultsMatchRenderedJsonAndSummary) {
@@ -561,8 +609,6 @@ TEST(TraceReplayTest, ReplayReproducesTheSyntheticRunByteIdentically) {
   ScenarioRunResult replayed = RunScenario(replay_config, replay_options);
   EXPECT_EQ(replayed.result.trace_source, "replay:" + dir);
 
-  ClearTimingForDiff(synthetic.result);
-  ClearTimingForDiff(replayed.result);
   // Align the one intentional difference, then demand byte equality.
   replayed.result.trace_source = synthetic.result.trace_source;
   EXPECT_EQ(RenderScenarioJson(synthetic.result), RenderScenarioJson(replayed.result));
@@ -581,7 +627,7 @@ TEST(TraceReplayTest, ReplayedScenarioIsDeterministic) {
   ScenarioRunResult first = RunScenario(*scenario, options);
   options.threads = 4;
   ScenarioRunResult second = RunScenario(*scenario, options);
-  EXPECT_EQ(JsonWithoutTiming(first), JsonWithoutTiming(second));
+  EXPECT_EQ(first.json, second.json);
 }
 
 // ISSUE-5 acceptance: the committed reproducer trace -- captured from the

@@ -1,49 +1,91 @@
 #!/usr/bin/env bash
-# CI perf/behavior tracking: re-runs every blessed (scenario, seed) pair at
-# the CI scale and diffs the JSON byte-for-byte against tests/golden/. Any
-# difference is a behavior change -- either a regression, or an intentional
-# change that must be re-blessed with tools/bless_goldens.sh.
+# Layout check for one blessed result; CMakeLists.txt registers one CTest per
+# file under tests/golden. harvest_sim renders only deterministic fields, so
+# its output must `cmp` equal to the golden, with no filter, at every
+# execution layout:
 #
-# Blessed outputs are byte-exact within one builder image only: the pipeline
-# uses libm transcendentals, whose trailing digits can move across
-# toolchains (see DESIGN.md). Re-bless when the builder image changes.
+#   --threads=2                                            (the bless layout)
+#   --threads {1, 8} x (rm_shards, nn_shards) {(0,0), (1,4), (4,1), (4,4)}
+#
+# where 0 = auto, which resolves to 1 shard at golden scale. The two (0,0)
+# runs also export their fleets with --dump-traces: the threads=1 and
+# threads=8 exports must be byte-identical, and replaying the threads=1
+# export with --set trace_dir= must reproduce the golden in every field but
+# the provenance pair ("trace_source", "overrides").
+#
+# A difference is a behavior change: a regression, or an intentional change
+# to re-bless with tools/bless_goldens.sh. Goldens are byte-exact within one
+# builder image only (libm transcendentals; see DESIGN.md).
+#
+#   tests/golden_check.sh path/to/harvest_sim tests/golden/SCENARIO.seedN.json
 set -euo pipefail
 
-BIN=${1:?usage: golden_check.sh /path/to/harvest_sim /path/to/tests/golden}
-GOLDEN_DIR=${2:?golden dir}
+BIN=${1:?usage: golden_check.sh /path/to/harvest_sim /path/to/SCENARIO.seedN.json}
+GOLDEN=${2:?golden file}
 SCALE=0.05  # must match tools/bless_goldens.sh
 
-shopt -s nullglob
-goldens=("$GOLDEN_DIR"/*.json)
-if [ ${#goldens[@]} -eq 0 ]; then
-  echo "FAIL: no blessed results under $GOLDEN_DIR (run tools/bless_goldens.sh)" >&2
-  exit 1
-fi
+base=$(basename "$GOLDEN" .json)  # e.g. dc9_testbed.seed42
+run=("$BIN" --scenario="${base%.seed*}" --seed="${base##*.seed}" --scale="$SCALE")
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-# Remove the top-level "timing" block (per-stage wall-clock telemetry) before
-# diffing: it is the one intentionally nondeterministic part of the output.
-STRIP=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)/tools/strip_timing.sh
-strip_timing() {
-  bash "$STRIP" < "$1"
+status=0
+fail() {
+  echo "FAIL: $base: $*" >&2
+  status=1
 }
 
-status=0
-for golden in "${goldens[@]}"; do
-  base=$(basename "$golden" .json)  # e.g. dc9_testbed.seed42
-  scenario=${base%.seed*}
-  seed=${base##*.seed}
-  "$BIN" --scenario="$scenario" --seed="$seed" --scale="$SCALE" --threads=2 \
-    --out="$tmp/$base.raw.json" 2>/dev/null
-  strip_timing "$tmp/$base.raw.json" > "$tmp/$base.json"
-  if cmp -s "$golden" "$tmp/$base.json"; then
-    echo "OK: $base matches blessed results"
+# check LAYOUT ARG...: one run with the extra arguments, cmp-equal to the golden.
+check() {
+  local layout=$1
+  shift
+  if ! "${run[@]}" "$@" --out="$tmp/out.json" 2>"$tmp/stderr"; then
+    cat "$tmp/stderr" >&2
+    fail "harvest_sim failed at $layout"
+  elif cmp -s "$GOLDEN" "$tmp/out.json"; then
+    echo "OK: $base at $layout"
   else
-    echo "FAIL: $base differs from blessed $golden" >&2
-    echo "      (diff it; if the change is intentional, run tools/bless_goldens.sh)" >&2
-    status=1
+    fail "differs from $GOLDEN at $layout (if intended, run tools/bless_goldens.sh)"
   fi
+}
+
+check "threads=2" --threads=2
+for threads in 1 8; do
+  check "threads=$threads rm_shards=0 nn_shards=0" --threads="$threads" \
+    --dump-traces="$tmp/traces$threads"
+  for shards in 1,4 4,1 4,4; do
+    rm_shards=${shards%,*}
+    nn_shards=${shards#*,}
+    check "threads=$threads rm_shards=$rm_shards nn_shards=$nn_shards" \
+      --threads="$threads" --set rm_shards="$rm_shards" --set nn_shards="$nn_shards"
+  done
 done
+
+exports=$(cd "$tmp/traces1" && ls -- *.trace)
+if [ "$exports" != "$(cd "$tmp/traces8" && ls -- *.trace)" ]; then
+  fail "threads=1 and threads=8 exported different trace files"
+fi
+for name in $exports; do
+  cmp -s "$tmp/traces1/$name" "$tmp/traces8/$name" ||
+    fail "exported $name differs between threads=1 and threads=8"
+done
+
+if ! "${run[@]}" --threads=2 --set trace_dir="$tmp/traces1" --out="$tmp/replay.json" \
+    2>"$tmp/stderr"; then
+  cat "$tmp/stderr" >&2
+  fail "harvest_sim failed replaying the threads=1 export"
+elif python3 - "$GOLDEN" "$tmp/replay.json" <<'PY'; then
+import json
+import sys
+
+golden, replay = (json.load(open(path)) for path in sys.argv[1:])
+for doc in (golden, replay):
+    del doc["trace_source"], doc["overrides"]
+sys.exit(golden != replay)
+PY
+  echo "OK: $base replayed from its threads=1 export ($(echo $exports))"
+else
+  fail "replaying the threads=1 export differs from the golden"
+fi
 exit $status

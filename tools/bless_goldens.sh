@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Regenerates the blessed per-(scenario, seed) driver outputs under
-# tests/golden/ that tests/golden_check.sh diffs against. Run after an
+# tests/golden/ that tests/golden_check.sh compares against. Run after an
 # intentional behavior change (or a builder-image change -- the outputs are
 # byte-exact within one image only) and commit the result.
 #
@@ -13,15 +13,9 @@ SCALE=0.05  # must match tests/golden_check.sh
 SEED=42
 
 mkdir -p "$GOLDEN_DIR"
-tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
 for scenario in $("$BIN" --list-names); do
   out="$GOLDEN_DIR/$scenario.seed$SEED.json"
   "$BIN" --scenario="$scenario" --seed="$SEED" --scale="$SCALE" --threads=2 \
-    --out="$tmp/raw.json" 2>/dev/null
-  # Blessed outputs are timing-free: the "timing" block is wall-clock
-  # telemetry and must not churn the goldens (golden_check.sh strips it from
-  # fresh runs the same way).
-  bash "$(dirname "$0")/strip_timing.sh" < "$tmp/raw.json" > "$out"
+    --out="$out" 2>/dev/null
   echo "blessed $out"
 done

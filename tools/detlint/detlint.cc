@@ -31,7 +31,7 @@ constexpr RuleInfo kRules[] = {
      "'// detlint: ordered-ok(<reason>)' if the order provably cannot reach results"},
     {"R2-wallclock", "wallclock-ok",
      "derive values from the scenario seed via DerivedStreamSeed (src/util/rng.h); wall-clock "
-     "belongs only in the stripped timing block (src/driver/pipeline.cc)"},
+     "belongs only in the run telemetry, which is never rendered (src/driver/pipeline.cc)"},
     {"R3-raw-rng", "rng-ok",
      "use harvest::Rng seeded through DerivedStreamSeed (src/util/rng.h) so every stream is "
      "(seed, dc, stage)-addressable and identical across standard libraries"},

@@ -2,8 +2,8 @@
 //
 // Every result this repository publishes rests on one invariant: rendered
 // JSON is byte-identical across --threads x rm_shards x nn_shards (see
-// DESIGN.md "Determinism and seed policy").  The dynamic checks
-// (tests/thread_determinism.sh, tests/shard_determinism.sh) catch violations
+// DESIGN.md "Determinism and seed policy").  The dynamic check
+// (tests/golden_check.sh, one layout matrix per golden) catches violations
 // after they ship; detlint polices the *hazard class* that causes them at
 // lint time, as named, suppressible rules over a token-level lex of the
 // sources (no libclang -- the tool builds with nothing but the standard
@@ -58,7 +58,7 @@ struct Finding {
 
 struct Options {
   // The built-in allowlist pins the three sanctioned hazard sites:
-  //   R2 src/driver/pipeline.cc   (stage timing; stripped from goldens)
+  //   R2 src/driver/pipeline.cc   (stage timing; never rendered into results)
   //   R3 src/util/rng.h           (the one place engines are discussed)
   //   R6 src/util/executor.cc     (the deterministic executor itself)
   bool use_default_allowlist = true;
