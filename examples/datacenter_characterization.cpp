@@ -5,6 +5,7 @@
 //
 // Build & run:  ./build/examples/datacenter_characterization [DC-name]
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -13,6 +14,16 @@
 int main(int argc, char** argv) {
   using namespace harvest;
   const std::string dc_name = argc > 1 ? argv[1] : "DC-9";
+  const auto& profiles = AllDatacenterProfiles();
+  if (std::none_of(profiles.begin(), profiles.end(),
+                   [&](const DatacenterProfile& profile) { return profile.name == dc_name; })) {
+    std::fprintf(stderr, "unknown datacenter '%s'; valid names:", dc_name.c_str());
+    for (const DatacenterProfile& profile : profiles) {
+      std::fprintf(stderr, " %s", profile.name.c_str());
+    }
+    std::fprintf(stderr, "\n");
+    return 2;
+  }
 
   CharacterizationOptions options;
   options.months = 24;

@@ -426,8 +426,6 @@ std::vector<ScenarioKnob> MakeKnobs() {
       BoolKnob(&ScenarioConfig::run_durability));
   add("storage_blocks", "int > 0", "blocks created per cell of the storage co-simulation grid",
       PositiveIntKnob(&ScenarioConfig::storage_blocks));
-  add("durability_blocks", "int > 0", "deprecated alias for storage_blocks",
-      PositiveIntKnob(&ScenarioConfig::storage_blocks));
   add("access_rate", "double >= 0",
       "client accesses per hour injected into the durability timeline (0 = none)",
       [](ScenarioConfig& config, std::string_view value, std::string* error) {
@@ -582,7 +580,7 @@ OverrideStatus ApplyScenarioOverrideStatus(ScenarioConfig& config, std::string_v
   if (closest != nullptr && CloseEnoughToSuggest(key, best)) {
     message += "; did you mean '" + std::string(closest->name) + "'?";
   }
-  Fail(error, message + " (see harvest_sim --knobs)");
+  Fail(error, message + " (see harvest_sim --list-knobs)");
   return OverrideStatus::kUnknownKey;
 }
 

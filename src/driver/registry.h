@@ -67,9 +67,9 @@ bool SplitOverride(std::string_view text, std::string* key, std::string* value,
 
 // How one override application ended. The two failure kinds are distinct on
 // purpose: an unknown key means the caller mistyped a knob name (fixable via
-// --knobs / the did-you-mean suggestion), a bad value means the knob exists
-// but the value failed its parser -- callers and tests must never have to
-// grep the message text to tell them apart.
+// --list-knobs / the did-you-mean suggestion), a bad value means the knob
+// exists but the value failed its parser -- callers and tests must never have
+// to grep the message text to tell them apart.
 enum class OverrideStatus {
   kOk = 0,
   kUnknownKey,

@@ -20,8 +20,8 @@
 
 #include "src/cluster/datacenter.h"
 #include "src/core/utilization_clustering.h"
-#include "src/experiments/durability.h"
 #include "src/experiments/scheduling_sim.h"
+#include "src/experiments/storage_cosim.h"
 #include "src/trace/trace_source.h"
 #include "src/trace/utilization_trace.h"
 

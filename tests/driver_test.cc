@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <stdlib.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -172,9 +173,6 @@ TEST(ScenarioOverrideTest, RoundTripsEveryKnobKind) {
   EXPECT_FALSE(config.run_durability);
   ASSERT_TRUE(ApplyScenarioOverride(config, "storage_blocks", "2500", &error)) << error;
   EXPECT_EQ(config.storage_blocks, 2500);
-  // The deprecated alias still lands on the same field.
-  ASSERT_TRUE(ApplyScenarioOverride(config, "durability_blocks", "3000", &error)) << error;
-  EXPECT_EQ(config.storage_blocks, 3000);
   ASSERT_TRUE(ApplyScenarioOverride(config, "access_rate", "6.5", &error)) << error;
   EXPECT_DOUBLE_EQ(config.access_rate, 6.5);
   ASSERT_TRUE(ApplyScenarioOverride(config, "placement_kinds", "stock,history,soft", &error))
@@ -207,13 +205,14 @@ TEST(ScenarioOverrideTest, UnknownKeyAndMalformedValueAreUsageErrors) {
   EXPECT_FALSE(ApplyScenarioOverride(config, "fleet_scael", "0.5", &error));
   EXPECT_NE(error.find("unknown scenario knob"), std::string::npos);
   EXPECT_NE(error.find("fleet_scale"), std::string::npos) << "expected a suggestion: " << error;
+  EXPECT_NE(error.find("(see harvest_sim --list-knobs)"), std::string::npos) << error;
 
   EXPECT_FALSE(ApplyScenarioOverride(config, "fleet_scale", "abc", &error));
   EXPECT_NE(error.find("fleet_scale"), std::string::npos);
   EXPECT_FALSE(ApplyScenarioOverride(config, "fleet_scale", "-1", &error));
   EXPECT_FALSE(ApplyScenarioOverride(config, "fleet_scale", "0.5x", &error));
   EXPECT_FALSE(ApplyScenarioOverride(config, "run_durability", "maybe", &error));
-  EXPECT_FALSE(ApplyScenarioOverride(config, "durability_blocks", "12.5", &error));
+  EXPECT_FALSE(ApplyScenarioOverride(config, "storage_blocks", "12.5", &error));
   EXPECT_FALSE(ApplyScenarioOverride(config, "datacenters", "DC-11", &error));
   EXPECT_FALSE(ApplyScenarioOverride(config, "replications", "3,99", &error));
   EXPECT_FALSE(ApplyScenarioOverride(config, "scheduling_storage", "hdfs", &error));
@@ -225,8 +224,7 @@ TEST(ScenarioOverrideTest, UnknownKeyAndMalformedValueAreUsageErrors) {
   EXPECT_FALSE(ApplyScenarioOverride(config, "placement_kinds", "", &error));
   EXPECT_FALSE(ApplyScenarioOverride(config, "access_rate", "-1", &error));
   // Out-of-range values must error, not clamp (ERANGE) or truncate (narrowing).
-  EXPECT_FALSE(
-      ApplyScenarioOverride(config, "durability_blocks", "99999999999999999999", &error));
+  EXPECT_FALSE(ApplyScenarioOverride(config, "storage_blocks", "99999999999999999999", &error));
   EXPECT_FALSE(ApplyScenarioOverride(config, "placement_sample_blocks", "4294967296", &error));
   EXPECT_FALSE(ApplyScenarioOverride(config, "elbow_min_gain", "1e999", &error));
 }
@@ -390,8 +388,38 @@ TEST(DriverPipelineTest, DifferentSeedsProduceDifferentJson) {
   EXPECT_NE(first.json, second.json);
 }
 
+// Asserts that HDFS-H's `metric` is at most HDFS-Stock's in every row of a
+// kind-minor storage grid (cells[row * kinds + kind]).
+template <typename Cell>
+void ExpectHistoryAtOrBelowStock(const std::vector<std::string>& kinds,
+                                 const std::vector<Cell>& cells, double Cell::*metric,
+                                 const std::string& where) {
+  auto index = [&](PlacementKind kind) {
+    return static_cast<size_t>(
+        std::find(kinds.begin(), kinds.end(), PlacementKindName(kind)) - kinds.begin());
+  };
+  const size_t stock = index(PlacementKind::kStock);
+  const size_t history = index(PlacementKind::kHistory);
+  ASSERT_LT(stock, kinds.size()) << where;
+  ASSERT_LT(history, kinds.size()) << where;
+  ASSERT_FALSE(cells.empty()) << where;
+  ASSERT_EQ(cells.size() % kinds.size(), 0u) << where;
+  for (size_t row = 0; row < cells.size(); row += kinds.size()) {
+    EXPECT_LE(cells[row + history].*metric, cells[row + stock].*metric)
+        << where << ", grid row " << row / kinds.size();
+  }
+}
+
 // The paper's durability headline must survive the storm scenario: history-
 // based placement never loses more than stock under correlated reimaging.
+// The evaluation's shape claims are then asserted cell by cell on the golden
+// configuration (seed 42, scale 0.05) of fleet_sweep and of every preset with
+// a storage grid, so a re-bless cannot silently flip one:
+//   Fig 15: HDFS-H loses no more than HDFS-Stock at each replication factor,
+//           and nothing at 4x;
+//   Fig 16: HDFS-H fails no more accesses than HDFS-Stock at each target
+//           utilization;
+//   Fig 14: YARN-H improves on YARN-PT in all ten fleet_sweep datacenters.
 TEST(DriverPipelineTest, StormScenarioKeepsHistoryAtOrBelowStockLoss) {
   const ScenarioConfig* scenario = FindScenario("reimage_storm");
   ASSERT_NE(scenario, nullptr);
@@ -401,6 +429,40 @@ TEST(DriverPipelineTest, StormScenarioKeepsHistoryAtOrBelowStockLoss) {
   ScenarioRunResult result = RunScenario(*scenario, options);
   EXPECT_LE(result.summary.worst_history_lost_percent,
             result.summary.worst_stock_lost_percent);
+
+  for (const std::string name : {"fleet_sweep", "dc9_testbed", "reimage_storm", "hetero_shapes",
+                                 "week_horizon", "storm_under_load", "storage_stress"}) {
+    scenario = FindScenario(name);
+    ASSERT_NE(scenario, nullptr) << name;
+    ScenarioRunOptions golden;
+    golden.seed = 42;
+    golden.scale = 0.05;
+    ScenarioRunResult run = RunScenario(*scenario, golden);
+    ASSERT_FALSE(run.result.datacenters.empty()) << name;
+    for (const DatacenterResult& dc : run.result.datacenters) {
+      const std::string where = name + " " + dc.name;
+      ASSERT_TRUE(dc.has_durability) << where;
+      ExpectHistoryAtOrBelowStock(dc.durability.placement_kinds, dc.durability.cells,
+                                  &DurabilityCellResult::lost_percent, where + " Fig 15");
+      for (const DurabilityCellResult& cell : dc.durability.cells) {
+        if (cell.placement == PlacementKindName(PlacementKind::kHistory) &&
+            cell.replication == 4) {
+          EXPECT_EQ(cell.lost_percent, 0.0) << where << " Fig 15, HDFS-H at 4x";
+        }
+      }
+      if (dc.has_availability) {
+        ExpectHistoryAtOrBelowStock(dc.availability.placement_kinds, dc.availability.cells,
+                                    &AvailabilityCellResult::failed_percent, where + " Fig 16");
+      }
+    }
+    if (name == "fleet_sweep") {
+      ASSERT_EQ(run.result.datacenters.size(), 10u);
+      for (const DatacenterResult& dc : run.result.datacenters) {
+        ASSERT_TRUE(dc.has_scheduling) << dc.name;
+        EXPECT_GT(dc.scheduling.history_improvement_percent, 0.0) << "Fig 14, " << dc.name;
+      }
+    }
+  }
 }
 
 // The threading determinism contract: the JSON document is byte-identical
