@@ -206,19 +206,10 @@ int main(int argc, char** argv) {
   const harvest::ScenarioConfig* scenario = harvest::FindScenario(scenario_name);
   if (scenario == nullptr) {
     std::fprintf(stderr, "harvest_sim: unknown scenario '%s'\n", scenario_name.c_str());
-    // Same "did you mean" policy as the knob table (src/util/edit_distance.h).
-    const harvest::ScenarioConfig* closest = nullptr;
-    size_t closest_distance = 0;
-    for (const harvest::ScenarioConfig& candidate : harvest::AllScenarios()) {
-      const size_t distance = harvest::EditDistance(scenario_name, candidate.name);
-      if (closest == nullptr || distance < closest_distance) {
-        closest = &candidate;
-        closest_distance = distance;
-      }
-    }
-    if (closest != nullptr &&
-        harvest::CloseEnoughToSuggest(scenario_name, closest_distance)) {
-      std::fprintf(stderr, "  (did you mean '%s'?)\n", closest->name.c_str());
+    if (const auto closest = harvest::ClosestMatch(scenario_name, harvest::AllScenarios(),
+                                                   &harvest::ScenarioConfig::name)) {
+      std::fprintf(stderr, "  (did you mean '%.*s'?)\n", static_cast<int>(closest->size()),
+                   closest->data());
     }
     std::fprintf(stderr, "\n");
     PrintScenarios();

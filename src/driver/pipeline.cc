@@ -117,7 +117,6 @@ DatacenterResult RunDatacenterStages(const DcContext& ctx, DcStageTiming& timing
     dc.has_scheduling = true;
     dc.scheduling = Timed(timing.scheduling_seconds,
                           [&] { return RunSchedulingStage(ctx, fleet.cluster); });
-    timing.arena_high_water_bytes = dc.scheduling.arena_high_water_bytes;
     if (ctx.config->power_accounting) {
       dc.has_power = true;
       dc.power = Timed(timing.power_seconds,
@@ -193,7 +192,6 @@ std::string FormatRunTelemetry(const ScenarioRunResult& run) {
     const DcStageTiming& timing = telemetry.datacenters[i];
     text += "harvest_sim: telemetry name=" + dc.name;
     AppendField(text, "fleet_build_seconds", timing.fleet_build_seconds);
-    AppendField(text, "arena_high_water_bytes", timing.arena_high_water_bytes);
     AppendField(text, "clustering_seconds", timing.clustering_seconds);
     if (dc.has_scheduling) {
       AppendField(text, "scheduling_seconds", timing.scheduling_seconds);

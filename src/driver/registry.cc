@@ -280,6 +280,10 @@ std::vector<ScenarioKnob> MakeKnobs() {
           if (name.empty() || !known) {
             return Fail(error, "unknown datacenter '" + name + "' (expected DC-0..DC-9)");
           }
+          // Results, trace files and replay all key on the DC name.
+          if (std::find(names.begin(), names.end(), name) != names.end()) {
+            return Fail(error, "duplicate datacenter '" + name + "'");
+          }
           names.push_back(std::move(name));
         }
         if (names.empty()) {
@@ -567,18 +571,9 @@ OverrideStatus ApplyScenarioOverrideStatus(ScenarioConfig& config, std::string_v
       return OverrideStatus::kOk;
     }
   }
-  const ScenarioKnob* closest = nullptr;
-  size_t best = std::string_view::npos;
-  for (const ScenarioKnob& knob : ScenarioKnobs()) {
-    size_t distance = EditDistance(key, knob.name);
-    if (best == std::string_view::npos || distance < best) {
-      best = distance;
-      closest = &knob;
-    }
-  }
   std::string message = "unknown scenario knob '" + std::string(key) + "'";
-  if (closest != nullptr && CloseEnoughToSuggest(key, best)) {
-    message += "; did you mean '" + std::string(closest->name) + "'?";
+  if (const auto closest = ClosestMatch(key, ScenarioKnobs(), &ScenarioKnob::name)) {
+    message += "; did you mean '" + std::string(*closest) + "'?";
   }
   Fail(error, message + " (see harvest_sim --list-knobs)");
   return OverrideStatus::kUnknownKey;

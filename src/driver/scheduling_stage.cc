@@ -110,8 +110,6 @@ SchedulingStageResult RunSchedulingStage(const DcContext& ctx, const Cluster& cl
   SchedulingSimResult& history = runs[1];
 
   SchedulingStageResult result;
-  result.arena_high_water_bytes = std::max(baseline.rm_arena_high_water_bytes,
-                                           history.rm_arena_high_water_bytes);
   result.horizon_seconds = options.horizon_seconds;
   result.mean_interarrival_seconds = options.mean_interarrival_seconds;
   result.target_utilization = config.scheduling_target_utilization;

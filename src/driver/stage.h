@@ -159,9 +159,6 @@ struct SchedulingStageResult {
   double mean_interarrival_seconds = 0.0;
   double target_utilization = 0.0;
   std::string storage_variant;
-  // Max RM scratch-arena high water across the PT / H runs (run telemetry
-  // copied into DcStageTiming; never rendered).
-  int64_t arena_high_water_bytes = 0;
   SchedulingRunResult primary_aware;
   SchedulingRunResult history;
   double history_improvement_percent = 0.0;
@@ -326,8 +323,6 @@ FaultStageResult RunFaultStage(const DcContext& ctx, const Cluster& cluster,
 // (harvest_sim prints it on stderr), so results are unaffected.
 struct DcStageTiming {
   double fleet_build_seconds = 0.0;
-  // High-water mark of the scheduling RM's per-slot scratch arena (bytes).
-  int64_t arena_high_water_bytes = 0;
   double clustering_seconds = 0.0;
   double scheduling_seconds = 0.0;
   double power_seconds = 0.0;

@@ -62,9 +62,8 @@ class SchedulingSimulation {
       HARVEST_CHECK(PriceCurve::Parse(options.energy_price, &price, &error)) << error;
       price.ShiftPhase(static_cast<double>(options.dc_index) * options.price_phase_hours *
                        3600.0);
-      accountant_ = std::make_unique<EnergyAccountant>(
-          &rm_.fleet_table(), PowerModel{}, price, options.rm_shards, options.slot_threads,
-          options.power_cap_watts);
+      accountant_ = std::make_unique<EnergyAccountant>(&rm_.fleet_table(), PowerModel{}, price,
+                                                       options.power_cap_watts);
     }
     if (options.rightsizing && options.mode == SchedulerMode::kHistory) {
       ResourceManager::RightSizingOptions rightsizing;
@@ -683,9 +682,6 @@ class SchedulingSimulation {
       jobs_.at(task.job).am->OnTaskKilled(task.stage);
       pending_.insert(task.job);  // the killed task returns to the pending pool
       ++window_kills_[container.server];
-      UtilizationPattern pattern =
-          cluster_.tenant(cluster_.server(container.server).tenant).true_pattern;
-      ++result_.kills_by_pattern[static_cast<size_t>(pattern)];
       if (!server_class_.empty()) {
         ClassSchedulingDiagnostics* diag =
             DiagnosticsForClass(server_class_[static_cast<size_t>(container.server)]);
@@ -758,7 +754,6 @@ class SchedulingSimulation {
     if (name_node_) {
       result_.storage = name_node_->stats();
     }
-    result_.rm_arena_high_water_bytes = rm_.arena_high_water_bytes();
     result_.fault_evictions = fault_evictions_;
     result_.forecast_degraded_seconds = forecast_degraded_seconds_;
     if (accountant_) {

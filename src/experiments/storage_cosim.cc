@@ -1,12 +1,9 @@
 #include "src/experiments/storage_cosim.h"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
 #include <tuple>
 
-#include "src/sim/event_queue.h"
-#include "src/util/logging.h"
 #include "src/util/rng.h"
 
 namespace harvest {
@@ -163,15 +160,6 @@ StorageCosimResult RunStorageCosim(const Cluster& cluster, const StorageTimeline
   }
   const uint64_t live_blocks = static_cast<uint64_t>(name_node.num_blocks());
 
-  // Replay the shared timeline event-driven: a cursor over each stream, one
-  // pending EventQueue entry at a time (the fired event schedules the next
-  // one), so the queue stays O(1)-sized and each event does only the
-  // NameNode's O(affected) work. Ordering contract, which the oracle's dense
-  // reference mirrors: events fire in time order, and a reimage fires before
-  // an access at the same timestamp. Re-replication completions ride the
-  // NameNode's own completion-time queue, drained up to `now` at every
-  // event. The callback captures one pointer, so every re-schedule copies a
-  // small-buffer std::function -- no per-event allocation.
   // ToR partition edges in time order: +1 enters a partition, -1 leaves it.
   // A per-rack depth counter composes overlapping intervals.
   struct RackTransition {
@@ -195,91 +183,54 @@ StorageCosimResult RunStorageCosim(const Cluster& cluster, const StorageTimeline
               });
     rack_depth.assign(static_cast<size_t>(max_rack) + 1, 0);
   }
-
-  struct Replay {
-    const StorageTimeline* timeline;
-    NameNode* name_node;
-    EventQueue* queue;
-    StorageCosimResult* result;
-    uint64_t live_blocks;
-    std::vector<RackTransition>* partition_edges = nullptr;
-    std::vector<int>* rack_depth = nullptr;
-    size_t reimage_cursor = 0;
-    size_t access_cursor = 0;
-    size_t partition_cursor = 0;
-
-    // Applies every partition edge due by `now`. Edges tied with a timeline
-    // event apply first -- the oracle's dense reference mirrors this order.
-    void ApplyPartitionsThrough(double now) {
-      while (partition_cursor < partition_edges->size() &&
-             (*partition_edges)[partition_cursor].time <= now) {
-        const RackTransition& edge = (*partition_edges)[partition_cursor++];
-        const size_t r = static_cast<size_t>(edge.rack);
-        const int before = (*rack_depth)[r];
-        (*rack_depth)[r] = before + edge.delta;
-        const bool was = before > 0;
-        const bool is = (*rack_depth)[r] > 0;
-        if (was != is) {
-          name_node->SetRackPartitioned(edge.rack, is, edge.time);
-        }
-      }
-    }
-
-    bool Done() const {
-      return reimage_cursor >= timeline->reimages.size() &&
-             access_cursor >= timeline->accesses.size();
-    }
-    double NextTime() const {
-      const bool have_reimage = reimage_cursor < timeline->reimages.size();
-      const bool have_access = access_cursor < timeline->accesses.size();
-      if (have_reimage && have_access) {
-        return std::min(timeline->reimages[reimage_cursor].first,
-                        timeline->accesses[access_cursor].time_seconds);
-      }
-      return have_reimage ? timeline->reimages[reimage_cursor].first
-                          : timeline->accesses[access_cursor].time_seconds;
-    }
-    void RunNext() {
-      if (partition_edges != nullptr) {
-        ApplyPartitionsThrough(NextTime());
-      }
-      const bool have_access = access_cursor < timeline->accesses.size();
-      const bool reimage_first =
-          reimage_cursor < timeline->reimages.size() &&
-          (!have_access || timeline->reimages[reimage_cursor].first <=
-                               timeline->accesses[access_cursor].time_seconds);
-      if (reimage_first) {
-        const auto& [time, server] = timeline->reimages[reimage_cursor++];
-        name_node->OnReimage(server, time);
-        ++result->reimage_events;
-      } else {
-        const StorageAccessEvent& event = timeline->accesses[access_cursor++];
-        if (live_blocks > 0) {
-          name_node->ProcessRereplication(event.time_seconds);
-          name_node->Access(static_cast<BlockId>(event.block_draw % live_blocks),
-                            event.time_seconds);
-        }
-      }
-      if (!Done()) {
-        queue->Schedule(NextTime(), [this] { RunNext(); });
+  size_t partition_cursor = 0;
+  auto apply_partitions_through = [&](double now) {
+    while (partition_cursor < partition_edges.size() &&
+           partition_edges[partition_cursor].time <= now) {
+      const RackTransition& edge = partition_edges[partition_cursor++];
+      int& depth = rack_depth[static_cast<size_t>(edge.rack)];
+      const bool was = depth > 0;
+      depth += edge.delta;
+      if (was != (depth > 0)) {
+        name_node.SetRackPartitioned(edge.rack, depth > 0, edge.time);
       }
     }
   };
-  EventQueue queue;
+
+  // Replay the shared timeline as a two-cursor merge, each event doing only
+  // the NameNode's O(affected) work. Ordering contract, which the oracle's
+  // dense reference mirrors: events run in time order, a reimage runs
+  // before an access at the same timestamp, and partition edges due by an
+  // event's time apply before it. Re-replication completions ride the
+  // NameNode's own completion-time queue, drained up to `now` at every
+  // event. Every event lies at or before the timeline's horizon
+  // (BuildStorageTimeline stretches the horizon over them).
   StorageCosimResult result;
-  Replay replay{&timeline, &name_node, &queue,
-                &result,   live_blocks, partition_edges.empty() ? nullptr : &partition_edges,
-                partition_edges.empty() ? nullptr : &rack_depth};
-  if (!replay.Done()) {
-    queue.Schedule(replay.NextTime(), [&replay] { replay.RunNext(); });
+  size_t r = 0;
+  size_t a = 0;
+  while (r < timeline.reimages.size() || a < timeline.accesses.size()) {
+    const bool reimage_first =
+        r < timeline.reimages.size() &&
+        (a >= timeline.accesses.size() ||
+         timeline.reimages[r].first <= timeline.accesses[a].time_seconds);
+    const double now =
+        reimage_first ? timeline.reimages[r].first : timeline.accesses[a].time_seconds;
+    apply_partitions_through(now);
+    if (reimage_first) {
+      name_node.OnReimage(timeline.reimages[r++].second, now);
+      ++result.reimage_events;
+    } else {
+      const StorageAccessEvent& event = timeline.accesses[a++];
+      if (live_blocks > 0) {
+        name_node.ProcessRereplication(now);
+        name_node.Access(static_cast<BlockId>(event.block_draw % live_blocks), now);
+      }
+    }
   }
-  queue.RunUntil(timeline.horizon_seconds);
   // Partition edges past the last timeline event still gate the drain: a
   // partition must lift at its own time before retried heals can pick the
   // rack's servers again.
-  if (!partition_edges.empty()) {
-    replay.ApplyPartitionsThrough(std::numeric_limits<double>::infinity());
-  }
+  apply_partitions_through(std::numeric_limits<double>::infinity());
   // Let the tail of the re-replication queue drain.
   name_node.ProcessRereplication(timeline.horizon_seconds + 30.0 * 24.0 * 3600.0);
 

@@ -1,8 +1,9 @@
 // Event-driven storage co-simulation (paper §6.4-§6.5, Figs 15-16). One
 // reimage/access timeline is built per datacenter and shared read-only by
 // every cell of the placement-kind x replication grid; each cell replays the
-// timeline through src/sim/event_queue against its own NameNode, with the
-// NameNode's incremental accounting doing O(affected) work per event.
+// timeline in time order (a two-cursor merge of its reimage and access
+// streams) against its own NameNode, with the NameNode's incremental
+// accounting doing O(affected) work per event.
 //
 // RNG pairing, so Stock-vs-H (and every other kind pair) stays a paired
 // comparison like the paper's simulator:
@@ -80,7 +81,8 @@ struct StorageTimelineOptions {
 // stream: a server down interval wipes its replicas at the outage start and
 // again at the end (the server comes back reimaged, so heals that targeted
 // it mid-outage are void), and reimage waves land as plain reimages. The
-// horizon stretches to cover the last fault edge. nullptr = the legacy
+// horizon stretches to cover the last fault edge, so every reimage, access
+// and partition edge lies at or before it. nullptr = the legacy
 // timeline, byte-identical to before faults existed.
 StorageTimeline BuildStorageTimeline(const Cluster& cluster,
                                      const StorageTimelineOptions& options,
@@ -128,7 +130,7 @@ struct StorageCosimResult {
   double heal_backlog_cleared_at = 0.0;
 };
 
-// Replays `timeline` event-driven against a fresh namespace of
+// Replays every event of `timeline` against a fresh namespace of
 // `options.num_blocks` blocks. Cells are independent: run them as parallel
 // tasks freely (the timeline is read-only).
 StorageCosimResult RunStorageCosim(const Cluster& cluster, const StorageTimeline& timeline,

@@ -69,17 +69,8 @@ bool ParseSpec(std::string_view text, FaultSpec* spec, std::string* error) {
   }
   if (entry == nullptr) {
     std::string message = "unknown fault kind '" + std::string(name) + "'";
-    const FaultGrammarEntry* closest = nullptr;
-    size_t best = std::string_view::npos;
-    for (const FaultGrammarEntry& candidate : FaultGrammar()) {
-      size_t distance = EditDistance(name, candidate.name);
-      if (best == std::string_view::npos || distance < best) {
-        best = distance;
-        closest = &candidate;
-      }
-    }
-    if (closest != nullptr && CloseEnoughToSuggest(name, best)) {
-      message += "; did you mean '" + std::string(closest->name) + "'?";
+    if (const auto closest = ClosestMatch(name, FaultGrammar(), &FaultGrammarEntry::name)) {
+      message += "; did you mean '" + std::string(*closest) + "'?";
     }
     return Fail(error, message + " (see harvest_sim --list-faults)");
   }

@@ -3,64 +3,36 @@
 #include <algorithm>
 
 #include "src/scheduler/node_manager.h"
-#include "src/util/executor.h"
 
 namespace harvest {
 
 EnergyAccountant::EnergyAccountant(const FleetTable* table, const PowerModel& model,
-                                   PriceCurve price, int shards, int slot_threads,
-                                   double power_cap_watts)
-    : table_(table),
-      model_(model),
-      price_(price),
-      slot_threads_(std::max(1, slot_threads)),
-      power_cap_watts_(power_cap_watts) {
-  const int resolved =
-      shards <= 0 ? FleetTable::AutoShardCount(table->num_servers()) : shards;
-  shard_starts_ = table_->ShardStarts(resolved);
-  shard_mw_.assign(shard_starts_.size(), 0);
-}
+                                   PriceCurve price, double power_cap_watts)
+    : table_(table), model_(model), price_(price), power_cap_watts_(power_cap_watts) {}
 
-int64_t EnergyAccountant::FleetMilliwatts(double t, const std::vector<int32_t>* group_parked) {
-  const int shards = static_cast<int>(shard_starts_.size());
-  const std::vector<int32_t>& group_of = table_->group();
-  const std::vector<int32_t>& trace_of = table_->trace_index();
-  const std::vector<int>& cores_of = table_->capacity_cores();
-  ParallelForIndex(slot_threads_, shards, [&](int shard) {
-    const size_t begin = shard_starts_[static_cast<size_t>(shard)];
-    const size_t end = static_cast<size_t>(shard) + 1 < shard_starts_.size()
-                           ? shard_starts_[static_cast<size_t>(shard) + 1]
-                           : table_->num_servers();
-    int64_t mw = 0;
-    size_t s = begin;
-    while (s < end) {
-      const int32_t g = group_of[s];
-      const size_t group_end = std::min(end, table_->group_end(g));
-      const int64_t size = static_cast<int64_t>(group_end - s);
-      const int capacity = cores_of[s];
-      const int32_t trace = trace_of[s];
-      // Live primary cores, via the NM's shared rounding rule -- the same
-      // whole-core value the heartbeat reports (group-constant: trace and
-      // capacity are what define the group).
-      const int primary =
-          trace < 0 ? 0
-                    : NodeManager::ForecastCoresFromPeak(table_->trace(trace)->AtTime(t),
-                                                         capacity);
-      const int64_t parked =
-          group_parked == nullptr ? 0 : (*group_parked)[static_cast<size_t>(g)];
-      const int64_t unparked = size - parked;
-      mw += unparked * (model_.IdleMilliwatts(capacity) +
-                        model_.active_per_core_mw * static_cast<int64_t>(primary)) +
-            parked * model_.ParkedMilliwatts(capacity);
-      s = group_end;
-    }
-    shard_mw_[static_cast<size_t>(shard)] = mw;
-  });
-  int64_t total = 0;
-  for (int64_t partial : shard_mw_) {
-    total += partial;  // shard order; exact integer sum
+int64_t EnergyAccountant::FleetMilliwatts(double t,
+                                          const std::vector<int32_t>* group_parked) const {
+  int64_t mw = 0;
+  for (int g = 0; g < table_->num_groups(); ++g) {
+    const size_t first = table_->group_begin(g);
+    const int64_t size = static_cast<int64_t>(table_->group_end(g) - first);
+    const int capacity = table_->capacity_cores()[first];
+    const int32_t trace = table_->trace_index()[first];
+    // Live primary cores, via the NM's shared rounding rule -- the same
+    // whole-core value the heartbeat reports (group-constant: trace and
+    // capacity are what define the group).
+    const int primary =
+        trace < 0 ? 0
+                  : NodeManager::ForecastCoresFromPeak(table_->trace(trace)->AtTime(t),
+                                                       capacity);
+    const int64_t parked =
+        group_parked == nullptr ? 0 : (*group_parked)[static_cast<size_t>(g)];
+    const int64_t unparked = size - parked;
+    mw += unparked * (model_.IdleMilliwatts(capacity) +
+                      model_.active_per_core_mw * static_cast<int64_t>(primary)) +
+          parked * model_.ParkedMilliwatts(capacity);
   }
-  return total;
+  return mw;
 }
 
 void EnergyAccountant::IntegrateSlot(double t0, double t1,

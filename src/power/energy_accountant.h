@@ -9,11 +9,9 @@
 //     it is integrated once per tick over [tick - dt, tick) using the trace
 //     value at the interval start. The per-slot fleet draw is an exact
 //     int64 milliwatt sum, computed once per telemetry group (the power
-//     model is per SKU; see power_model.h) as per-shard partials on the
-//     same group-snapped shard partition the RM uses, merged in shard
-//     order. Integer partials make the sum associative, so --threads /
-//     rm_shards cannot move a byte (tests/power_oracle_test.cc audits
-//     shard counts {1, 3, 8} against the dense per-server sum).
+//     model is per SKU; see power_model.h) in one serial loop, so neither
+//     --threads nor rm_shards can move a byte (tests/power_oracle_test.cc
+//     audits it against the dense per-server sum).
 //
 //   * Container (secondary) component: containers start and end at event
 //     times, not slot boundaries, so their draw is accounted event-driven
@@ -63,16 +61,14 @@ struct EnergyTotals {
 
 class EnergyAccountant {
  public:
-  // `table` must outlive the accountant. `shards` follows the RM's "0 =
-  // auto" semantics; `slot_threads` caps the per-slot fan-out. Both are
-  // execution layout and cannot change a byte. `power_cap_watts` <= 0
-  // disables cap telemetry.
+  // `table` must outlive the accountant. `power_cap_watts` <= 0 disables
+  // cap telemetry.
   EnergyAccountant(const FleetTable* table, const PowerModel& model, PriceCurve price,
-                   int shards, int slot_threads, double power_cap_watts);
+                   double power_cap_watts);
 
   // Fleet draw at time `t` in exact milliwatts. `group_parked` is the
   // per-telemetry-group parked count (nullptr = nothing parked).
-  int64_t FleetMilliwatts(double t, const std::vector<int32_t>* group_parked);
+  int64_t FleetMilliwatts(double t, const std::vector<int32_t>* group_parked) const;
 
   // Integrates the fleet component over [t0, t1) (one tick) and samples
   // peak / cap telemetry at the interval's draw plus the current secondary
@@ -97,11 +93,8 @@ class EnergyAccountant {
   const FleetTable* table_;
   PowerModel model_;
   PriceCurve price_;
-  int slot_threads_ = 1;
   double power_cap_watts_ = 0.0;
-  std::vector<size_t> shard_starts_;
-  std::vector<int64_t> shard_mw_;  // per-shard partials, merged in shard order
-  int64_t secondary_mw_ = 0;       // running draw of live containers
+  int64_t secondary_mw_ = 0;  // running draw of live containers
   double last_power_watts_ = 0.0;
   EnergyTotals totals_;
 };

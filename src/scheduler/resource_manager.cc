@@ -218,17 +218,11 @@ int64_t ResourceManager::NodeWeight(ServerId s) const {
 
 void ResourceManager::RebuildAvailabilityAndWeights() const {
   const int shards = num_shards();
-  // Arena scratch for this rebuild: per-(shard, class) available-core
-  // partials and per-class dense weight columns (position-indexed, each
-  // shard writing only its own position range). All allocation happens
-  // before the fan-out; the arena is not thread-safe.
-  arena_.Reset();
-  int64_t* partials =
-      arena_.AllocateArray<int64_t>(static_cast<size_t>(shards) *
-                                    static_cast<size_t>(num_classes_));
-  int64_t** class_cols = arena_.AllocateArray<int64_t*>(static_cast<size_t>(num_classes_));
-  for (int c = 0; c < num_classes_; ++c) {
-    class_cols[c] = arena_.AllocateArray<int64_t>(class_servers_[static_cast<size_t>(c)].size());
+  const size_t classes = static_cast<size_t>(num_classes_);
+  class_partials_.assign(static_cast<size_t>(shards) * classes, 0);
+  class_cols_.resize(classes);
+  for (size_t c = 0; c < classes; ++c) {
+    class_cols_[c].resize(class_servers_[c].size());
   }
   ParallelForIndex(slot_threads_, shards, [&](int shard) {
     const size_t begin = all_servers_picker_.shard_begin(shard);
@@ -245,7 +239,7 @@ void ResourceManager::RebuildAvailabilityAndWeights() const {
         }
       }
     }
-    int64_t* partial = partials + static_cast<size_t>(shard) * static_cast<size_t>(num_classes_);
+    int64_t* partial = class_partials_.data() + static_cast<size_t>(shard) * classes;
     for (size_t s = begin; s < end; ++s) {
       // A parked or down server reports no room at all: weight 0 in every
       // sampler (Resources{0,0} fits no shape) and nothing in the class
@@ -263,19 +257,19 @@ void ResourceManager::RebuildAvailabilityAndWeights() const {
     for (int c = 0; c < num_classes_; ++c) {
       ShardedPicker& picker = class_pickers_[static_cast<size_t>(c)];
       const auto& servers = class_servers_[static_cast<size_t>(c)];
+      std::vector<int64_t>& column = class_cols_[static_cast<size_t>(c)];
       const size_t pos_end = picker.shard_end(shard);
       for (size_t pos = picker.shard_begin(shard); pos < pos_end; ++pos) {
-        class_cols[c][pos] = node_weight_[static_cast<size_t>(servers[pos])];
+        column[pos] = node_weight_[static_cast<size_t>(servers[pos])];
       }
-      picker.BuildShard(shard, class_cols[c]);
+      picker.BuildShard(shard, column.data());
     }
   });
   // Deterministic merge: shard order, exact integer sums.
   for (int c = 0; c < num_classes_; ++c) {
     int64_t cores = 0;
     for (int shard = 0; shard < shards; ++shard) {
-      cores += partials[static_cast<size_t>(shard) * static_cast<size_t>(num_classes_) +
-                        static_cast<size_t>(c)];
+      cores += class_partials_[static_cast<size_t>(shard) * classes + static_cast<size_t>(c)];
     }
     class_avail_cores_[static_cast<size_t>(c)] = cores;
     class_pickers_[static_cast<size_t>(c)].FinishBuild();

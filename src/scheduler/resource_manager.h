@@ -51,7 +51,6 @@
 #include "src/cluster/fleet_table.h"
 #include "src/scheduler/container.h"
 #include "src/scheduler/node_manager.h"
-#include "src/util/arena.h"
 #include "src/util/rng.h"
 #include "src/util/sharded_picker.h"
 
@@ -175,12 +174,6 @@ class ResourceManager {
   // slot integration (empty until ConfigureRightSizing).
   const std::vector<int32_t>& group_parked() const { return group_parked_; }
   const FleetTable& fleet_table() const { return table_; }
-
-  // High-water mark of the per-slot scratch arena, for the driver's memory
-  // telemetry (printed on stderr, never rendered into results).
-  int64_t arena_high_water_bytes() const {
-    return static_cast<int64_t>(arena_.high_water_bytes());
-  }
 
   // Test hook: recomputes every cached quantity (per-node availability,
   // forecasts, weights, per-class aggregates, Fenwick totals, the active
@@ -321,8 +314,11 @@ class ResourceManager {
   // Per-class mean primary utilization, computed once per slot on demand.
   mutable std::vector<int64_t> class_util_slot_;
   mutable std::vector<double> class_util_value_;
-  // Per-slot rebuild scratch (per-shard class partials, weight columns).
-  mutable Arena arena_;
+  // Per-slot rebuild scratch, sized before the shard fan-out: per-(shard,
+  // class) available-core partials and one position-indexed weight column
+  // per class (each shard writes only its own slice of both).
+  mutable std::vector<int64_t> class_partials_;
+  mutable std::vector<std::vector<int64_t>> class_cols_;
 };
 
 }  // namespace harvest

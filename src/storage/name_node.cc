@@ -18,8 +18,8 @@ NameNode::NameNode(const Cluster* cluster, std::unique_ptr<PlacementPolicy> poli
     data_nodes_.emplace_back(&server, server.harvestable_blocks);
     num_racks = std::max(num_racks, server.rack + 1);
   }
-  // Shard by rack (contiguous rack ranges): a rack -- and every replica
-  // index on it -- lives wholly in one shard. 0 = auto from fleet size.
+  // Heal-queue shards by rack (contiguous rack ranges). 0 = auto from fleet
+  // size.
   const int shards =
       options_.shards <= 0 ? FleetTable::AutoShardCount(cluster->num_servers())
                            : options_.shards;
@@ -29,9 +29,6 @@ NameNode::NameNode(const Cluster* cluster, std::unique_ptr<PlacementPolicy> poli
                        : static_cast<int64_t>(server.rack) * shards / num_racks));
   }
   shard_queues_.resize(static_cast<size_t>(shards));
-  shard_under_replicated_.assign(static_cast<size_t>(shards), 0);
-  shard_blocks_lost_.assign(static_cast<size_t>(shards), 0);
-  shard_live_replicas_.assign(static_cast<size_t>(shards), 0);
   num_racks_ = static_cast<int>(num_racks);
   if (options_.max_inflight_heals_per_shard > 0) {
     // The lane grouping is canonical (fleet-derived), NOT options_.shards:
@@ -106,7 +103,6 @@ bool NameNode::ServerHasSpace(ServerId server, BlockId block) const {
 void NameNode::AddReplicaToServer(BlockId block, ServerId server) {
   data_nodes_[static_cast<size_t>(server)].AddReplica(block);
   blocks_[static_cast<size_t>(block)].replicas.push_back(server);
-  ++shard_live_replicas_[static_cast<size_t>(ShardOf(server))];
 }
 
 BlockId NameNode::CreateBlock(ServerId writer, double now) {
@@ -122,15 +118,12 @@ BlockId NameNode::CreateBlock(ServerId writer, double now) {
     return -1;
   }
   blocks_.emplace_back();
-  // The block's accounting home: the shard of its lowest-id initial replica
-  // (placed is sorted), fixed for the block's lifetime.
-  block_home_shard_.push_back(ShardOf(placed.front()));
   for (ServerId s : placed) {
     AddReplicaToServer(id, s);
   }
   ++stats_.blocks_created;
   if (IsUnderReplicated(blocks_.back())) {
-    ++shard_under_replicated_[static_cast<size_t>(HomeShard(id))];
+    ++under_replicated_;
   }
   return id;
 }
@@ -177,10 +170,10 @@ void NameNode::QueueRereplication(BlockId block, double now, int attempts) {
   }
   if (best == kInvalidServer) {
     // Every surviving replica is partitioned away: queue a probe entry on
-    // the block's home shard. Nothing is copied, no lane or throttle slot is
-    // consumed -- the pop just re-checks reachability (with backoff).
+    // the first replica's shard. Nothing is copied, no lane or throttle slot
+    // is consumed -- the pop just re-checks reachability (with backoff).
     ++state.inflight;
-    shard_queues_[static_cast<size_t>(HomeShard(block))].push(
+    shard_queues_[static_cast<size_t>(ShardOf(state.replicas.front()))].push(
         PendingRereplication{now + delay, block, kInvalidServer, attempts,
                              next_heal_seq_++});
     NoteHealQueued();
@@ -229,10 +222,8 @@ void NameNode::OnReimage(ServerId server, double now) {
   // Detach them from the block map first, then drop the whole index at once
   // (cheaper than per-entry swap-removes that would only shuffle a list
   // about to be cleared).
-  const size_t server_shard = static_cast<size_t>(ShardOf(server));
   for (BlockId block : dn.blocks()) {
     BlockState& state = blocks_[static_cast<size_t>(block)];
-    const size_t home = static_cast<size_t>(HomeShard(block));
     const bool was_under = IsUnderReplicated(state);
     size_t index = 0;
     while (index < state.replicas.size() && state.replicas[index] != server) {
@@ -244,7 +235,6 @@ void NameNode::OnReimage(ServerId server, double now) {
     // deterministic tie-breaking in source selection.
     state.replicas.erase(state.replicas.begin() + static_cast<std::ptrdiff_t>(index));
     ++stats_.replicas_destroyed;
-    --shard_live_replicas_[server_shard];
     if (state.lost) {
       continue;
     }
@@ -253,14 +243,13 @@ void NameNode::OnReimage(ServerId server, double now) {
       // replicas cannot complete: the data is unrecoverable.
       state.lost = true;
       ++stats_.blocks_lost;
-      ++shard_blocks_lost_[home];
       if (was_under) {
-        --shard_under_replicated_[home];
+        --under_replicated_;
       }
       continue;
     }
     if (!was_under) {
-      ++shard_under_replicated_[home];
+      ++under_replicated_;
     }
     QueueRereplication(block, now);
   }
@@ -346,7 +335,7 @@ void NameNode::ProcessRereplication(double now) {
       QueueRereplication(pending.block, pending.ready_time);
     } else {
       // Healed back to target.
-      --shard_under_replicated_[static_cast<size_t>(HomeShard(pending.block))];
+      --under_replicated_;
     }
   }
 }
@@ -362,32 +351,24 @@ bool NameNode::AuditStateForTest(std::string* error) const {
     }
     return false;
   };
-  // Dense rescan of the authoritative block map, re-deriving the per-shard
-  // breakdown the incremental path maintains.
-  const size_t shards = shard_queues_.size();
-  std::vector<int64_t> lost_by_shard(shards, 0);
-  std::vector<int64_t> under_by_shard(shards, 0);
-  std::vector<int64_t> replicas_by_shard(shards, 0);
+  // Dense rescan of the authoritative block map.
+  int64_t lost = 0;
+  int64_t under = 0;
   int64_t inflight_total = 0;
   std::vector<int64_t> per_server(data_nodes_.size(), 0);
-  if (block_home_shard_.size() != blocks_.size()) {
-    return fail("home-shard column out of sync with the block map");
-  }
   for (size_t b = 0; b < blocks_.size(); ++b) {
     const BlockState& state = blocks_[b];
-    const size_t home = static_cast<size_t>(block_home_shard_[b]);
     if (state.lost) {
-      ++lost_by_shard[home];
+      ++lost;
       if (!state.replicas.empty()) {
         return fail("lost block " + std::to_string(b) + " still has replicas");
       }
     } else if (static_cast<int>(state.replicas.size()) < options_.replication) {
-      ++under_by_shard[home];
+      ++under;
     }
     for (size_t i = 0; i < state.replicas.size(); ++i) {
       const size_t s = static_cast<size_t>(state.replicas[i]);
       ++per_server[s];
-      ++replicas_by_shard[static_cast<size_t>(server_shard_[s])];
       for (size_t j = i + 1; j < state.replicas.size(); ++j) {
         if (state.replicas[j] == state.replicas[i]) {
           return fail("block " + std::to_string(b) + " has duplicate replicas on server " +
@@ -419,31 +400,17 @@ bool NameNode::AuditStateForTest(std::string* error) const {
       }
     }
   }
-  int64_t lost = 0;
-  int64_t queued = 0;
-  for (size_t k = 0; k < shards; ++k) {
-    const std::string at = " for shard " + std::to_string(k);
-    if (lost_by_shard[k] != shard_blocks_lost_[k]) {
-      return fail("per-shard loss aggregate mismatch" + at + ": " +
-                  std::to_string(shard_blocks_lost_[k]) + " cached vs " +
-                  std::to_string(lost_by_shard[k]) + " rescanned");
-    }
-    if (under_by_shard[k] != shard_under_replicated_[k]) {
-      return fail("per-shard under-replication aggregate mismatch" + at + ": " +
-                  std::to_string(shard_under_replicated_[k]) + " cached vs " +
-                  std::to_string(under_by_shard[k]) + " rescanned");
-    }
-    if (replicas_by_shard[k] != shard_live_replicas_[k]) {
-      return fail("per-shard live-replica count mismatch" + at + ": " +
-                  std::to_string(shard_live_replicas_[k]) + " cached vs " +
-                  std::to_string(replicas_by_shard[k]) + " rescanned");
-    }
-    lost += lost_by_shard[k];
-    queued += static_cast<int64_t>(shard_queues_[k].size());
-  }
   if (lost != stats_.blocks_lost) {
     return fail("loss aggregate mismatch: " + std::to_string(stats_.blocks_lost) +
                 " cached vs " + std::to_string(lost) + " rescanned");
+  }
+  if (under != under_replicated_) {
+    return fail("under-replication aggregate mismatch: " + std::to_string(under_replicated_) +
+                " cached vs " + std::to_string(under) + " rescanned");
+  }
+  int64_t queued = 0;
+  for (const HealQueue& queue : shard_queues_) {
+    queued += static_cast<int64_t>(queue.size());
   }
   if (inflight_total != queued) {
     return fail("inflight sum " + std::to_string(inflight_total) +

@@ -13,14 +13,13 @@
 // recomputes all of it by dense rescan; tests/storage_oracle_test.cc drives
 // randomized reimage/access sequences against it.
 //
-// Sharding (100k-server DCs): the accounting is additionally partitioned by
-// rack into NameNodeOptions::shards contiguous rack ranges. Heal queues are
-// per shard (keyed by the heal source's rack) and popped as a k-way merge
-// on the (ready_time, seq) total order; loss / under-replication aggregates
-// are per shard and summed in shard order. Shard count is execution layout:
-// it must never change an emitted byte -- the merge pops the exact order a
-// single queue would, and the oracle test re-runs its randomized sequences
-// at shard counts {1, 3, 8} against the dense reference.
+// Sharding (100k-server DCs): heal queues are split by rack into
+// NameNodeOptions::shards contiguous rack ranges (keyed by the heal
+// source's rack) and popped as a k-way merge on the (ready_time, seq) total
+// order. Shard count is execution layout: it must never change an emitted
+// byte -- the merge pops the exact order a single queue would, and the
+// oracle test re-runs its randomized sequences at shard counts {1, 3, 8}
+// against the dense reference.
 
 #ifndef HARVEST_SRC_STORAGE_NAME_NODE_H_
 #define HARVEST_SRC_STORAGE_NAME_NODE_H_
@@ -57,12 +56,11 @@ struct NameNodeOptions {
   double detection_delay_seconds = 300.0;
   // Re-replication throttle per source server (paper §5.1).
   double rereplication_blocks_per_hour = 30.0;
-  // Accounting shards (contiguous rack ranges): heal queues and the loss /
-  // under-replication aggregates are kept per shard and merged
-  // deterministically, so shard count -- like thread count -- never changes
-  // an emitted byte. 0 = auto from fleet size
-  // (FleetTable::AutoShardCount); tests/storage_oracle_test.cc audits the
-  // sharded state against the dense single-shard reference.
+  // Heal-queue shards (contiguous rack ranges), popped as one merged queue,
+  // so shard count -- like thread count -- never changes an emitted byte.
+  // 0 = auto from fleet size (FleetTable::AutoShardCount);
+  // tests/storage_oracle_test.cc audits the sharded queues against the
+  // dense single-shard reference.
   int shards = 1;
   // --- Heal-storm backpressure (src/fault graceful degradation) -----------
   // Bounded in-flight heal budget per shard: when > 0, a queued heal also
@@ -147,15 +145,8 @@ class NameNode {
   bool Lost(BlockId block) const { return blocks_[static_cast<size_t>(block)].lost; }
 
   const StorageStats& stats() const { return stats_; }
-  // Live blocks currently below their target replication: the per-shard
-  // running aggregates merged in shard order (exact integer sums).
-  int64_t UnderReplicatedBlocks() const {
-    int64_t total = 0;
-    for (int64_t shard : shard_under_replicated_) {
-      total += shard;
-    }
-    return total;
-  }
+  // Live blocks currently below their target replication (a running count).
+  int64_t UnderReplicatedBlocks() const { return under_replicated_; }
   int num_shards() const { return static_cast<int>(shard_queues_.size()); }
   const PlacementPolicy& policy() const { return *policy_; }
   DataNode& data_node(ServerId id) { return data_nodes_[static_cast<size_t>(id)]; }
@@ -190,7 +181,8 @@ class NameNode {
     // at the same instant), and a heap's tie order is unspecified -- but the
     // sharded k-way merge needs the single- and multi-queue pop orders to be
     // THE SAME order, or the policy-RNG draw order (and every byte
-    // downstream) would depend on the shard count.
+    // downstream) would depend on the shard count. The total order is also
+    // why any queue may hold a given heal.
     uint64_t seq = 0;
   };
   struct ReadyAfter {
@@ -222,7 +214,7 @@ class NameNode {
   bool IsUnderReplicated(const BlockState& state) const {
     return !state.lost && static_cast<int>(state.replicas.size()) < options_.replication;
   }
-  // The accounting shard of `server` (contiguous rack ranges).
+  // The heal-queue shard of `server` (contiguous rack ranges).
   int32_t ShardOf(ServerId server) const {
     return server_shard_[static_cast<size_t>(server)];
   }
@@ -230,12 +222,6 @@ class NameNode {
   // compare on the legacy no-partition path).
   bool IsPartitioned(ServerId server) const {
     return partitioned_racks_ > 0 && IsRackPartitioned(cluster_->server(server).rack);
-  }
-  // The shard a block's loss / under-replication is accounted on: the shard
-  // of its first replica at creation, fixed for the block's lifetime (the
-  // replica set churns; the accounting home must not).
-  int32_t HomeShard(BlockId block) const {
-    return block_home_shard_[static_cast<size_t>(block)];
   }
 
   const Cluster* cluster_;
@@ -246,23 +232,18 @@ class NameNode {
   std::vector<BlockState> blocks_;
   // Earliest time each server can source its next re-replication.
   std::vector<double> source_free_at_;
-  // --- Sharded accounting (ISSUE 6) ---------------------------------------
+  // Live blocks below target replication (loss is stats_.blocks_lost).
+  int64_t under_replicated_ = 0;
+  // --- Sharded heal queues ------------------------------------------------
   // Shard of each server, by rack: racks are split into num_shards()
-  // contiguous ranges, so one rack -- and every replica index on it -- lives
-  // wholly in one shard.
+  // contiguous ranges.
   std::vector<int32_t> server_shard_;
-  std::vector<int32_t> block_home_shard_;
-  // One heal queue per shard, keyed by the heal's source server.
-  // ProcessRereplication pops the global (ready_time, seq) minimum across
-  // shards, which is exactly the order one merged queue would pop in.
+  // One heal queue per shard, keyed by the heal's source server (a probe
+  // heal by its first surviving replica). ProcessRereplication pops the
+  // global (ready_time, seq) minimum across shards, which is exactly the
+  // order one merged queue would pop in.
   std::vector<HealQueue> shard_queues_;
   uint64_t next_heal_seq_ = 0;
-  // Per-shard running aggregates, merged in shard order on query / at stage
-  // boundaries. Loss and under-replication are accounted on the block's
-  // home shard; the replica count on the hosting server's shard.
-  std::vector<int64_t> shard_under_replicated_;
-  std::vector<int64_t> shard_blocks_lost_;
-  std::vector<int64_t> shard_live_replicas_;
   // --- Fault-injection state (src/fault) ----------------------------------
   int num_racks_ = 0;
   // Per-rack partition bits (lazily sized) + live counter; empty/0 on the

@@ -106,17 +106,8 @@ bool TraceSource::ResolveTraceFile(const std::string& label, std::string* path,
       message += "; the directory has no .trace files -- capture some with "
                  "harvest_sim --dump-traces=DIR";
     } else {
-      const std::string* closest = nullptr;
-      size_t best = std::string::npos;
-      for (const std::string& available : labels) {
-        size_t distance = EditDistance(label, available);
-        if (best == std::string::npos || distance < best) {
-          best = distance;
-          closest = &available;
-        }
-      }
-      if (closest != nullptr && CloseEnoughToSuggest(label, best)) {
-        message += "; did you mean '" + *closest + "'?";
+      if (const auto closest = ClosestMatch(label, labels)) {
+        message += "; did you mean '" + std::string(*closest) + "'?";
       }
       message += " (available:";
       for (const std::string& available : labels) {

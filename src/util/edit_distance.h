@@ -1,13 +1,16 @@
 // Levenshtein distance for "did you mean" suggestions in usage errors.
-// Shared by the driver's scenario-knob table and the trace-replay file
-// resolver so every unknown-name error suggests the closest valid spelling
-// the same way.
+// Shared by the scenario-knob table, the scenario-name check, the fault-plan
+// grammar, the trace-replay file resolver and detlint's suppression tags, so
+// every unknown-name error suggests the closest valid spelling the same way
+// (ClosestMatch).
 
 #ifndef HARVEST_SRC_UTIL_EDIT_DISTANCE_H_
 #define HARVEST_SRC_UTIL_EDIT_DISTANCE_H_
 
 #include <algorithm>
 #include <cstddef>
+#include <functional>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -38,6 +41,34 @@ inline size_t EditDistance(std::string_view a, std::string_view b) {
 inline bool CloseEnoughToSuggest(std::string_view input, size_t distance) {
   return distance <= input.size() / 2 + 2;
 }
+
+// The spelling to suggest for an unknown `input`: the first of `candidates`
+// at the smallest edit distance, or nothing when there are no candidates or
+// that one fails CloseEnoughToSuggest. `name` maps a candidate to its
+// spelling (a member pointer such as &Entry::name, or identity for a list of
+// strings); the returned view points into `candidates`.
+template <typename Candidates, typename Name = std::identity>
+std::optional<std::string_view> ClosestMatch(std::string_view input,
+                                             const Candidates& candidates, Name name = {}) {
+  std::optional<std::string_view> closest;
+  size_t best = 0;
+  for (const auto& candidate : candidates) {
+    const std::string_view spelling = std::invoke(name, candidate);
+    const size_t distance = EditDistance(input, spelling);
+    if (!closest || distance < best) {
+      closest = spelling;
+      best = distance;
+    }
+  }
+  if (closest && !CloseEnoughToSuggest(input, best)) {
+    return std::nullopt;
+  }
+  return closest;
+}
+// The result would point into a temporary.
+template <typename Candidates, typename Name = std::identity>
+std::optional<std::string_view> ClosestMatch(std::string_view, const Candidates&&,
+                                             Name = {}) = delete;
 
 }  // namespace harvest
 

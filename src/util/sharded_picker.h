@@ -76,14 +76,6 @@ class ShardedPicker {
     }
   }
 
-  // Convenience serial rebuild of every shard from a dense column.
-  void Build(const std::vector<int64_t>& weights) {
-    for (int k = 0; k < num_shards(); ++k) {
-      BuildShard(k, weights.data());
-    }
-    FinishBuild();
-  }
-
   int64_t Total() const { return total_; }
 
   // Sets element `i` (global index) from `old_weight` to `new_weight` in

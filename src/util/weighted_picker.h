@@ -40,11 +40,9 @@ class WeightedPicker {
   size_t size() const { return size_; }
   int64_t Total() const { return total_; }
 
-  // Re-initializes to `weights` in O(n) (in-place prefix doubling).
-  void Build(const std::vector<int64_t>& weights) { Build(weights.data(), weights.size()); }
-
-  // Same, from a raw column slice (the sharded rebuild path hands each
-  // shard its window of one dense weight column).
+  // Re-initializes to `weights[0] .. weights[count - 1]` in O(n) (in-place
+  // prefix doubling). The sharded rebuild hands each shard its window of
+  // one dense weight column.
   void Build(const int64_t* weights, size_t count) {
     size_ = count;
     tree_.assign(size_ + 1, 0);

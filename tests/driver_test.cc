@@ -214,6 +214,9 @@ TEST(ScenarioOverrideTest, UnknownKeyAndMalformedValueAreUsageErrors) {
   EXPECT_FALSE(ApplyScenarioOverride(config, "run_durability", "maybe", &error));
   EXPECT_FALSE(ApplyScenarioOverride(config, "storage_blocks", "12.5", &error));
   EXPECT_FALSE(ApplyScenarioOverride(config, "datacenters", "DC-11", &error));
+  EXPECT_EQ(ApplyScenarioOverrideStatus(config, "datacenters", "DC-1,DC-1", &error),
+            OverrideStatus::kBadValue);
+  EXPECT_NE(error.find("duplicate datacenter 'DC-1'"), std::string::npos) << error;
   EXPECT_FALSE(ApplyScenarioOverride(config, "replications", "3,99", &error));
   EXPECT_FALSE(ApplyScenarioOverride(config, "scheduling_storage", "hdfs", &error));
   EXPECT_FALSE(ApplyScenarioOverride(config, "server_shapes", "12@0.5", &error));
@@ -524,7 +527,6 @@ TEST(DriverPipelineTest, TelemetryLinesCarryEveryField) {
   dc.has_availability = dc.has_faults = true;
   DcStageTiming timing;
   timing.fleet_build_seconds = 0.5;
-  timing.arena_high_water_bytes = 4096;
   timing.clustering_seconds = 0.25;
   timing.scheduling_seconds = 3.0;
   timing.power_seconds = 0.125;
@@ -539,13 +541,11 @@ TEST(DriverPipelineTest, TelemetryLinesCarryEveryField) {
   EXPECT_EQ(FormatRunTelemetry(run),
             "harvest_sim: telemetry threads=3 rm_shards=4 nn_shards=1 "
             "peak_rss_bytes=1048576 total_seconds=9.5\n"
-            "harvest_sim: telemetry name=DC-0 fleet_build_seconds=0.5 "
-            "arena_high_water_bytes=4096 clustering_seconds=0.25 scheduling_seconds=3 "
-            "power_seconds=0.125 placement_seconds=0.0625 durability_seconds=1.5 "
-            "availability_seconds=2 fault_seconds=1 total_seconds=9\n"
+            "harvest_sim: telemetry name=DC-0 fleet_build_seconds=0.5 clustering_seconds=0.25 "
+            "scheduling_seconds=3 power_seconds=0.125 placement_seconds=0.0625 "
+            "durability_seconds=1.5 availability_seconds=2 fault_seconds=1 total_seconds=9\n"
             "harvest_sim: telemetry name=DC-1 fleet_build_seconds=0 "
-            "arena_high_water_bytes=0 clustering_seconds=0 placement_seconds=0 "
-            "total_seconds=0\n");
+            "clustering_seconds=0 placement_seconds=0 total_seconds=0\n");
 }
 
 TEST(DriverPipelineTest, TypedResultsMatchRenderedJsonAndSummary) {

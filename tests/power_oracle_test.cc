@@ -3,11 +3,9 @@
 //   * EnergyAccountant vs dense reintegration: a randomized sequence of
 //     park / unpark toggles, container starts / ends, and slot
 //     integrations is mirrored into a naive per-server oracle that redoes
-//     every integral with the dense int64 milliwatt sum. Three accountants
-//     at shard counts {1, 3, 8} (and different slot_threads) run the same
-//     sequence; all four ledgers must agree EXACTLY -- the integer
-//     partials make the per-slot sum associative, so shard layout cannot
-//     move a bit of the double accumulation either.
+//     every integral with the dense int64 milliwatt sum. The two ledgers
+//     must agree EXACTLY: the accountant's per-group integer sum equals
+//     the per-server one, and both accumulate doubles in the same order.
 //
 //   * ResourceManager right-sizing vs the cache audit: randomized
 //     Allocate / Release / EnforceReserves / UpdateParking sequences with
@@ -132,8 +130,8 @@ void ExpectLedgersEqual(const EnergyTotals& got, const EnergyTotals& want,
 }
 
 // Randomized park / container / integration sequence, mirrored into the
-// dense oracle and into accountants at shard counts {1, 3, 8}.
-TEST(PowerOracleTest, AccountantMatchesDenseReintegrationAcrossShardCounts) {
+// dense oracle and into the accountant.
+TEST(PowerOracleTest, AccountantMatchesDenseReintegration) {
   Rng build_rng(11);
   Cluster cluster = BuildTestbedCluster(48, kSlotsPerDay, build_rng);
   FleetTable table(cluster);
@@ -142,14 +140,7 @@ TEST(PowerOracleTest, AccountantMatchesDenseReintegrationAcrossShardCounts) {
   // around 4.3 kW), high enough that it is not a constant.
   const double cap_watts = 5200.0;
 
-  const int shard_counts[] = {1, 3, 8};
-  const int thread_counts[] = {1, 2, 4};
-  std::vector<EnergyAccountant> accountants;
-  accountants.reserve(3);
-  for (int i = 0; i < 3; ++i) {
-    accountants.emplace_back(&table, PowerModel{}, price, shard_counts[i],
-                             thread_counts[i], cap_watts);
-  }
+  EnergyAccountant accountant(&table, PowerModel{}, price, cap_watts);
   DenseOracle dense(&table, price, cap_watts);
 
   // Parked counts as the accountant consumes them: per telemetry group.
@@ -170,15 +161,11 @@ TEST(PowerOracleTest, AccountantMatchesDenseReintegrationAcrossShardCounts) {
     // effect at the NEXT integration, the accountant's documented
     // convention.
     const double t1 = t + op_rng.Uniform(30.0, 300.0);
-    const int64_t dense_mw = dense.FleetMilliwatts(t);
-    for (auto& accountant : accountants) {
-      ASSERT_EQ(accountant.FleetMilliwatts(t, &group_parked), dense_mw) << "op " << op;
-      accountant.IntegrateSlot(t, t1, &group_parked);
-    }
+    ASSERT_EQ(accountant.FleetMilliwatts(t, &group_parked), dense.FleetMilliwatts(t))
+        << "op " << op;
+    accountant.IntegrateSlot(t, t1, &group_parked);
     dense.IntegrateSlot(t, t1);
-    for (auto& accountant : accountants) {
-      ASSERT_EQ(accountant.last_power_watts(), dense.last_watts) << "op " << op;
-    }
+    ASSERT_EQ(accountant.last_power_watts(), dense.last_watts) << "op " << op;
     t = t1;
 
     const uint64_t kind = op_rng.NextBounded(10);
@@ -195,34 +182,25 @@ TEST(PowerOracleTest, AccountantMatchesDenseReintegrationAcrossShardCounts) {
       ++park_toggles;
     } else if (kind < 7 || live.empty()) {
       const int cores = static_cast<int>(op_rng.UniformInt(1, 4));
-      for (auto& accountant : accountants) {
-        accountant.OnContainerStart(cores);
-      }
+      accountant.OnContainerStart(cores);
       dense.OnContainerStart(cores);
       live.push_back({cores, t});
     } else {
       const size_t idx = static_cast<size_t>(op_rng.NextBounded(live.size()));
       const LiveContainer ending = live[idx];
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
-      for (auto& accountant : accountants) {
-        accountant.OnContainerEnd(ending.cores, ending.start, t);
-      }
+      accountant.OnContainerEnd(ending.cores, ending.start, t);
       dense.OnContainerEnd(ending.cores, ending.start, t);
       ++containers_ended;
     }
   }
   // Drain the stragglers so the container integrals are complete.
   for (const LiveContainer& ending : live) {
-    for (auto& accountant : accountants) {
-      accountant.OnContainerEnd(ending.cores, ending.start, t);
-    }
+    accountant.OnContainerEnd(ending.cores, ending.start, t);
     dense.OnContainerEnd(ending.cores, ending.start, t);
   }
 
-  for (int i = 0; i < 3; ++i) {
-    ExpectLedgersEqual(accountants[static_cast<size_t>(i)].totals(), dense.totals,
-                       "shards=" + std::to_string(shard_counts[i]));
-  }
+  ExpectLedgersEqual(accountant.totals(), dense.totals, "accountant");
   // The mix actually exercised every branch.
   EXPECT_GT(park_toggles, 50);
   EXPECT_GT(containers_ended, 50);

@@ -7,11 +7,12 @@
 // a dense full rescan of the authoritative block map
 // (NameNode::AuditStateForTest).
 //
-// A second suite proves the event-driven replay itself: RunStorageCosim
-// (cursor events through src/sim/event_queue) must produce results exactly
-// equal to a dense reference that replays the same shared timeline in a
-// plain sorted loop with the same seeds, with full-rescan audits along the
-// way. Runs >= 1000 operations per placement kind (ISSUE 4 acceptance).
+// A second suite proves the replay itself: RunStorageCosim (a two-cursor
+// merge over sharded heal queues) must produce results exactly equal to a
+// dense single-shard reference that replays the same shared timeline with
+// the same seeds and audits by full rescan along the way, and every event
+// of a timeline must lie at or before its horizon. Runs >= 1000 operations
+// per placement kind.
 
 #include "src/experiments/storage_cosim.h"
 
@@ -21,6 +22,8 @@
 #include <vector>
 
 #include "src/cluster/datacenter.h"
+#include "src/driver/scenario.h"
+#include "src/fault/fault_plan.h"
 #include "src/storage/name_node.h"
 #include "src/trace/reimage.h"
 #include "src/util/rng.h"
@@ -269,9 +272,9 @@ TEST(StorageOracleTest, RackKillOracleMatchesDenseRescanHistory) {
   RunShardedRackKillOracle(PlacementKind::kHistory, 707);
 }
 
-// Dense reference for the event-driven replay: the same shared timeline,
-// replayed in a plain sorted two-cursor loop (time order, reimage before
-// access on ties -- the co-sim's documented ordering contract) against a
+// Dense reference for the replay: the same shared timeline, replayed in a
+// plain sorted two-cursor loop (time order, reimage before access on ties
+// -- the co-sim's documented ordering contract) against a single-shard
 // NameNode built from the same seeds, with a full-rescan audit every few
 // events.
 StorageCosimResult DenseReferenceReplay(const Cluster& cluster,
@@ -326,25 +329,23 @@ StorageCosimResult DenseReferenceReplay(const Cluster& cluster,
   return result;
 }
 
-void ExpectResultsEqual(const StorageCosimResult& event_driven,
-                        const StorageCosimResult& dense, const char* label) {
-  EXPECT_EQ(event_driven.stats.blocks_created, dense.stats.blocks_created) << label;
-  EXPECT_EQ(event_driven.stats.blocks_lost, dense.stats.blocks_lost) << label;
-  EXPECT_EQ(event_driven.stats.replicas_destroyed, dense.stats.replicas_destroyed) << label;
-  EXPECT_EQ(event_driven.stats.rereplications_completed,
-            dense.stats.rereplications_completed)
+void ExpectResultsEqual(const StorageCosimResult& replayed, const StorageCosimResult& dense,
+                        const char* label) {
+  EXPECT_EQ(replayed.stats.blocks_created, dense.stats.blocks_created) << label;
+  EXPECT_EQ(replayed.stats.blocks_lost, dense.stats.blocks_lost) << label;
+  EXPECT_EQ(replayed.stats.replicas_destroyed, dense.stats.replicas_destroyed) << label;
+  EXPECT_EQ(replayed.stats.rereplications_completed, dense.stats.rereplications_completed)
       << label;
-  EXPECT_EQ(event_driven.stats.accesses, dense.stats.accesses) << label;
-  EXPECT_EQ(event_driven.stats.failed_accesses, dense.stats.failed_accesses) << label;
-  EXPECT_EQ(event_driven.stats.interfering_accesses, dense.stats.interfering_accesses)
-      << label;
-  EXPECT_EQ(event_driven.under_replicated_blocks, dense.under_replicated_blocks) << label;
-  EXPECT_EQ(event_driven.reimage_events, dense.reimage_events) << label;
-  EXPECT_DOUBLE_EQ(event_driven.lost_percent, dense.lost_percent) << label;
-  EXPECT_DOUBLE_EQ(event_driven.failed_access_percent, dense.failed_access_percent) << label;
+  EXPECT_EQ(replayed.stats.accesses, dense.stats.accesses) << label;
+  EXPECT_EQ(replayed.stats.failed_accesses, dense.stats.failed_accesses) << label;
+  EXPECT_EQ(replayed.stats.interfering_accesses, dense.stats.interfering_accesses) << label;
+  EXPECT_EQ(replayed.under_replicated_blocks, dense.under_replicated_blocks) << label;
+  EXPECT_EQ(replayed.reimage_events, dense.reimage_events) << label;
+  EXPECT_DOUBLE_EQ(replayed.lost_percent, dense.lost_percent) << label;
+  EXPECT_DOUBLE_EQ(replayed.failed_access_percent, dense.failed_access_percent) << label;
 }
 
-TEST(StorageCosimTest, EventDrivenReplayMatchesDenseReferenceForEveryKind) {
+TEST(StorageCosimTest, ReplayMatchesDenseReferenceForEveryKind) {
   Cluster cluster = BuildOracleCluster(0.3, 9);
   StorageTimelineOptions timeline_options;
   timeline_options.reimage_horizon_seconds = 6.0 * kSecondsPerMonth;
@@ -361,18 +362,18 @@ TEST(StorageCosimTest, EventDrivenReplayMatchesDenseReferenceForEveryKind) {
     options.num_blocks = 3000;
     options.writer_seed = 11;
     options.policy_seed = DerivedStreamSeed(11, PlacementKindName(kind));
-    // The dense reference always runs single-shard; the event-driven replay
-    // must match it at every shard count.
+    // The dense reference always runs single-shard; the replay must match
+    // it at every shard count.
     options.nn_shards = 1;
     StorageCosimResult dense = DenseReferenceReplay(cluster, timeline, options);
     for (int shards : {1, 3, 8}) {
       options.nn_shards = shards;
-      StorageCosimResult event_driven = RunStorageCosim(cluster, timeline, options);
-      ExpectResultsEqual(event_driven, dense, PlacementKindName(kind));
+      StorageCosimResult replayed = RunStorageCosim(cluster, timeline, options);
+      ExpectResultsEqual(replayed, dense, PlacementKindName(kind));
       // The timeline did real damage and the namespace was populated.
-      EXPECT_EQ(event_driven.stats.blocks_created, 3000);
-      EXPECT_GT(event_driven.stats.replicas_destroyed, 0) << PlacementKindName(kind);
-      EXPECT_GT(event_driven.stats.accesses, 0) << PlacementKindName(kind);
+      EXPECT_EQ(replayed.stats.blocks_created, 3000);
+      EXPECT_GT(replayed.stats.replicas_destroyed, 0) << PlacementKindName(kind);
+      EXPECT_GT(replayed.stats.accesses, 0) << PlacementKindName(kind);
     }
   }
 }
@@ -404,6 +405,58 @@ TEST(StorageCosimTest, WriterStreamIsSharedAcrossKindsAndPolicyStreamIsNot) {
   // And the replay is deterministic: same options -> identical outcome.
   StorageCosimResult a2 = RunStorageCosim(cluster, timeline, stock);
   ExpectResultsEqual(a, a2, "repeat");
+}
+
+// RunStorageCosim runs every event of its timeline, where a replay that
+// stops at `horizon_seconds` would drop the late ones: the two agree only
+// while every reimage, access and partition edge lies at or before the
+// horizon (a partition's end bounds its start: durations are positive).
+void ExpectEventsWithinHorizon(const StorageTimeline& timeline,
+                               const std::vector<RackPartitionInterval>& partitions,
+                               const std::string& label) {
+  const double horizon = timeline.horizon_seconds;
+  for (const auto& [time, server] : timeline.reimages) {
+    EXPECT_LE(time, horizon) << label << ": reimage of server " << server;
+  }
+  for (const StorageAccessEvent& access : timeline.accesses) {
+    EXPECT_LE(access.time_seconds, horizon) << label << ": access";
+  }
+  for (const RackPartitionInterval& partition : partitions) {
+    EXPECT_LE(partition.end, horizon) << label << ": partition of rack " << partition.rack;
+  }
+}
+
+TEST(StorageCosimTest, TimelineHorizonCoversEveryEvent) {
+  Cluster cluster = BuildOracleCluster(0.3, 9);
+  // Poisson reads over the reimage horizon plus uniform reads over a longer
+  // access horizon: the horizon is the later of the two.
+  StorageTimelineOptions loaded;
+  loaded.reimage_horizon_seconds = 2.0 * kSecondsPerMonth;
+  loaded.access_rate_per_hour = 25.0;
+  loaded.uniform_accesses = 2000;
+  loaded.access_horizon_seconds = 3.0 * kSecondsPerMonth;
+  loaded.access_seed = 13;
+  const StorageTimeline timeline = BuildStorageTimeline(cluster, loaded);
+  ASSERT_GT(timeline.reimages.size(), 0u);
+  ASSERT_GT(timeline.accesses.size(), static_cast<size_t>(loaded.uniform_accesses));
+  ExpectEventsWithinHorizon(timeline, {}, "poisson+uniform");
+
+  // The fault presets' plans cover down intervals, a reimage wave and a ToR
+  // partition. Each spec is compiled alone, so no fault's last edge hides
+  // behind another's, and timed alone (the fault stage's timeline) and
+  // merged into the loaded one.
+  for (const char* preset : {"rack_outage", "partition_heal_storm"}) {
+    FaultPlan plan;
+    std::string error;
+    ASSERT_TRUE(ParseFaultPlan(FindScenario(preset)->fault_plan, &plan, &error)) << error;
+    for (const FaultSpec& spec : plan.specs) {
+      const FaultTimeline faults = CompileFaultPlan(FaultPlan{{spec}}, cluster, 42);
+      for (const StorageTimelineOptions& options : {StorageTimelineOptions{}, loaded}) {
+        ExpectEventsWithinHorizon(BuildStorageTimeline(cluster, options, &faults),
+                                  faults.partitions, preset);
+      }
+    }
+  }
 }
 
 }  // namespace

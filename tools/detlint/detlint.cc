@@ -39,8 +39,8 @@ constexpr RuleInfo kRules[] = {
      "key on a stable id (ServerId, pooled index, name) instead of an address, or use an "
      "unordered lookup-only map; annotate '// detlint: addr-ok(<reason>)' if never iterated"},
     {"R5-float-accum", "exact-sum",
-     "accumulate int64 fixed-point per shard and merge in shard order (the milliwatt / Fenwick "
-     "idiom), or annotate '// detlint: exact-sum(<reason>)' if the sum cannot reach results"},
+     "accumulate int64 fixed-point per shard and merge in shard order (the RM's class-partial / "
+     "Fenwick idiom), or annotate '// detlint: exact-sum(<reason>)' if the sum cannot reach results"},
     {"R6-raw-thread", "thread-ok",
      "route parallelism through harvest::ParallelForIndex (src/util/executor.h), which pins "
      "the deterministic work-handout contract"},
@@ -708,18 +708,8 @@ class Linter {
       const RuleInfo* info = RuleByTag(note.tag);
       if (info == nullptr) {
         std::string message = "unknown suppression tag '" + note.tag + "'";
-        std::string best;
-        size_t best_distance = std::string::npos;
-        for (const RuleInfo& rule : kRules) {
-          size_t distance = harvest::EditDistance(note.tag, rule.tag);
-          if (distance < best_distance) {
-            best_distance = distance;
-            best = rule.tag;
-          }
-        }
-        if (best_distance != std::string::npos &&
-            harvest::CloseEnoughToSuggest(note.tag, best_distance)) {
-          message += "; did you mean '" + best + "'?";
+        if (const auto closest = harvest::ClosestMatch(note.tag, kRules, &RuleInfo::tag)) {
+          message += "; did you mean '" + std::string(*closest) + "'?";
         }
         kept.push_back({path_, note.line, kSupRule, std::move(message), kSupHint});
       } else {

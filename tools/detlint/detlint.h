@@ -22,8 +22,8 @@
 //                      iteration order would be allocation-address order
 //   R5-float-accum     double/float += accumulation inside a
 //                      ParallelForIndex lambda without an exact-sum
-//                      annotation (the int64-milliwatt / per-shard-partial
-//                      idiom is the sanctioned path)
+//                      annotation (the int64 per-shard-partial idiom is
+//                      the sanctioned path)
 //   R6-raw-thread      std::thread / std::async / #pragma omp outside the
 //                      deterministic executor (src/util/executor.cc)
 //
