@@ -52,7 +52,6 @@ struct Resources {
   bool Fits(const Resources& request) const {
     return request.cores <= cores && request.memory_mb <= memory_mb;
   }
-  bool IsNonNegative() const { return cores >= 0 && memory_mb >= 0; }
 };
 
 // Testbed server shape from paper §6.1: 12 cores / 32 GB, with 4 cores and

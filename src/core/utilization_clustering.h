@@ -51,9 +51,6 @@ struct ClusteringSnapshot {
   // Pattern assigned to each tenant by the classifier.
   std::vector<UtilizationPattern> tenant_pattern;
 
-  const UtilizationClass& ClassOfTenant(TenantId tenant) const {
-    return classes[static_cast<size_t>(tenant_class[static_cast<size_t>(tenant)])];
-  }
   // Tenant/server counts per pattern (drives Figs 2-3).
   std::vector<int> TenantCountPerPattern() const;
   std::vector<int> ServerCountPerPattern(const Cluster& cluster) const;

@@ -1,10 +1,10 @@
-// FaultStage: fault injection under correlated failures (ISSUE 8). Compiles
-// the scenario's fault plan against this DC's fleet -- from the same "fault"
-// stream seed the scheduling stage uses, so both stages see the identical
-// timeline -- and replays a fault-aware storage co-simulation (Stock vs H)
-// with only the injected events driving replica loss: the reported loss,
-// backlog peak and drain time are attributable to the plan alone, not to the
-// background reimage schedule the durability grid measures.
+// FaultStage: fault injection under correlated failures. Reports the fault
+// plan's timeline, compiled once per DC from the "fault" stream seed and
+// shared with the scheduling stage, and replays a fault-aware storage
+// co-simulation (Stock vs H) with only the injected events driving replica
+// loss: the reported loss, backlog peak and drain time are attributable to
+// the plan alone, not to the background reimage schedule the durability
+// grid measures.
 //
 // RNG pairing mirrors the durability stage: one shared timeline, one shared
 // writer stream across kinds, per-kind policy streams.
@@ -16,19 +16,14 @@
 #include "src/experiments/storage_cosim.h"
 #include "src/fault/fault_plan.h"
 #include "src/util/executor.h"
-#include "src/util/logging.h"
 
 namespace harvest {
 
-FaultStageResult RunFaultStage(const DcContext& ctx, const Cluster& cluster,
+FaultStageResult RunFaultStage(const DcContext& ctx, const Cluster& cluster, const FaultPlan& plan,
+                               const FaultTimeline& faults,
                                const SchedulingStageResult* scheduling) {
   const ScenarioConfig& config = *ctx.config;
   const uint64_t base_seed = ctx.StreamSeed("fault");
-
-  FaultPlan plan;
-  std::string error;
-  HARVEST_CHECK(ParseFaultPlan(config.fault_plan, &plan, &error)) << error;
-  const FaultTimeline faults = CompileFaultPlan(plan, cluster, base_seed);
 
   FaultStageResult result;
   result.plan = CanonicalFaultPlan(plan);

@@ -113,10 +113,21 @@ DatacenterResult RunDatacenterStages(const DcContext& ctx, DcStageTiming& timing
   dc.fleet = fleet.stats;
   dc.clustering =
       Timed(timing.clustering_seconds, [&] { return RunClusteringStage(ctx, fleet.cluster); });
+  // One fault timeline per DC, from its "fault" stream, for the scheduling
+  // runs and the fault stage alike.
+  const bool has_faults = !ctx.config->fault_plan.empty();
+  FaultPlan fault_plan;
+  FaultTimeline faults;
+  if (has_faults) {
+    std::string error;
+    HARVEST_CHECK(ParseFaultPlan(ctx.config->fault_plan, &fault_plan, &error)) << error;
+    faults = CompileFaultPlan(fault_plan, fleet.cluster, ctx.StreamSeed("fault"));
+  }
   if (ctx.config->run_scheduling) {
     dc.has_scheduling = true;
-    dc.scheduling = Timed(timing.scheduling_seconds,
-                          [&] { return RunSchedulingStage(ctx, fleet.cluster); });
+    dc.scheduling = Timed(timing.scheduling_seconds, [&] {
+      return RunSchedulingStage(ctx, fleet.cluster, faults);
+    });
     if (ctx.config->power_accounting) {
       dc.has_power = true;
       dc.power = Timed(timing.power_seconds,
@@ -135,10 +146,10 @@ DatacenterResult RunDatacenterStages(const DcContext& ctx, DcStageTiming& timing
     dc.availability = Timed(timing.availability_seconds,
                             [&] { return RunAvailabilityStage(ctx, fleet.cluster); });
   }
-  if (!ctx.config->fault_plan.empty()) {
+  if (has_faults) {
     dc.has_faults = true;
     dc.faults = Timed(timing.fault_seconds, [&] {
-      return RunFaultStage(ctx, fleet.cluster,
+      return RunFaultStage(ctx, fleet.cluster, fault_plan, faults,
                            dc.has_scheduling ? &dc.scheduling : nullptr);
     });
   }

@@ -18,49 +18,28 @@
 
 namespace harvest {
 
-bool ScenarioRegistry::Register(ScenarioConfig config, std::string* error) {
-  if (config.name.empty()) {
-    if (error != nullptr) {
-      *error = "scenario name must not be empty";
+const std::vector<ScenarioConfig>& AllScenarios() {
+  static const std::vector<ScenarioConfig> scenarios = [] {
+    std::vector<ScenarioConfig> list = BuiltinScenarioList();
+    for (size_t i = 0; i < list.size(); ++i) {
+      HARVEST_CHECK(!list[i].name.empty()) << "builtin scenario " << i << " has no name";
+      for (size_t j = 0; j < i; ++j) {
+        HARVEST_CHECK(list[j].name != list[i].name)
+            << "builtin scenario '" << list[i].name << "' is listed twice";
+      }
     }
-    return false;
-  }
-  if (Find(config.name) != nullptr) {
-    if (error != nullptr) {
-      *error = "scenario '" + config.name + "' is already registered";
-    }
-    return false;
-  }
-  scenarios_.push_back(std::move(config));
-  return true;
+    return list;
+  }();
+  return scenarios;
 }
 
-const ScenarioConfig* ScenarioRegistry::Find(std::string_view name) const {
-  for (const auto& scenario : scenarios_) {
+const ScenarioConfig* FindScenario(std::string_view name) {
+  for (const ScenarioConfig& scenario : AllScenarios()) {
     if (scenario.name == name) {
       return &scenario;
     }
   }
   return nullptr;
-}
-
-ScenarioRegistry& BuiltinScenarios() {
-  static ScenarioRegistry* registry = [] {
-    auto* r = new ScenarioRegistry;
-    for (ScenarioConfig& config : BuiltinScenarioList()) {
-      std::string error;
-      bool ok = r->Register(std::move(config), &error);
-      HARVEST_CHECK(ok) << "builtin scenario registration failed: " << error;
-    }
-    return r;
-  }();
-  return *registry;
-}
-
-const std::vector<ScenarioConfig>& AllScenarios() { return BuiltinScenarios().scenarios(); }
-
-const ScenarioConfig* FindScenario(std::string_view name) {
-  return BuiltinScenarios().Find(name);
 }
 
 // --- Knob table -----------------------------------------------------------

@@ -1,8 +1,7 @@
-// Scenario registration and per-run knob overrides for the harvest_sim
-// driver. The registry replaces the old hard-coded preset vector: built-in
-// presets register themselves into BuiltinScenarios() at startup, and new
-// scenarios can be derived on the command line from any registered preset
-// via `--set key=value` overrides resolved against the knob table below.
+// Per-run knob overrides for the harvest_sim driver: scenarios are derived
+// on the command line from any built-in preset (AllScenarios(),
+// src/driver/scenario.h) via `--set key=value` overrides resolved against
+// the knob table below.
 //
 // Every knob name maps 1:1 onto a ScenarioConfig field; unknown keys and
 // malformed values are usage errors with a human-readable message, never
@@ -19,30 +18,6 @@
 #include "src/driver/scenario.h"
 
 namespace harvest {
-
-// An ordered collection of named scenarios. Instantiable so tests can build
-// throwaway registries; production code uses the BuiltinScenarios()
-// singleton.
-class ScenarioRegistry {
- public:
-  ScenarioRegistry() = default;
-
-  // Registers `config` under config.name. Fails (returning false and setting
-  // `error` when provided) on an empty name or a duplicate registration.
-  bool Register(ScenarioConfig config, std::string* error = nullptr);
-
-  // nullptr when unknown. The pointer is valid until the next Register()
-  // call (which may reallocate); copy the config to keep it longer.
-  const ScenarioConfig* Find(std::string_view name) const;
-
-  const std::vector<ScenarioConfig>& scenarios() const { return scenarios_; }
-
- private:
-  std::vector<ScenarioConfig> scenarios_;
-};
-
-// The process-wide registry, pre-populated with BuiltinScenarioList().
-ScenarioRegistry& BuiltinScenarios();
 
 // --- Knob table -----------------------------------------------------------
 

@@ -6,9 +6,10 @@
 // (the 102-server DC-9 testbed of §6.1, the ten-datacenter simulation sweep
 // of §6.3-6.5, a correlated-reimaging storm stressing §4.2) plus scenario
 // axes from the ROADMAP wishlist: heterogeneous server shapes, a week-long
-// horizon, and a reimage storm under scheduling load. New scenarios are
-// added through the ScenarioRegistry (src/driver/registry.h), and any knob
-// below can be overridden per run with `harvest_sim --set key=value`.
+// horizon, and a reimage storm under scheduling load. New presets are
+// added to BuiltinScenarioList() (src/driver/scenario.cc), and any knob
+// below can be overridden per run with `harvest_sim --set key=value`
+// (src/driver/registry.h).
 
 #ifndef HARVEST_SRC_DRIVER_SCENARIO_H_
 #define HARVEST_SRC_DRIVER_SCENARIO_H_
@@ -148,16 +149,15 @@ struct ScenarioConfig {
   double heal_backoff_max_seconds = 7200.0;
 };
 
-// The built-in preset definitions, in stable order. Consumed once by the
-// builtin ScenarioRegistry (src/driver/registry.h); everyone else should go
-// through AllScenarios() / FindScenario().
+// The built-in preset definitions, in stable order. Everyone else should go
+// through AllScenarios() / FindScenario(), which build them once.
 std::vector<ScenarioConfig> BuiltinScenarioList();
 
-// All registered scenarios, in registration order (backed by the builtin
-// registry in src/driver/registry.h).
+// The built-in presets, in BuiltinScenarioList() order, built on first use.
+// Aborts if a preset has an empty name or shares one with another.
 const std::vector<ScenarioConfig>& AllScenarios();
 
-// Looks a registered scenario up by name; nullptr when unknown.
+// Looks a preset up by name; nullptr when unknown.
 const ScenarioConfig* FindScenario(std::string_view name);
 
 // Scales the scenario's size knobs (fleet, block and access counts) by

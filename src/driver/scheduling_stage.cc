@@ -9,7 +9,6 @@
 #include "src/experiments/cluster_scaling.h"
 #include "src/experiments/scheduling_sim.h"
 #include "src/signal/pattern.h"
-#include "src/util/logging.h"
 
 namespace harvest {
 namespace {
@@ -38,7 +37,8 @@ SchedulingRunResult FlattenRun(const SchedulingSimResult& result) {
 
 }  // namespace
 
-SchedulingStageResult RunSchedulingStage(const DcContext& ctx, const Cluster& cluster) {
+SchedulingStageResult RunSchedulingStage(const DcContext& ctx, const Cluster& cluster,
+                                         const FaultTimeline& faults) {
   const ScenarioConfig& config = *ctx.config;
   const Cluster* sim_cluster = &cluster;
   Cluster rescaled;
@@ -72,23 +72,14 @@ SchedulingStageResult RunSchedulingStage(const DcContext& ctx, const Cluster& cl
   options.defer_window_hours = config.defer_window_hours;
   options.defer_min_gain = config.defer_min_gain;
   options.power_cap_watts = config.power_cap_watts;
-  // Fault injection: compile the plan from this DC's "fault" stream -- the
-  // FaultStage compiles the identical timeline from the same seed, so the
-  // scheduling and storage views of the plan agree event for event. Both the
-  // PT and H runs see the same outages (paired comparison); only the
-  // blackout degradation is H-specific, gated inside the simulation.
-  FaultPlan fault_plan;
-  FaultTimeline fault_timeline;
-  if (!config.fault_plan.empty()) {
-    std::string fault_error;
-    HARVEST_CHECK(ParseFaultPlan(config.fault_plan, &fault_plan, &fault_error))
-        << fault_error;
-    fault_timeline = CompileFaultPlan(fault_plan, *sim_cluster, ctx.StreamSeed("fault"));
-    if (!fault_timeline.empty()) {
-      options.faults = &fault_timeline;
-    }
-    options.forecast_fallback = config.forecast_fallback;
+  // Fault injection: both the PT and H runs see the DC's one compiled
+  // timeline (paired comparison); only the blackout degradation is
+  // H-specific, gated inside the simulation. The rescale keeps every rack
+  // and server id, so the timeline compiled on the unscaled fleet applies.
+  if (!faults.empty()) {
+    options.faults = &faults;
   }
+  options.forecast_fallback = config.forecast_fallback;
   // Whatever headroom remains after the PT / H task split feeds the RM's
   // per-slot shard refresh.
   options.slot_threads = std::max(1, ctx.task_threads / 2);

@@ -29,6 +29,7 @@
 
 #include "src/cluster/cluster.h"
 #include "src/driver/scenario.h"
+#include "src/fault/fault_plan.h"
 #include "src/jobs/dag.h"
 #include "src/power/energy_accountant.h"
 #include "src/signal/pattern.h"
@@ -165,7 +166,9 @@ struct SchedulingStageResult {
   std::vector<SchedulingClassResult> class_diagnostics;
 };
 
-SchedulingStageResult RunSchedulingStage(const DcContext& ctx, const Cluster& cluster);
+// `faults` is the DC's compiled fault timeline (empty without a fault plan).
+SchedulingStageResult RunSchedulingStage(const DcContext& ctx, const Cluster& cluster,
+                                         const FaultTimeline& faults);
 
 // --- PowerStage -----------------------------------------------------------
 // Derives the per-DC energy / cost report from the scheduling stage's
@@ -268,12 +271,11 @@ struct AvailabilityStageResult {
 AvailabilityStageResult RunAvailabilityStage(const DcContext& ctx, const Cluster& cluster);
 
 // --- FaultStage -----------------------------------------------------------
-// Fault injection (src/fault): compiles the scenario's fault_plan against
-// this DC's fleet from the "fault" stream seed -- the same seed the
-// scheduling stage compiles its copy from, so the two views of the plan are
-// identical -- and replays a fault-aware storage co-simulation (Stock vs H)
-// under the injected outages, partitions, and reimage waves. Runs last, only
-// when a plan is set.
+// Fault injection (src/fault): reports the scenario's fault_plan, compiled
+// once per DC (RunDatacenterStages) from the "fault" stream seed into the
+// timeline the scheduling stage also runs under, and replays a fault-aware
+// storage co-simulation (Stock vs H) under the injected outages,
+// partitions, and reimage waves. Runs last, only when a plan is set.
 
 // One injected fault event, flattened for the JSON "faults" block.
 struct FaultEventResult {
@@ -313,7 +315,8 @@ struct FaultStageResult {
   double forecast_degraded_seconds = 0.0;
 };
 
-FaultStageResult RunFaultStage(const DcContext& ctx, const Cluster& cluster,
+FaultStageResult RunFaultStage(const DcContext& ctx, const Cluster& cluster, const FaultPlan& plan,
+                               const FaultTimeline& faults,
                                const SchedulingStageResult* scheduling);
 
 // --- Composition ----------------------------------------------------------

@@ -1,23 +1,24 @@
 #include "src/experiments/cluster_scaling.h"
 
-#include <unordered_map>
 #include <memory>
+#include <unordered_map>
+#include <vector>
 
 namespace harvest {
 
 Cluster ScaleClusterUtilization(const Cluster& cluster, ScalingMethod method,
                                 double target_average) {
-  // Solve the scaling parameter on one copy of the trace per server: the
-  // fleet average weights each server equally, so a trace shared by several
-  // servers is copied once for each of them.
-  std::vector<UtilizationTrace> flat;
-  flat.reserve(cluster.num_servers());
+  // Solve on the fleet's own traces, one pointer per server in ServerId
+  // order: the fleet average weights each server equally, so a trace shared
+  // by several servers is listed once for each of them.
+  std::vector<const UtilizationTrace*> traces;
+  traces.reserve(cluster.num_servers());
   for (const auto& server : cluster.servers()) {
     if (server.utilization) {
-      flat.push_back(*server.utilization);
+      traces.push_back(server.utilization.get());
     }
   }
-  double parameter = SolveScalingParameter(flat, method, target_average);
+  double parameter = SolveScalingParameter(traces, method, target_average);
 
   Cluster scaled = cluster;
   // Scale tenant average traces.

@@ -33,6 +33,14 @@ const char* StorageVariantName(StorageVariant variant) {
 
 namespace {
 
+constexpr double kJobWidthFactor = 1.0;         // only job lengths scale
+constexpr double kLatencyWindowSeconds = 60.0;  // latency series (Figs 10/12)
+// Reserve-enforcement / retry tick: the NM heartbeat cadence coarsened to
+// telemetry granularity.
+constexpr double kTickSeconds = kSlotSeconds;
+constexpr int kAccessesPerTask = 2;  // block accesses at each task start
+constexpr int kReplication = 3;      // replicas per co-simulated block
+
 // Everything one simulation run needs, wired together.
 class SchedulingSimulation {
  public:
@@ -41,14 +49,14 @@ class SchedulingSimulation {
       : cluster_(cluster),
         options_(options),
         rng_(options.seed),
-        rm_(&cluster, options.mode, options.reserve, options.rm_shards,
+        rm_(&cluster, options.mode, kDefaultReserve, options.rm_shards,
             options.slot_threads),
         history_(options.thresholds),
         latency_model_() {
     // Scale the suite once.
     suite_.reserve(suite.size());
     for (const auto& dag : suite) {
-      suite_.push_back(dag.Scaled(options.job_duration_factor, options.job_width_factor));
+      suite_.push_back(dag.Scaled(options.job_duration_factor, kJobWidthFactor));
     }
     if (options.mode == SchedulerMode::kHistory) {
       SetupHistoryScheduling();
@@ -92,9 +100,9 @@ class SchedulingSimulation {
 
   SchedulingSimResult Run() {
     ScheduleArrivals();
-    queue_.Schedule(options_.tick_seconds, [this] { Tick(); });
+    queue_.Schedule(kTickSeconds, [this] { Tick(); });
     if (options_.collect_latency) {
-      queue_.Schedule(options_.latency_window_seconds, [this] { LatencyWindow(); });
+      queue_.Schedule(kLatencyWindowSeconds, [this] { LatencyWindow(); });
     }
     // Utilization sampling every tick is folded into Tick().
     queue_.RunUntil(options_.horizon_seconds);
@@ -160,7 +168,7 @@ class SchedulingSimulation {
 
   void SetupStorage() {
     NameNodeOptions nn_options;
-    nn_options.replication = options_.replication;
+    nn_options.replication = kReplication;
     nn_options.primary_aware_access = options_.storage != StorageVariant::kStock;
     nn_options.shards = options_.nn_shards;
     std::unique_ptr<PlacementPolicy> policy;
@@ -525,7 +533,7 @@ class SchedulingSimulation {
     if (!name_node_ || name_node_->num_blocks() == 0) {
       return;
     }
-    for (int a = 0; a < options_.accesses_per_task; ++a) {
+    for (int a = 0; a < kAccessesPerTask; ++a) {
       BlockId block =
           static_cast<BlockId>(storage_rng_.NextBounded(
               static_cast<uint64_t>(name_node_->num_blocks())));
@@ -656,7 +664,7 @@ class SchedulingSimulation {
           window_start, window_start + 2.0 * kMinForecastWindowSeconds);
       rm_.SetForecastDegraded(degraded);
       if (degraded) {
-        forecast_degraded_seconds_ += options_.tick_seconds;
+        forecast_degraded_seconds_ += kTickSeconds;
       }
     }
     // 0. Energy: integrate the interval that just elapsed under the parked
@@ -664,7 +672,7 @@ class SchedulingSimulation {
     // tick, so the counts set then cover [now - tick, now) -- placement
     // effect immediate, power effect at the next slot boundary).
     if (accountant_) {
-      accountant_->IntegrateSlot(now - options_.tick_seconds, now,
+      accountant_->IntegrateSlot(now - kTickSeconds, now,
                                  rm_.group_parked().empty() ? nullptr : &rm_.group_parked());
     }
     // 1. NMs replenish reserves; killed tasks return to their AMs.
@@ -704,8 +712,8 @@ class SchedulingSimulation {
       rm_.UpdateParking(now);
     }
 
-    if (now + options_.tick_seconds <= options_.horizon_seconds) {
-      queue_.Schedule(now + options_.tick_seconds, [this] { Tick(); });
+    if (now + kTickSeconds <= options_.horizon_seconds) {
+      queue_.Schedule(now + kTickSeconds, [this] { Tick(); });
     }
   }
 
@@ -736,8 +744,8 @@ class SchedulingSimulation {
     result_.p99_series_ms.push_back(window.mean());
     window_kills_.clear();
     window_interfering_ = 0;
-    if (now + options_.latency_window_seconds <= options_.horizon_seconds) {
-      queue_.Schedule(now + options_.latency_window_seconds, [this] { LatencyWindow(); });
+    if (now + kLatencyWindowSeconds <= options_.horizon_seconds) {
+      queue_.Schedule(now + kLatencyWindowSeconds, [this] { LatencyWindow(); });
     }
   }
 

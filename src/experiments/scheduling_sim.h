@@ -40,24 +40,16 @@ struct SchedulingSimOptions {
   StorageVariant storage = StorageVariant::kNone;
   // Clustering knobs for the H-mode snapshot (class granularity sweeps).
   ClusteringOptions clustering;
-  Resources reserve = kDefaultReserve;
   double horizon_seconds = 5.0 * 3600.0;
   double mean_interarrival_seconds = 300.0;
-  // Job scaling for large fleets (paper §6.1 multiplies lengths and widths).
+  // Job length scaling for large fleets (paper §6.1).
   double job_duration_factor = 1.0;
-  double job_width_factor = 1.0;
   // Job typing thresholds (Tez-H); testbed defaults 173 s / 433 s.
   JobTypeThresholds thresholds;
   // Latency series (Figs 10/12); disable for datacenter-scale sweeps.
   bool collect_latency = false;
-  double latency_window_seconds = 60.0;
-  // Reserve-enforcement / retry tick (the NM heartbeat cadence coarsened to
-  // telemetry granularity).
-  double tick_seconds = kSlotSeconds;
-  // Block accesses issued at each task start when storage is simulated.
-  int accesses_per_task = 2;
+  // Blocks of job input the co-simulated file system holds.
   int64_t storage_blocks = 5000;
-  int replication = 3;
   // Accounting shards for the RM and the co-simulated NameNode (0 = auto
   // from fleet size, FleetTable::AutoShardCount) and the worker cap for the
   // RM's per-slot refresh. Execution layout only: results are byte-identical

@@ -7,16 +7,7 @@
 namespace harvest {
 
 NodeManager::NodeManager(const Server* server, Resources reserve, SchedulerMode mode)
-    : server_(server), reserve_(reserve), mode_(mode) {
-  if (server_->utilization) {
-    double avg = server_->utilization->Average() * server_->capacity.cores;
-    double peak = server_->utilization->Peak() * server_->capacity.cores;
-    historical_average_cores_ =
-        std::min(server_->capacity.cores, static_cast<int>(std::ceil(avg - 1e-9)));
-    historical_peak_cores_ =
-        std::min(server_->capacity.cores, static_cast<int>(std::ceil(peak - 1e-9)));
-  }
-}
+    : server_(server), reserve_(reserve), mode_(mode) {}
 
 int NodeManager::ForecastPrimaryCores(double t, double window_seconds) const {
   if (!server_->utilization || server_->utilization->empty()) {

@@ -18,6 +18,8 @@ namespace harvest {
 
 class NodeManager {
  public:
+  // `server` must outlive the node manager; its trace is read only when live
+  // or forecast primary cores are asked for.
   NodeManager(const Server* server, Resources reserve, SchedulerMode mode);
 
   const Server& server() const { return *server_; }
@@ -86,11 +88,6 @@ class NodeManager {
     return std::min(capacity_cores, std::max(0, cores));
   }
 
-  // Historical statistics of the primary tenant on this server (whole-trace
-  // aggregates, in cores, rounded up like the live reporting).
-  int historical_average_cores() const { return historical_average_cores_; }
-  int historical_peak_cores() const { return historical_peak_cores_; }
-
   void AddContainer(const Container& container);
   // Removes by container id; false when unknown.
   bool RemoveContainer(ContainerId id);
@@ -120,8 +117,6 @@ class NodeManager {
   const Server* server_;
   Resources reserve_;
   SchedulerMode mode_;
-  int historical_average_cores_ = 0;
-  int historical_peak_cores_ = 0;
   Resources allocated_{0, 0};
   // Kept ordered by start time (append order); EnforceReserve kills from the
   // back (youngest first).

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
+#include <vector>
 
 #include "src/util/logging.h"
 
@@ -24,12 +26,12 @@ double ApplyScale(double u, ScalingMethod method, double parameter) {
   return u;
 }
 
-double ScaledAverage(const std::vector<UtilizationTrace>& traces, ScalingMethod method,
+double ScaledAverage(std::span<const UtilizationTrace* const> traces, ScalingMethod method,
                      double parameter) {
   double sum = 0.0;
   size_t count = 0;
-  for (const auto& trace : traces) {
-    for (double v : trace.samples()) {
+  for (const UtilizationTrace* trace : traces) {
+    for (double v : trace->samples()) {
       sum += ApplyScale(v, method, parameter);
       ++count;
     }
@@ -76,8 +78,8 @@ UtilizationTrace ScaleTrace(const UtilizationTrace& trace, ScalingMethod method,
   return UtilizationTrace(std::move(scaled));
 }
 
-double SolveScalingParameter(const std::vector<UtilizationTrace>& traces, ScalingMethod method,
-                             double target_average, int* evaluations) {
+double SolveScalingParameter(std::span<const UtilizationTrace* const> traces,
+                             ScalingMethod method, double target_average, int* evaluations) {
   HARVEST_CHECK(target_average > 0.0 && target_average < 1.0)
       << "target average must be in (0,1), got " << target_average;
 
@@ -172,17 +174,6 @@ double SolveScalingParameter(const std::vector<UtilizationTrace>& traces, Scalin
     *evaluations = used;
   }
   return 0.5 * (lo + hi);
-}
-
-std::vector<UtilizationTrace> ScaleToAverage(const std::vector<UtilizationTrace>& traces,
-                                             ScalingMethod method, double target_average) {
-  double parameter = SolveScalingParameter(traces, method, target_average);
-  std::vector<UtilizationTrace> scaled;
-  scaled.reserve(traces.size());
-  for (const auto& trace : traces) {
-    scaled.push_back(ScaleTrace(trace, method, parameter));
-  }
-  return scaled;
 }
 
 }  // namespace harvest

@@ -6,7 +6,7 @@
 #ifndef HARVEST_SRC_TRACE_SCALING_H_
 #define HARVEST_SRC_TRACE_SCALING_H_
 
-#include <vector>
+#include <span>
 
 #include "src/trace/utilization_trace.h"
 
@@ -28,16 +28,13 @@ UtilizationTrace ScaleTrace(const UtilizationTrace& trace, ScalingMethod method,
 // of the crossing and returns their midpoint as rounded, in at most 80
 // passes over the samples. The result is bit for bit what 80 rounds of plain
 // bisection return, including for a linear crossing so close to 0 (below
-// about 7.5e-7) that 80 halvings stop short of adjacent doubles. The traces
+// about 7.5e-7) that 80 halvings stop short of adjacent doubles. A pass sums
+// the samples in list order, so a trace listed twice counts twice: a fleet
+// lists its servers' own traces, one per server in ServerId order. The traces
 // themselves are not modified. If `evaluations` is non-null it receives the
 // number of passes made.
-double SolveScalingParameter(const std::vector<UtilizationTrace>& traces, ScalingMethod method,
+double SolveScalingParameter(std::span<const UtilizationTrace* const> traces, ScalingMethod method,
                              double target_average, int* evaluations = nullptr);
-
-// Convenience: scales every trace so the population average hits
-// `target_average`.
-std::vector<UtilizationTrace> ScaleToAverage(const std::vector<UtilizationTrace>& traces,
-                                             ScalingMethod method, double target_average);
 
 }  // namespace harvest
 

@@ -1,5 +1,7 @@
 #include "src/trace/trace_io.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <unordered_map>
@@ -119,6 +121,11 @@ class Reader {
   size_t size_;
   size_t pos_ = 0;
 };
+
+// UtilizationTrace clamps samples into [0, 1], but a NaN passes the clamp.
+bool HasNaN(const std::vector<double>& samples) {
+  return std::any_of(samples.begin(), samples.end(), [](double u) { return std::isnan(u); });
+}
 
 bool Fail(std::string* error, std::string message) {
   if (error != nullptr) {
@@ -255,6 +262,9 @@ bool ReadClusterTraceFile(const std::string& path, Cluster* cluster, TraceFileIn
     if (!reader.Series(&samples, trace_slots)) {
       return malformed("truncated shared trace");
     }
+    if (HasNaN(samples)) {
+      return malformed("NaN utilization sample in shared trace");
+    }
     pool.push_back(std::make_shared<const UtilizationTrace>(std::move(samples)));
   }
 
@@ -282,6 +292,9 @@ bool ReadClusterTraceFile(const std::string& path, Cluster* cluster, TraceFileIn
     if (!reader.Series(&average, trace_slots)) {
       return malformed("truncated tenant average trace");
     }
+    if (HasNaN(average)) {
+      return malformed("NaN utilization sample in tenant average trace");
+    }
     tenant.environment = static_cast<EnvironmentId>(environment);
     tenant.true_pattern = static_cast<UtilizationPattern>(pattern);
     tenant.average_utilization = UtilizationTrace(std::move(average));
@@ -303,6 +316,14 @@ bool ReadClusterTraceFile(const std::string& path, Cluster* cluster, TraceFileIn
     if (tenant >= num_tenants) {
       return malformed("server references unknown tenant");
     }
+    // Every builder numbers racks densely from 0 with at least one server
+    // per rack, and the storage stages size per-rack tables by the largest.
+    if (rack >= num_servers) {
+      return malformed("server rack not below the server count");
+    }
+    if (cores == 0) {
+      return malformed("server cores is 0");
+    }
     const int64_t trace_index = static_cast<int64_t>(trace_ref);
     // -1 is reserved in the format but rejected on read: Server::utilization
     // is "never null after cluster construction" (src/cluster/cluster.h),
@@ -319,6 +340,10 @@ bool ReadClusterTraceFile(const std::string& path, Cluster* cluster, TraceFileIn
     std::vector<double> reimage_times;
     if (!reader.Series(&reimage_times, kMaxCount)) {
       return malformed("truncated reimage timeline");
+    }
+    if (!std::all_of(reimage_times.begin(), reimage_times.end(),
+                     [](double t) { return std::isfinite(t) && t >= 0.0; })) {
+      return malformed("reimage time negative or not finite");
     }
     const ServerId id = result.AddServer(std::move(server));
     result.SetReimageTimes(id, reimage_times.data(), reimage_times.size());

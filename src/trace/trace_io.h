@@ -27,8 +27,10 @@
 // produce a usable fleet.
 //
 // Validation on read: magic and version, bounded counts, in-range indices
-// and enum values, and exact end-of-file (a truncated or oversized file is
-// an error, never a partial cluster).
+// and enum values, no NaN utilization sample, a nonzero core count, a rack
+// below the server count, finite non-negative reimage times, and exact
+// end-of-file (a truncated or oversized file is an error, never a partial
+// cluster).
 
 #ifndef HARVEST_SRC_TRACE_TRACE_IO_H_
 #define HARVEST_SRC_TRACE_TRACE_IO_H_

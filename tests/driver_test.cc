@@ -129,24 +129,19 @@ TEST(ScenarioTest, ScalingClampsToWellFormedFloors) {
   EXPECT_EQ(same.storage_blocks, testbed->storage_blocks);
 }
 
-TEST(ScenarioRegistryTest, RejectsDuplicateAndUnnamedRegistrations) {
-  ScenarioRegistry registry;
-  ScenarioConfig config;
-  config.name = "my_scenario";
-  config.description = "test";
-  std::string error;
-  EXPECT_TRUE(registry.Register(config, &error));
-  EXPECT_NE(registry.Find("my_scenario"), nullptr);
-
-  EXPECT_FALSE(registry.Register(config, &error));
-  EXPECT_NE(error.find("already registered"), std::string::npos);
-
-  ScenarioConfig unnamed;
-  EXPECT_FALSE(registry.Register(unnamed, &error));
-  EXPECT_NE(error.find("empty"), std::string::npos);
-
-  EXPECT_EQ(registry.Find("other"), nullptr);
-  EXPECT_EQ(registry.scenarios().size(), 1u);
+TEST(ScenarioRegistryTest, BuiltinNamesAreNonEmptyAndUnique) {
+  // FindScenario returns the first preset of a name, so a repeated name
+  // would hide the later preset.
+  const std::vector<ScenarioConfig> builtins = BuiltinScenarioList();
+  ASSERT_EQ(builtins.size(), AllScenarios().size());
+  std::set<std::string> names;
+  for (size_t i = 0; i < builtins.size(); ++i) {
+    const std::string& name = builtins[i].name;
+    EXPECT_FALSE(name.empty()) << "preset " << i;
+    EXPECT_TRUE(names.insert(name).second) << "'" << name << "' is listed twice";
+    EXPECT_EQ(AllScenarios()[i].name, name);
+    EXPECT_EQ(FindScenario(name), &AllScenarios()[i]) << name;
+  }
 }
 
 TEST(ScenarioOverrideTest, SplitsKeyValuePairs) {

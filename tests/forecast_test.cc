@@ -59,14 +59,6 @@ TEST(ForecastTest, StockModeIgnoresForecast) {
   EXPECT_EQ(nm.AvailableForTask(t, 12.0 * 3600.0).cores, 12);
 }
 
-TEST(ForecastTest, HistoricalStatsComputedAtConstruction) {
-  Server server = RampServer();
-  NodeManager nm(&server, kDefaultReserve, SchedulerMode::kHistory);
-  // Average: 0.2 over 1.5 days + 0.7 over 0.5 days = 0.325 -> 3.9 -> 4 cores.
-  EXPECT_EQ(nm.historical_average_cores(), 4);
-  EXPECT_EQ(nm.historical_peak_cores(), 9);  // 0.7 * 12 = 8.4 -> 9
-}
-
 Cluster SmallDc(uint64_t seed) {
   Rng rng(seed);
   BuildOptions options;

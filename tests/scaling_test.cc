@@ -6,7 +6,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "src/trace/generators.h"
 
@@ -23,6 +25,15 @@ std::vector<UtilizationTrace> MakeTraces(uint64_t seed) {
   UnpredictableTraceParams wild;
   traces.push_back(GenerateUnpredictableTrace(wild, 2000, rng));
   return traces;
+}
+
+// One pointer per trace, in order: the list SolveScalingParameter reads.
+std::vector<const UtilizationTrace*> Pointers(const std::vector<UtilizationTrace>& traces) {
+  std::vector<const UtilizationTrace*> pointers;
+  for (const UtilizationTrace& trace : traces) {
+    pointers.push_back(&trace);
+  }
+  return pointers;
 }
 
 double PopulationAverage(const std::vector<UtilizationTrace>& traces) {
@@ -72,12 +83,12 @@ TEST(ScalingTest, ZeroStaysZeroUnderRoot) {
 TEST(ScalingTest, LinearScalingAmplifiesVariationMoreThanRoot) {
   // The crux of Fig 13: at the same target average, linear scaling yields
   // larger temporal variation than root scaling.
-  std::vector<UtilizationTrace> traces = MakeTraces(3);
-  auto linear = ScaleToAverage(traces, ScalingMethod::kLinear, 0.55);
-  auto root = ScaleToAverage(traces, ScalingMethod::kRoot, 0.55);
-  auto variance = [](const std::vector<UtilizationTrace>& ts) {
+  const std::vector<UtilizationTrace> traces = MakeTraces(3);
+  auto variance = [&](ScalingMethod method) {
+    const double parameter = SolveScalingParameter(Pointers(traces), method, 0.55);
     double total = 0.0;
-    for (const auto& t : ts) {
+    for (const auto& trace : traces) {
+      const UtilizationTrace t = ScaleTrace(trace, method, parameter);
       double mean = t.Average();
       double acc = 0.0;
       for (double v : t.samples()) {
@@ -87,7 +98,7 @@ TEST(ScalingTest, LinearScalingAmplifiesVariationMoreThanRoot) {
     }
     return total;
   };
-  EXPECT_GT(variance(linear), variance(root));
+  EXPECT_GT(variance(ScalingMethod::kLinear), variance(ScalingMethod::kRoot));
 }
 
 // Property: the solved parameter hits the target average for both methods
@@ -97,14 +108,17 @@ class ScaleTargetTest
 
 TEST_P(ScaleTargetTest, HitsTargetAverage) {
   auto [method, target] = GetParam();
-  std::vector<UtilizationTrace> traces = MakeTraces(11);
-  auto scaled = ScaleToAverage(traces, method, target);
-  EXPECT_NEAR(PopulationAverage(scaled), target, 0.01);
+  const std::vector<UtilizationTrace> traces = MakeTraces(11);
   // The interpolating search needs far fewer passes over the samples than
   // the 80 that plain bisection spends.
   int evaluations = 0;
-  SolveScalingParameter(traces, method, target, &evaluations);
+  const double parameter = SolveScalingParameter(Pointers(traces), method, target, &evaluations);
   EXPECT_LE(evaluations, 30);
+  std::vector<UtilizationTrace> scaled;
+  for (const auto& trace : traces) {
+    scaled.push_back(ScaleTrace(trace, method, parameter));
+  }
+  EXPECT_NEAR(PopulationAverage(scaled), target, 0.01);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -113,7 +127,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0.15, 0.30, 0.45, 0.60, 0.75)));
 
 TEST(ScalingTest, SolveIsMonotoneInTarget) {
-  std::vector<UtilizationTrace> traces = MakeTraces(13);
+  const std::vector<UtilizationTrace> owned = MakeTraces(13);
+  const std::vector<const UtilizationTrace*> traces = Pointers(owned);
   double f_low = SolveScalingParameter(traces, ScalingMethod::kLinear, 0.2);
   double f_high = SolveScalingParameter(traces, ScalingMethod::kLinear, 0.6);
   EXPECT_LT(f_low, f_high);
@@ -171,15 +186,20 @@ uint64_t Bits(double value) {
 constexpr double kOracleTargets[] = {1e-9, 1e-6, 0.001, 0.05,  0.2,
                                      0.45, 0.7,  0.95,  0.999, 0.999999};
 
-// Solves `traces` for every oracle target with both methods and expects the
-// reference's parameter bit for bit within the 80-pass budget.
-void ExpectReferenceParameters(const std::vector<UtilizationTrace>& traces,
+// Solves the pointer list `traces` for every oracle target with both methods
+// and expects the reference's parameter, computed over a deep copy with one
+// trace per list entry, bit for bit within the 80-pass budget.
+void ExpectReferenceParameters(std::span<const UtilizationTrace* const> traces,
                                const std::string& label) {
+  std::vector<UtilizationTrace> copy;
+  for (const UtilizationTrace* trace : traces) {
+    copy.push_back(*trace);
+  }
   for (ScalingMethod method : {ScalingMethod::kLinear, ScalingMethod::kRoot}) {
     for (double target : kOracleTargets) {
       int evaluations = -1;
       const double solved = SolveScalingParameter(traces, method, target, &evaluations);
-      const double reference = ReferenceSolve(traces, method, target);
+      const double reference = ReferenceSolve(copy, method, target);
       EXPECT_EQ(Bits(solved), Bits(reference))
           << label << ", " << ScalingMethodName(method) << " target " << target << ": solved "
           << solved << ", reference " << reference;
@@ -187,6 +207,11 @@ void ExpectReferenceParameters(const std::vector<UtilizationTrace>& traces,
       EXPECT_LE(evaluations, 80) << label;
     }
   }
+}
+
+void ExpectReferenceParameters(const std::vector<UtilizationTrace>& traces,
+                               const std::string& label) {
+  ExpectReferenceParameters(Pointers(traces), label);
 }
 
 // Random trace sets varying what the crossing depends on: trace count and
@@ -231,6 +256,37 @@ TEST(ScalingOracleTest, RandomSetsSolveToTheReferenceBitForBit) {
   }
 }
 
+// A fleet with shared traces lists one trace for many servers. Each pool of
+// distinct traces is listed twice over: in runs, one trace per tenant-like
+// block of consecutive servers, and interleaved, each entry drawn from the
+// whole pool. Both must solve to the reference over the expanded copy.
+TEST(ScalingOracleTest, SharedTraceListsSolveToTheReferenceBitForBit) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    const std::vector<UtilizationTrace> pool = RandomTraceSet(seed);
+    Rng rng(seed + 1000);
+    std::vector<const UtilizationTrace*> runs;
+    for (const UtilizationTrace& trace : pool) {
+      runs.insert(runs.end(), static_cast<size_t>(rng.UniformInt(1, 4)), &trace);
+    }
+    std::vector<const UtilizationTrace*> interleaved;
+    const int64_t entries = rng.UniformInt(2, 12);
+    for (int64_t i = 0; i < entries; ++i) {
+      interleaved.push_back(&pool[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(pool.size()) - 1))]);
+    }
+    ExpectReferenceParameters(runs, "runs, seed " + std::to_string(seed));
+    ExpectReferenceParameters(interleaved, "interleaved, seed " + std::to_string(seed));
+  }
+  // A list's order is its summation order: the same six addends, summed in
+  // two orders, each match the reference over their own expansion.
+  const UtilizationTrace a({0.1, 0.7, 1e-3});
+  const UtilizationTrace b({0.9, 0.0, 0.33});
+  const UtilizationTrace* alternating[] = {&a, &b, &a, &b, &a, &b};
+  const UtilizationTrace* blocked[] = {&a, &a, &a, &b, &b, &b};
+  ExpectReferenceParameters(alternating, "a b a b a b");
+  ExpectReferenceParameters(blocked, "a a a b b b");
+}
+
 TEST(ScalingOracleTest, StalledInterpolationFallsBackToMidpoints) {
   // Under linear scaling the average is flat at 1 once every sample
   // saturates. With the crossing just below that kink, regula falsi creeps
@@ -239,7 +295,7 @@ TEST(ScalingOracleTest, StalledInterpolationFallsBackToMidpoints) {
   const std::vector<UtilizationTrace> traces = {
       UtilizationTrace({0.0793, 0.2008, 0.45, 0.662, 0.78, 0.9, 1.0})};
   int evaluations = 0;
-  SolveScalingParameter(traces, ScalingMethod::kLinear, 0.999999, &evaluations);
+  SolveScalingParameter(Pointers(traces), ScalingMethod::kLinear, 0.999999, &evaluations);
   EXPECT_LE(evaluations, 60);
   ExpectReferenceParameters(traces, "plateau");
 }
@@ -247,7 +303,7 @@ TEST(ScalingOracleTest, StalledInterpolationFallsBackToMidpoints) {
 TEST(ScalingOracleTest, DegenerateSetsSolveToTheReferenceBitForBit) {
   ExpectReferenceParameters({UtilizationTrace(std::vector<double>(50, 0.0))}, "all zero");
   ExpectReferenceParameters({UtilizationTrace(std::vector<double>(50, 1.0))}, "all one");
-  ExpectReferenceParameters({}, "no traces");
+  ExpectReferenceParameters(std::vector<UtilizationTrace>(), "no traces");
   ExpectReferenceParameters({UtilizationTrace()}, "one empty trace");
   ExpectReferenceParameters({UtilizationTrace({0.37})}, "single sample");
   ExpectReferenceParameters({UtilizationTrace({0.0, 1.0})}, "{0, 1}");

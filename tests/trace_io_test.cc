@@ -6,7 +6,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "src/cluster/datacenter.h"
 #include "src/trace/trace_source.h"
@@ -40,6 +43,19 @@ class TraceIoTest : public ::testing::Test {
   void WriteAll(const std::string& path, const std::string& data) const {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(data.data(), static_cast<std::streamsize>(data.size()));
+  }
+
+  // Writes `cluster` (the writer takes any in-memory fleet) and expects the
+  // read to fail as malformed, naming `field`.
+  void ExpectMalformed(const Cluster& cluster, const std::string& field) const {
+    std::string error;
+    ASSERT_TRUE(WriteClusterTraceFile(cluster, PathFor("bad.trace"), &error)) << error;
+    Cluster out;
+    TraceFileInfo info;
+    EXPECT_FALSE(ReadClusterTraceFile(PathFor("bad.trace"), &out, &info, &error))
+        << field << " was accepted";
+    EXPECT_NE(error.find("malformed"), std::string::npos) << error;
+    EXPECT_NE(error.find(field), std::string::npos) << error;
   }
 
   fs::path dir_;
@@ -219,6 +235,69 @@ TEST_F(TraceIoTest, RejectsTracelessServers) {
   TraceFileInfo info;
   EXPECT_FALSE(ReadClusterTraceFile(PathFor("traceless.trace"), &out, &info, &error));
   EXPECT_NE(error.find("unknown trace"), std::string::npos) << error;
+}
+
+// A two-server, one-rack fleet sharing one trace, which the reader loads;
+// the tests below break one field of it each.
+Cluster TinyFleet() {
+  Cluster cluster;
+  PrimaryTenant tenant;
+  tenant.name = "tiny";
+  tenant.average_utilization = UtilizationTrace({0.25, 0.5});
+  const TenantId tid = cluster.AddTenant(std::move(tenant));
+  const auto trace = std::make_shared<const UtilizationTrace>(std::vector<double>{0.25, 0.5});
+  const double reimages[] = {3600.0, 7200.0};
+  for (int i = 0; i < 2; ++i) {
+    Server server;
+    server.tenant = tid;
+    server.utilization = trace;
+    const ServerId id = cluster.AddServer(std::move(server));
+    cluster.SetReimageTimes(id, reimages, 2);
+  }
+  return cluster;
+}
+
+TEST_F(TraceIoTest, RejectsAServerWithZeroCores) {
+  // The node manager divides memory by cores.
+  Cluster fleet = TinyFleet();
+  std::string error;
+  ASSERT_TRUE(WriteClusterTraceFile(fleet, PathFor("ok.trace"), &error)) << error;
+  Cluster out;
+  ASSERT_TRUE(ReadClusterTraceFile(PathFor("ok.trace"), &out, nullptr, &error)) << error;
+  fleet.server(1).capacity.cores = 0;
+  ExpectMalformed(fleet, "cores");
+}
+
+TEST_F(TraceIoTest, RejectsARackNotBelowTheServerCount) {
+  // Racks are numbered densely from 0, so a fleet has fewer racks than
+  // servers; the storage stages size per-rack tables by the largest rack.
+  Cluster fleet = TinyFleet();
+  fleet.server(1).rack = 2;
+  ExpectMalformed(fleet, "rack");
+  fleet.server(1).rack = -1;  // written as 4294967295
+  ExpectMalformed(fleet, "rack");
+}
+
+TEST_F(TraceIoTest, RejectsNaNUtilizationSamples) {
+  // The trace constructor's clamp into [0, 1] lets NaN through.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Cluster fleet = TinyFleet();
+  fleet.server(1).utilization =
+      std::make_shared<const UtilizationTrace>(std::vector<double>{0.3, nan});
+  ExpectMalformed(fleet, "NaN utilization sample in shared trace");
+  fleet = TinyFleet();
+  fleet.tenant(0).average_utilization = UtilizationTrace({nan, 0.5});
+  ExpectMalformed(fleet, "NaN utilization sample in tenant average trace");
+}
+
+TEST_F(TraceIoTest, RejectsNegativeOrNonFiniteReimageTimes) {
+  for (double bad : {-1e300, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    Cluster fleet = TinyFleet();
+    const double reimages[] = {60.0, bad};
+    fleet.SetReimageTimes(1, reimages, 2);
+    ExpectMalformed(fleet, "reimage time");
+  }
 }
 
 TEST_F(TraceIoTest, TraceSourceResolvesLabelsWithDidYouMean) {
