@@ -55,7 +55,6 @@ AvailabilityStageResult RunAvailabilityStage(const DcContext& ctx, const Cluster
     options.placement = kind;
     options.replication = result.replication;
     options.num_blocks = config.availability_blocks;
-    options.nn_shards = config.nn_shards;
     // Both systems hit the same 66% wall; placement is the only difference.
     options.primary_aware_access = true;
     // Shared across kinds and targets: the paired write workload.

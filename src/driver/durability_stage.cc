@@ -50,7 +50,6 @@ DurabilityStageResult RunDurabilityStage(const DcContext& ctx, const Cluster& cl
     options.placement = kind;
     options.replication = replication;
     options.num_blocks = config.storage_blocks;
-    options.nn_shards = config.nn_shards;
     // Shared across kinds at this replication: the paired write workload.
     options.writer_seed = DerivedStreamSeed(base_seed, "writers-" + replication_tag);
     options.policy_seed = DerivedStreamSeed(

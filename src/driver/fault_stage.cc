@@ -61,7 +61,6 @@ FaultStageResult RunFaultStage(const DcContext& ctx, const Cluster& cluster, con
     options.placement = kinds[i];
     options.replication = result.replication;
     options.num_blocks = config.storage_blocks;
-    options.nn_shards = config.nn_shards;
     options.faults = &faults;
     options.max_inflight_heals_per_shard = config.max_inflight_heals_per_shard;
     options.heal_backoff_base_seconds = config.heal_backoff_base_seconds;

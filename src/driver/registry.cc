@@ -281,7 +281,7 @@ std::vector<ScenarioKnob> MakeKnobs() {
       BoolKnob(&ScenarioConfig::per_server_traces));
   add("rm_shards", "int >= 0", "RM accounting shards (0 = auto from fleet size)",
       ShardCountKnob(&ScenarioConfig::rm_shards));
-  add("nn_shards", "int >= 0", "NameNode accounting shards (0 = auto from fleet size)",
+  add("nn_shards", "int >= 0", "no effect (the NameNode keeps one heal queue)",
       ShardCountKnob(&ScenarioConfig::nn_shards));
   add("reimage_storm", "bool", "boost correlated mass-reimage events",
       BoolKnob(&ScenarioConfig::reimage_storm));

@@ -121,13 +121,15 @@ struct ScenarioConfig {
   std::vector<double> availability_utilizations = {0.30, 0.50};
 
   // --- Execution layout (never changes any emitted byte) ---
-  // Accounting shards for the scheduler RM and the storage NameNodes;
-  // 0 = auto from fleet size (FleetTable::AutoShardCount). Like --threads,
-  // these are layout knobs: the driver excludes them from the rendered
-  // "overrides" provenance (harvest_sim reports them with the run telemetry
-  // on stderr instead) and tests/golden_check.sh enforces byte-identity
-  // across values.
+  // Accounting shards for the scheduler RM; 0 = auto from fleet size
+  // (FleetTable::AutoShardCount). Like --threads, this is a layout knob:
+  // the driver excludes it from the rendered "overrides" provenance
+  // (harvest_sim reports it with the run telemetry on stderr instead) and
+  // tests/golden_check.sh enforces byte-identity across values.
   int rm_shards = 0;
+  // Has no effect: the NameNode keeps one heal queue. Like rm_shards it
+  // stays out of the rendered overrides; it goes once the benchmark's probe
+  // (perfbench/probe.cc) stops assigning the options fields it used to feed.
   int nn_shards = 0;
 
   // --- Fault injection (src/fault) ----------------------------------------

@@ -58,7 +58,6 @@ SchedulingStageResult RunSchedulingStage(const DcContext& ctx, const Cluster& cl
   options.thresholds.long_above *= config.job_duration_factor;
   options.seed = ctx.StreamSeed("scheduling");
   options.rm_shards = config.rm_shards;
-  options.nn_shards = config.nn_shards;
   // Power subsystem: both runs account energy under the same curve so the
   // H-vs-PT cost delta is apples-to-apples; the right-sizing and deferral
   // policies themselves are H-only (the simulation gates them on mode).

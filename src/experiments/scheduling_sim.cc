@@ -170,7 +170,6 @@ class SchedulingSimulation {
     NameNodeOptions nn_options;
     nn_options.replication = kReplication;
     nn_options.primary_aware_access = options_.storage != StorageVariant::kStock;
-    nn_options.shards = options_.nn_shards;
     std::unique_ptr<PlacementPolicy> policy;
     if (options_.storage == StorageVariant::kHistory) {
       policy = std::make_unique<HistoryPlacement>(&cluster_);

@@ -50,11 +50,13 @@ struct SchedulingSimOptions {
   bool collect_latency = false;
   // Blocks of job input the co-simulated file system holds.
   int64_t storage_blocks = 5000;
-  // Accounting shards for the RM and the co-simulated NameNode (0 = auto
-  // from fleet size, FleetTable::AutoShardCount) and the worker cap for the
-  // RM's per-slot refresh. Execution layout only: results are byte-identical
-  // for every combination (tests/golden_check.sh).
+  // Accounting shards for the RM (0 = auto from fleet size,
+  // FleetTable::AutoShardCount) and the worker cap for the RM's per-slot
+  // refresh. Execution layout only: results are byte-identical for every
+  // combination (tests/golden_check.sh).
   int rm_shards = 0;
+  // Has no effect: the co-simulated NameNode keeps one heal queue. Kept
+  // until the benchmark's probe (perfbench/probe.cc) stops assigning it.
   int nn_shards = 0;
   int slot_threads = 1;
   // --- Power subsystem (src/power) ----------------------------------------

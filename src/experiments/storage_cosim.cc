@@ -143,7 +143,6 @@ StorageCosimResult RunStorageCosim(const Cluster& cluster, const StorageTimeline
   nn_options.primary_aware_access = options.primary_aware_access;
   nn_options.detection_delay_seconds = options.detection_delay_seconds;
   nn_options.rereplication_blocks_per_hour = options.rereplication_blocks_per_hour;
-  nn_options.shards = options.nn_shards;
   nn_options.max_inflight_heals_per_shard = options.max_inflight_heals_per_shard;
   nn_options.heal_backoff_base_seconds = options.heal_backoff_base_seconds;
   nn_options.heal_backoff_max_seconds = options.heal_backoff_max_seconds;

@@ -101,8 +101,8 @@ struct StorageCosimOptions {
   uint64_t writer_seed = 1;
   // Per-kind policy stream.
   uint64_t policy_seed = 1;
-  // NameNode accounting shards (0 = auto from fleet size). Execution layout
-  // only: byte-identical results for any value.
+  // Has no effect: the NameNode keeps one heal queue. Kept until the
+  // benchmark's probe (perfbench/probe.cc) stops assigning it.
   int nn_shards = 0;
   // Compiled fault timeline (not owned; must outlive the run), or nullptr
   // for a fault-free cell. The timeline's partitions are applied in replay

@@ -12,27 +12,14 @@ NameNode::NameNode(const Cluster* cluster, std::unique_ptr<PlacementPolicy> poli
     : cluster_(cluster), policy_(std::move(policy)), options_(options), rng_(rng) {
   data_nodes_.reserve(cluster->num_servers());
   source_free_at_.assign(cluster->num_servers(), 0.0);
-  server_shard_.reserve(cluster->num_servers());
   RackId num_racks = 0;
   for (const auto& server : cluster->servers()) {
     data_nodes_.emplace_back(&server, server.harvestable_blocks);
     num_racks = std::max(num_racks, server.rack + 1);
   }
-  // Heal-queue shards by rack (contiguous rack ranges). 0 = auto from fleet
-  // size.
-  const int shards =
-      options_.shards <= 0 ? FleetTable::AutoShardCount(cluster->num_servers())
-                           : options_.shards;
-  for (const auto& server : cluster->servers()) {
-    server_shard_.push_back(static_cast<int32_t>(
-        num_racks == 0 ? 0
-                       : static_cast<int64_t>(server.rack) * shards / num_racks));
-  }
-  shard_queues_.resize(static_cast<size_t>(shards));
   num_racks_ = static_cast<int>(num_racks);
   if (options_.max_inflight_heals_per_shard > 0) {
-    // The lane grouping is canonical (fleet-derived), NOT options_.shards:
-    // nn_shards is execution layout and must not scale the in-flight budget.
+    // The lane grouping is a model parameter, derived from the fleet alone.
     const int heal_shards = FleetTable::AutoShardCount(cluster->num_servers());
     server_heal_shard_.reserve(cluster->num_servers());
     for (const auto& server : cluster->servers()) {
@@ -92,7 +79,7 @@ bool NameNode::ServerHasSpace(ServerId server, BlockId block) const {
     return false;
   }
   if (block >= 0) {
-    const auto& replicas = blocks_[static_cast<size_t>(block)].replicas;
+    const std::span<const ServerId> replicas = Replicas(block);
     if (std::find(replicas.begin(), replicas.end(), server) != replicas.end()) {
       return false;
     }
@@ -101,8 +88,11 @@ bool NameNode::ServerHasSpace(ServerId server, BlockId block) const {
 }
 
 void NameNode::AddReplicaToServer(BlockId block, ServerId server) {
+  BlockState& state = blocks_[static_cast<size_t>(block)];
+  HARVEST_CHECK(state.live < options_.replication)
+      << "block " << block << " would exceed " << options_.replication << " replicas";
   data_nodes_[static_cast<size_t>(server)].AddReplica(block);
-  blocks_[static_cast<size_t>(block)].replicas.push_back(server);
+  replica_slots_[FirstSlot(block) + static_cast<size_t>(state.live++)] = server;
 }
 
 BlockId NameNode::CreateBlock(ServerId writer, double now) {
@@ -118,6 +108,8 @@ BlockId NameNode::CreateBlock(ServerId writer, double now) {
     return -1;
   }
   blocks_.emplace_back();
+  replica_slots_.resize(replica_slots_.size() + static_cast<size_t>(options_.replication),
+                        kInvalidServer);
   for (ServerId s : placed) {
     AddReplicaToServer(id, s);
   }
@@ -130,12 +122,12 @@ BlockId NameNode::CreateBlock(ServerId writer, double now) {
 
 AccessResult NameNode::Access(BlockId block, double now) {
   ++stats_.accesses;
-  const BlockState& state = blocks_[static_cast<size_t>(block)];
-  if (state.lost || state.replicas.empty()) {
+  const std::span<const ServerId> replicas = Replicas(block);
+  if (replicas.empty()) {
     ++stats_.failed_accesses;
     return AccessResult::kMissing;
   }
-  for (ServerId s : state.replicas) {
+  for (ServerId s : replicas) {
     if (!data_nodes_[static_cast<size_t>(s)].Busy(now)) {
       return AccessResult::kServed;
     }
@@ -151,7 +143,8 @@ AccessResult NameNode::Access(BlockId block, double now) {
 
 void NameNode::QueueRereplication(BlockId block, double now, int attempts) {
   BlockState& state = blocks_[static_cast<size_t>(block)];
-  if (state.replicas.empty()) {
+  const std::span<const ServerId> replicas = Replicas(block);
+  if (replicas.empty()) {
     return;  // nothing to copy from; the block is gone
   }
   const double delay = options_.detection_delay_seconds + Backoff(attempts);
@@ -159,7 +152,7 @@ void NameNode::QueueRereplication(BlockId block, double now, int attempts) {
   // availability forward by one throttle interval (30 blocks/hour/server ->
   // 120 s each). Replicas behind a partitioned ToR cannot source a copy.
   ServerId best = kInvalidServer;
-  for (ServerId s : state.replicas) {
+  for (ServerId s : replicas) {
     if (IsPartitioned(s)) {
       continue;
     }
@@ -169,19 +162,16 @@ void NameNode::QueueRereplication(BlockId block, double now, int attempts) {
     }
   }
   if (best == kInvalidServer) {
-    // Every surviving replica is partitioned away: queue a probe entry on
-    // the first replica's shard. Nothing is copied, no lane or throttle slot
-    // is consumed -- the pop just re-checks reachability (with backoff).
+    // Every surviving replica is partitioned away: queue a probe entry.
+    // Nothing is copied, no lane or throttle slot is consumed -- the pop
+    // just re-checks reachability (with backoff).
     ++state.inflight;
-    shard_queues_[static_cast<size_t>(ShardOf(state.replicas.front()))].push(
-        PendingRereplication{now + delay, block, kInvalidServer, attempts,
-                             next_heal_seq_++});
+    heal_queue_.Push(PendingHeal{now + delay, block, kInvalidServer, attempts});
     NoteHealQueued();
     return;
   }
   const double interval = 3600.0 / options_.rereplication_blocks_per_hour;
   double start = std::max(now + delay, source_free_at_[static_cast<size_t>(best)]);
-  const size_t shard = static_cast<size_t>(ShardOf(best));
   const size_t lane_shard =
       heal_lanes_.empty() ? 0
                           : static_cast<size_t>(
@@ -205,10 +195,7 @@ void NameNode::QueueRereplication(BlockId block, double now, int attempts) {
     heal_lanes_[lane_shard][lane] = done;
   }
   ++state.inflight;
-  // Enqueue on the source's shard; (ready_time, seq) is a total order, so
-  // the cross-shard merge pop equals the single-queue pop exactly.
-  shard_queues_[shard].push(
-      PendingRereplication{done, block, best, attempts, next_heal_seq_++});
+  heal_queue_.Push(PendingHeal{done, block, best, attempts});
   NoteHealQueued();
 }
 
@@ -222,33 +209,32 @@ void NameNode::OnReimage(ServerId server, double now) {
   // Detach them from the block map first, then drop the whole index at once
   // (cheaper than per-entry swap-removes that would only shuffle a list
   // about to be cleared).
+  const int replication = options_.replication;
   for (BlockId block : dn.blocks()) {
     BlockState& state = blocks_[static_cast<size_t>(block)];
-    const bool was_under = IsUnderReplicated(state);
-    size_t index = 0;
-    while (index < state.replicas.size() && state.replicas[index] != server) {
+    const int live = state.live;
+    ServerId* slots = replica_slots_.data() + FirstSlot(block);
+    int index = 0;
+    while (index < live && slots[index] != server) {
       ++index;
     }
-    HARVEST_CHECK(index < state.replicas.size())
+    HARVEST_CHECK(index < live)
         << "DN index out of sync: block " << block << " not on server " << server;
     // Ordered erase (<= replication entries): replica order is part of the
     // deterministic tie-breaking in source selection.
-    state.replicas.erase(state.replicas.begin() + static_cast<std::ptrdiff_t>(index));
+    std::copy(slots + index + 1, slots + live, slots + index);
+    state.live = live - 1;
     ++stats_.replicas_destroyed;
-    if (state.lost) {
-      continue;
-    }
-    if (state.replicas.empty()) {
+    if (state.live == 0) {
       // The last live replica died. In-flight copies sourced from destroyed
       // replicas cannot complete: the data is unrecoverable.
-      state.lost = true;
       ++stats_.blocks_lost;
-      if (was_under) {
+      if (live < replication) {
         --under_replicated_;
       }
       continue;
     }
-    if (!was_under) {
+    if (live == replication) {
       ++under_replicated_;
     }
     QueueRereplication(block, now);
@@ -257,49 +243,28 @@ void NameNode::OnReimage(ServerId server, double now) {
 }
 
 void NameNode::ProcessRereplication(double now) {
-  while (true) {
-    // Pop the global (ready_time, seq) minimum across the shard queues --
-    // exactly the order one merged queue would pop in, so the placement
-    // policy consumes the RNG identically for every shard count.
-    int best_shard = -1;
-    for (size_t k = 0; k < shard_queues_.size(); ++k) {
-      const HealQueue& queue = shard_queues_[k];
-      if (queue.empty() || queue.top().ready_time > now) {
-        continue;
-      }
-      if (best_shard < 0 ||
-          PopsBefore(queue.top(),
-                     shard_queues_[static_cast<size_t>(best_shard)].top())) {
-        best_shard = static_cast<int>(k);
-      }
-    }
-    if (best_shard < 0) {
-      break;
-    }
-    HealQueue& best_queue = shard_queues_[static_cast<size_t>(best_shard)];
-    PendingRereplication pending = best_queue.top();
-    best_queue.pop();
+  while (!heal_queue_.empty() && heal_queue_.next_ready_time() <= now) {
+    const PendingHeal pending = heal_queue_.Pop();
     NoteHealPopped(pending.ready_time);
     BlockState& state = blocks_[static_cast<size_t>(pending.block)];
     --state.inflight;
-    if (state.lost) {
-      continue;
+    const std::span<const ServerId> replicas = Replicas(pending.block);
+    if (replicas.empty()) {
+      continue;  // lost
     }
     // The copy succeeds only if the source still holds a live replica at
     // completion time (a reimage in between invalidates it) AND is still
     // reachable (a ToR partition that closed mid-copy drops it). Probe
     // entries (source == kInvalidServer) always take this retry path:
     // std::find misses, so IsPartitioned is never asked about the sentinel.
-    bool source_alive = std::find(state.replicas.begin(), state.replicas.end(),
-                                  pending.source) != state.replicas.end();
+    bool source_alive =
+        std::find(replicas.begin(), replicas.end(), pending.source) != replicas.end();
     bool source_usable = source_alive && !IsPartitioned(pending.source);
     if (!source_usable) {
-      if (!state.replicas.empty()) {
-        QueueRereplication(pending.block, pending.ready_time, pending.attempts + 1);
-      }
+      QueueRereplication(pending.block, pending.ready_time, pending.attempts + 1);
       continue;
     }
-    if (static_cast<int>(state.replicas.size()) >= options_.replication) {
+    if (state.live >= options_.replication) {
       continue;  // already healed (e.g., by an earlier queued copy)
     }
     // Destination: the placement policy picks a target diverse against the
@@ -314,7 +279,7 @@ void NameNode::ProcessRereplication(double now) {
     std::vector<ServerId>& existing = existing_scratch_;
     existing.clear();
     existing.push_back(pending.source);
-    for (ServerId s : state.replicas) {
+    for (ServerId s : replicas) {
       if (s != pending.source) {
         existing.push_back(s);
       }
@@ -331,17 +296,13 @@ void NameNode::ProcessRereplication(double now) {
     }
     AddReplicaToServer(pending.block, destination);
     ++stats_.rereplications_completed;
-    if (static_cast<int>(state.replicas.size()) < options_.replication) {
+    if (state.live < options_.replication) {
       QueueRereplication(pending.block, pending.ready_time);
     } else {
       // Healed back to target.
       --under_replicated_;
     }
   }
-}
-
-int NameNode::LiveReplicas(BlockId block) const {
-  return static_cast<int>(blocks_[static_cast<size_t>(block)].replicas.size());
 }
 
 bool NameNode::AuditStateForTest(std::string* error) const {
@@ -358,19 +319,21 @@ bool NameNode::AuditStateForTest(std::string* error) const {
   std::vector<int64_t> per_server(data_nodes_.size(), 0);
   for (size_t b = 0; b < blocks_.size(); ++b) {
     const BlockState& state = blocks_[b];
-    if (state.lost) {
+    if (state.live < 0 || state.live > options_.replication) {
+      return fail("block " + std::to_string(b) + " has " + std::to_string(state.live) +
+                  " live replicas, outside [0, " + std::to_string(options_.replication) + "]");
+    }
+    if (state.live == 0) {
       ++lost;
-      if (!state.replicas.empty()) {
-        return fail("lost block " + std::to_string(b) + " still has replicas");
-      }
-    } else if (static_cast<int>(state.replicas.size()) < options_.replication) {
+    } else if (state.live < options_.replication) {
       ++under;
     }
-    for (size_t i = 0; i < state.replicas.size(); ++i) {
-      const size_t s = static_cast<size_t>(state.replicas[i]);
+    const std::span<const ServerId> replicas = Replicas(static_cast<BlockId>(b));
+    for (size_t i = 0; i < replicas.size(); ++i) {
+      const size_t s = static_cast<size_t>(replicas[i]);
       ++per_server[s];
-      for (size_t j = i + 1; j < state.replicas.size(); ++j) {
-        if (state.replicas[j] == state.replicas[i]) {
+      for (size_t j = i + 1; j < replicas.size(); ++j) {
+        if (replicas[j] == replicas[i]) {
           return fail("block " + std::to_string(b) + " has duplicate replicas on server " +
                       std::to_string(s));
         }
@@ -392,7 +355,7 @@ bool NameNode::AuditStateForTest(std::string* error) const {
                   std::to_string(per_server[s]));
     }
     for (BlockId block : dn.blocks()) {
-      const auto& replicas = blocks_[static_cast<size_t>(block)].replicas;
+      const std::span<const ServerId> replicas = Replicas(block);
       if (std::find(replicas.begin(), replicas.end(), static_cast<ServerId>(s)) ==
           replicas.end()) {
         return fail("DN index of server " + std::to_string(s) + " holds stale block " +
@@ -408,10 +371,7 @@ bool NameNode::AuditStateForTest(std::string* error) const {
     return fail("under-replication aggregate mismatch: " + std::to_string(under_replicated_) +
                 " cached vs " + std::to_string(under) + " rescanned");
   }
-  int64_t queued = 0;
-  for (const HealQueue& queue : shard_queues_) {
-    queued += static_cast<int64_t>(queue.size());
-  }
+  const int64_t queued = heal_queue_.size();
   if (inflight_total != queued) {
     return fail("inflight sum " + std::to_string(inflight_total) +
                 " does not match total queued heals " + std::to_string(queued));

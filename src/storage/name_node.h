@@ -6,32 +6,29 @@
 //
 // Accounting is *incremental* so the storage co-simulation hot path is
 // O(affected) per event instead of O(num_blocks) rescans: each DataNode
-// keeps an exact index of the blocks it hosts (with the NameNode tracking
-// every replica's slot in that index), re-replication is a queue keyed by
-// heal-completion time, and loss / under-replication / failed-access
-// aggregates are maintained at every transition. AuditStateForTest()
-// recomputes all of it by dense rescan; tests/storage_oracle_test.cc drives
-// randomized reimage/access sequences against it.
+// keeps an exact index of the blocks it hosts, re-replication is one queue
+// keyed by heal-completion time (heal_queue.h), and loss /
+// under-replication / failed-access aggregates are maintained at every
+// transition. AuditStateForTest() recomputes all of it by dense rescan;
+// tests/storage_oracle_test.cc drives randomized reimage/access sequences
+// against it.
 //
-// Sharding (100k-server DCs): heal queues are split by rack into
-// NameNodeOptions::shards contiguous rack ranges (keyed by the heal
-// source's rack) and popped as a k-way merge on the (ready_time, seq) total
-// order. Shard count is execution layout: it must never change an emitted
-// byte -- the merge pops the exact order a single queue would, and the
-// oracle test re-runs its randomized sequences at shard counts {1, 3, 8}
-// against the dense reference.
+// Layout: every block owns `replication` fixed-stride slots in one flat
+// array, its live replicas first in creation/heal order, so a block touch
+// reads one short run of memory and no block allocates.
 
 #ifndef HARVEST_SRC_STORAGE_NAME_NODE_H_
 #define HARVEST_SRC_STORAGE_NAME_NODE_H_
 
 #include <cstdint>
 #include <memory>
-#include <queue>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "src/cluster/cluster.h"
 #include "src/storage/data_node.h"
+#include "src/storage/heal_queue.h"
 #include "src/storage/placement.h"
 #include "src/util/rng.h"
 
@@ -56,16 +53,11 @@ struct NameNodeOptions {
   double detection_delay_seconds = 300.0;
   // Re-replication throttle per source server (paper §5.1).
   double rereplication_blocks_per_hour = 30.0;
-  // Heal-queue shards (contiguous rack ranges), popped as one merged queue,
-  // so shard count -- like thread count -- never changes an emitted byte.
-  // 0 = auto from fleet size (FleetTable::AutoShardCount);
-  // tests/storage_oracle_test.cc audits the sharded queues against the
-  // dense single-shard reference.
-  int shards = 1;
   // --- Heal-storm backpressure (src/fault graceful degradation) -----------
-  // Bounded in-flight heal budget per shard: when > 0, a queued heal also
-  // waits for the earliest of this many "lanes" on its source's shard, so a
-  // mass-loss event produces a drain curve bounded by shards x budget x
+  // Bounded in-flight heal budget per lane group: when > 0, a queued heal
+  // also waits for the earliest of this many "lanes" of its source's group
+  // (contiguous rack ranges, FleetTable::AutoShardCount groups), so a
+  // mass-loss event produces a drain curve bounded by groups x budget x
   // throttle instead of an unbounded burst. 0 = unlimited (legacy).
   int max_inflight_heals_per_shard = 0;
   // Exponential backoff for retried heals (source died / partitioned away /
@@ -138,16 +130,18 @@ class NameNode {
   double heal_backlog_cleared_at() const { return heal_backlog_cleared_at_; }
 
   // Number of live replicas of `block` right now.
-  int LiveReplicas(BlockId block) const;
-  const std::vector<ServerId>& ReplicaServers(BlockId block) const {
-    return blocks_[static_cast<size_t>(block)].replicas;
+  int LiveReplicas(BlockId block) const { return blocks_[static_cast<size_t>(block)].live; }
+  // The live replicas of `block`, in creation/heal order.
+  std::vector<ServerId> ReplicaServers(BlockId block) const {
+    const std::span<const ServerId> replicas = Replicas(block);
+    return {replicas.begin(), replicas.end()};
   }
-  bool Lost(BlockId block) const { return blocks_[static_cast<size_t>(block)].lost; }
+  // A block is lost once its last live replica dies; it never gains one back.
+  bool Lost(BlockId block) const { return LiveReplicas(block) == 0; }
 
   const StorageStats& stats() const { return stats_; }
   // Live blocks currently below their target replication (a running count).
   int64_t UnderReplicatedBlocks() const { return under_replicated_; }
-  int num_shards() const { return static_cast<int>(shard_queues_.size()); }
   const PlacementPolicy& policy() const { return *policy_; }
   DataNode& data_node(ServerId id) { return data_nodes_[static_cast<size_t>(id)]; }
   int64_t num_blocks() const { return static_cast<int64_t>(blocks_.size()); }
@@ -161,45 +155,19 @@ class NameNode {
 
  private:
   struct BlockState {
-    std::vector<ServerId> replicas;  // live replicas, in creation/heal order
-    int inflight = 0;                // re-replications under way
-    bool lost = false;
+    int32_t live = 0;      // live replicas: the block's first `live` slots
+    int32_t inflight = 0;  // re-replications under way
   };
-  struct PendingRereplication {
-    double ready_time = 0.0;
-    BlockId block = 0;
-    // kInvalidServer marks a probe entry: every surviving replica was behind
-    // a partitioned ToR at queue time, so nothing is copied -- the pop just
-    // re-evaluates reachability (with backoff).
-    ServerId source = kInvalidServer;
-    // Retries so far (source died, partitioned away, or no target); drives
-    // the exponential backoff.
-    int attempts = 0;
-    // Global push sequence number: the (ready_time, seq) pair is a total
-    // order over all pending heals. Heal completions tie constantly (every
-    // block wiped by one reimage and sourced from a fresh server completes
-    // at the same instant), and a heap's tie order is unspecified -- but the
-    // sharded k-way merge needs the single- and multi-queue pop orders to be
-    // THE SAME order, or the policy-RNG draw order (and every byte
-    // downstream) would depend on the shard count. The total order is also
-    // why any queue may hold a given heal.
-    uint64_t seq = 0;
-  };
-  struct ReadyAfter {
-    bool operator()(const PendingRereplication& a, const PendingRereplication& b) const {
-      return a.ready_time > b.ready_time ||
-             (a.ready_time == b.ready_time && a.seq > b.seq);
-    }
-  };
-  // True when `a` pops before `b` under the (ready_time, seq) total order.
-  static bool PopsBefore(const PendingRereplication& a, const PendingRereplication& b) {
-    return a.ready_time < b.ready_time ||
-           (a.ready_time == b.ready_time && a.seq < b.seq);
+
+  // Index of `block`'s first slot in replica_slots_.
+  size_t FirstSlot(BlockId block) const {
+    return static_cast<size_t>(block) * static_cast<size_t>(options_.replication);
   }
-
-  using HealQueue =
-      std::priority_queue<PendingRereplication, std::vector<PendingRereplication>, ReadyAfter>;
-
+  // `block`'s live replicas: its first `live` slots.
+  std::span<const ServerId> Replicas(BlockId block) const {
+    return {replica_slots_.data() + FirstSlot(block),
+            static_cast<size_t>(blocks_[static_cast<size_t>(block)].live)};
+  }
   bool ServerHasSpace(ServerId server, BlockId block) const;
   // Queues one re-replication for `block`, choosing the least-loaded
   // reachable source. `attempts` counts prior tries (adds backoff).
@@ -212,11 +180,7 @@ class NameNode {
   // Attaches a replica of `block` on `server`, updating the DN index.
   void AddReplicaToServer(BlockId block, ServerId server);
   bool IsUnderReplicated(const BlockState& state) const {
-    return !state.lost && static_cast<int>(state.replicas.size()) < options_.replication;
-  }
-  // The heal-queue shard of `server` (contiguous rack ranges).
-  int32_t ShardOf(ServerId server) const {
-    return server_shard_[static_cast<size_t>(server)];
+    return state.live > 0 && state.live < options_.replication;
   }
   // True when the server sits behind a partitioned ToR (cheap integer
   // compare on the legacy no-partition path).
@@ -230,20 +194,13 @@ class NameNode {
   Rng* rng_;
   std::vector<DataNode> data_nodes_;
   std::vector<BlockState> blocks_;
+  // options_.replication slots per block (see Replicas()).
+  std::vector<ServerId> replica_slots_;
   // Earliest time each server can source its next re-replication.
   std::vector<double> source_free_at_;
   // Live blocks below target replication (loss is stats_.blocks_lost).
   int64_t under_replicated_ = 0;
-  // --- Sharded heal queues ------------------------------------------------
-  // Shard of each server, by rack: racks are split into num_shards()
-  // contiguous ranges.
-  std::vector<int32_t> server_shard_;
-  // One heal queue per shard, keyed by the heal's source server (a probe
-  // heal by its first surviving replica). ProcessRereplication pops the
-  // global (ready_time, seq) minimum across shards, which is exactly the
-  // order one merged queue would pop in.
-  std::vector<HealQueue> shard_queues_;
-  uint64_t next_heal_seq_ = 0;
+  HealQueue heal_queue_;
   // --- Fault-injection state (src/fault) ----------------------------------
   int num_racks_ = 0;
   // Per-rack partition bits (lazily sized) + live counter; empty/0 on the
@@ -251,11 +208,8 @@ class NameNode {
   std::vector<uint8_t> rack_partitioned_;
   int64_t partitioned_racks_ = 0;
   // Bounded heal lanes (earliest-free completion times); empty when
-  // max_inflight_heals_per_shard == 0. Lanes are grouped by a *canonical*
-  // sharding derived from the fleet alone (AutoShardCount), never by
-  // options.shards: the execution shard count is pure layout and must not
-  // change the total in-flight budget -- results stay byte-identical across
-  // nn_shards.
+  // max_inflight_heals_per_shard == 0. Lanes are grouped by contiguous rack
+  // ranges whose count the fleet alone sets (AutoShardCount).
   std::vector<int32_t> server_heal_shard_;
   std::vector<std::vector<double>> heal_lanes_;
   // Queued heals now / high-water / last time the queue hit zero.

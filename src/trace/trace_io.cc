@@ -4,9 +4,11 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <unordered_map>
 #include <memory>
 #include <span>
+#include <system_error>
 #include <vector>
 
 #include "src/signal/pattern.h"
@@ -208,7 +210,16 @@ bool ReadClusterTraceFile(const std::string& path, Cluster* cluster, TraceFileIn
   if (file == nullptr) {
     return Fail(error, "cannot open trace file '" + path + "'");
   }
+  // Reserve the whole file up front: a buffer doubled chunk by chunk leaves
+  // its outgrown copies behind as heap fragments, and the fleets built next
+  // land around them. The chunked loop still reads a file whose size is
+  // unknown (or changes).
   std::string data;
+  std::error_code size_error;
+  const uintmax_t size = std::filesystem::file_size(path, size_error);
+  if (!size_error) {
+    data.reserve(static_cast<size_t>(size));
+  }
   char buffer[1 << 16];
   size_t n = 0;
   while ((n = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {

@@ -8,11 +8,11 @@
 // (NameNode::AuditStateForTest).
 //
 // A second suite proves the replay itself: RunStorageCosim (a two-cursor
-// merge over sharded heal queues) must produce results exactly equal to a
-// dense single-shard reference that replays the same shared timeline with
-// the same seeds and audits by full rescan along the way, and every event
-// of a timeline must lie at or before its horizon. Runs >= 1000 operations
-// per placement kind.
+// merge of reimages and accesses) must produce results exactly equal to a
+// dense reference that replays the same shared timeline with the same seeds
+// and audits by full rescan along the way, and every event of a timeline
+// must lie at or before its horizon. Runs >= 1000 operations per placement
+// kind.
 
 #include "src/experiments/storage_cosim.h"
 
@@ -45,32 +45,10 @@ Cluster BuildOracleCluster(double scale, uint64_t seed) {
   return BuildCluster(DatacenterByName("DC-9"), options, build_rng);
 }
 
-// Everything RNG-dependent one oracle run produced: final stats plus the
-// exact replica list of every block. Two runs with equal outcomes consumed
-// their policy stream identically (every placement draw is visible in the
-// replica lists).
-struct OracleOutcome {
-  StorageStats stats;
-  int64_t under_replicated = 0;
-  std::vector<std::vector<ServerId>> replicas;
-
-  bool operator==(const OracleOutcome& other) const {
-    return stats.blocks_created == other.stats.blocks_created &&
-           stats.blocks_lost == other.stats.blocks_lost &&
-           stats.replicas_destroyed == other.stats.replicas_destroyed &&
-           stats.rereplications_completed == other.stats.rereplications_completed &&
-           stats.accesses == other.stats.accesses &&
-           stats.failed_accesses == other.stats.failed_accesses &&
-           stats.interfering_accesses == other.stats.interfering_accesses &&
-           under_replicated == other.under_replicated && replicas == other.replicas;
-  }
-};
-
-OracleOutcome RunAccountingOracle(PlacementKind kind, uint64_t seed, int shards) {
+void RunAccountingOracle(PlacementKind kind, uint64_t seed) {
   Cluster cluster = BuildOracleCluster(0.3, seed);
   NameNodeOptions options;
   options.replication = 3;
-  options.shards = shards;
   Rng policy_rng(seed ^ 0x5eedULL);
   NameNode nn(&cluster, MakePlacementPolicy(kind, &cluster), options, &policy_rng);
 
@@ -117,7 +95,7 @@ OracleOutcome RunAccountingOracle(PlacementKind kind, uint64_t seed, int shards)
     const bool audit_ok = nn.AuditStateForTest(&error);
     EXPECT_TRUE(audit_ok) << PlacementKindName(kind) << " op " << op << ": " << error;
     if (!audit_ok) {
-      return OracleOutcome{};  // stop at the first desync (ASSERT needs void)
+      return;  // stop at the first desync
     }
   }
   // The mix actually exercised the hot paths.
@@ -126,57 +104,33 @@ OracleOutcome RunAccountingOracle(PlacementKind kind, uint64_t seed, int shards)
   EXPECT_GT(nn.stats().replicas_destroyed, 0);
   EXPECT_GT(nn.stats().rereplications_completed, 0);
   EXPECT_GE(kOperationsPerKind, 1000);
-
-  OracleOutcome outcome;
-  outcome.stats = nn.stats();
-  outcome.under_replicated = nn.UnderReplicatedBlocks();
-  outcome.replicas.reserve(static_cast<size_t>(nn.num_blocks()));
-  for (BlockId b = 0; b < nn.num_blocks(); ++b) {
-    outcome.replicas.push_back(nn.ReplicaServers(b));
-  }
-  return outcome;
-}
-
-// Runs the randomized sequence at shard counts {1, 3, 8} and requires the
-// sharded runs to match the dense single-shard reference exactly --
-// placements, aggregates, and (via the replica lists) the consumed RNG
-// stream. Shard count is execution layout; it must never change a result.
-void RunShardedAccountingOracle(PlacementKind kind, uint64_t seed) {
-  const OracleOutcome reference = RunAccountingOracle(kind, seed, /*shards=*/1);
-  for (int shards : {3, 8}) {
-    const OracleOutcome sharded = RunAccountingOracle(kind, seed, shards);
-    EXPECT_TRUE(sharded == reference)
-        << PlacementKindName(kind) << " diverged at " << shards << " shards";
-  }
 }
 
 TEST(StorageOracleTest, IncrementalAccountingMatchesDenseRescanStock) {
-  RunShardedAccountingOracle(PlacementKind::kStock, 101);
+  RunAccountingOracle(PlacementKind::kStock, 101);
 }
 
 TEST(StorageOracleTest, IncrementalAccountingMatchesDenseRescanHistory) {
-  RunShardedAccountingOracle(PlacementKind::kHistory, 202);
+  RunAccountingOracle(PlacementKind::kHistory, 202);
 }
 
 TEST(StorageOracleTest, IncrementalAccountingMatchesDenseRescanRandom) {
-  RunShardedAccountingOracle(PlacementKind::kRandom, 303);
+  RunAccountingOracle(PlacementKind::kRandom, 303);
 }
 
 TEST(StorageOracleTest, IncrementalAccountingMatchesDenseRescanGreedy) {
-  RunShardedAccountingOracle(PlacementKind::kGreedy, 404);
+  RunAccountingOracle(PlacementKind::kGreedy, 404);
 }
 
 TEST(StorageOracleTest, IncrementalAccountingMatchesDenseRescanSoft) {
-  RunShardedAccountingOracle(PlacementKind::kSoft, 505);
+  RunAccountingOracle(PlacementKind::kSoft, 505);
 }
 
-// Correlated-failure oracle (ISSUE 8): the same audit discipline under
-// whole-rack kills, ToR partition toggles, and heal-storm backpressure.
-// Every bulk event (a rack's servers all reimaged at one instant) is
-// followed by a full dense rescan, and the sharded runs must still match
-// the single-shard reference exactly -- the k-way merge over per-shard heal
-// lanes is execution layout, never outcome.
-OracleOutcome RunRackKillOracle(PlacementKind kind, uint64_t seed, int shards) {
+// Correlated-failure oracle: the same audit discipline under whole-rack
+// kills, ToR partition toggles, and heal-storm backpressure. Every bulk
+// event (a rack's servers all reimaged at one instant) is followed by a full
+// dense rescan.
+void RunRackKillOracle(PlacementKind kind, uint64_t seed) {
   Cluster cluster = BuildOracleCluster(0.3, seed);
   std::vector<std::vector<ServerId>> rack_servers;
   for (const Server& server : cluster.servers()) {
@@ -189,7 +143,6 @@ OracleOutcome RunRackKillOracle(PlacementKind kind, uint64_t seed, int shards) {
 
   NameNodeOptions options;
   options.replication = 3;
-  options.shards = shards;
   options.max_inflight_heals_per_shard = 4;
   options.heal_backoff_base_seconds = 600.0;
   options.heal_backoff_max_seconds = 7200.0;
@@ -211,7 +164,7 @@ OracleOutcome RunRackKillOracle(PlacementKind kind, uint64_t seed, int shards) {
     } else if (what < 5) {
       // Whole-rack kill: every server in one rack reimages at the same
       // instant -- the correlated bulk event the incremental aggregates and
-      // per-shard heal lanes must absorb without desyncing.
+      // heal lanes must absorb without desyncing.
       const size_t rack = static_cast<size_t>(
           op_rng.NextBounded(static_cast<uint64_t>(rack_servers.size())));
       for (ServerId victim : rack_servers[rack]) {
@@ -237,46 +190,27 @@ OracleOutcome RunRackKillOracle(PlacementKind kind, uint64_t seed, int shards) {
     const bool audit_ok = nn.AuditStateForTest(&error);
     EXPECT_TRUE(audit_ok) << PlacementKindName(kind) << " op " << op << ": " << error;
     if (!audit_ok) {
-      return OracleOutcome{};
+      return;
     }
   }
   EXPECT_GT(rack_kills, kOperationsPerKind / 10);
   EXPECT_GT(partition_flips, kOperationsPerKind / 10);
   EXPECT_GT(nn.stats().replicas_destroyed, 0);
   EXPECT_GT(nn.heal_backlog_peak(), 0);
-
-  OracleOutcome outcome;
-  outcome.stats = nn.stats();
-  outcome.under_replicated = nn.UnderReplicatedBlocks();
-  outcome.replicas.reserve(static_cast<size_t>(nn.num_blocks()));
-  for (BlockId b = 0; b < nn.num_blocks(); ++b) {
-    outcome.replicas.push_back(nn.ReplicaServers(b));
-  }
-  return outcome;
-}
-
-void RunShardedRackKillOracle(PlacementKind kind, uint64_t seed) {
-  const OracleOutcome reference = RunRackKillOracle(kind, seed, /*shards=*/1);
-  for (int shards : {3, 8}) {
-    const OracleOutcome sharded = RunRackKillOracle(kind, seed, shards);
-    EXPECT_TRUE(sharded == reference)
-        << PlacementKindName(kind) << " diverged at " << shards << " shards";
-  }
 }
 
 TEST(StorageOracleTest, RackKillOracleMatchesDenseRescanStock) {
-  RunShardedRackKillOracle(PlacementKind::kStock, 606);
+  RunRackKillOracle(PlacementKind::kStock, 606);
 }
 
 TEST(StorageOracleTest, RackKillOracleMatchesDenseRescanHistory) {
-  RunShardedRackKillOracle(PlacementKind::kHistory, 707);
+  RunRackKillOracle(PlacementKind::kHistory, 707);
 }
 
 // Dense reference for the replay: the same shared timeline, replayed in a
 // plain sorted two-cursor loop (time order, reimage before access on ties
-// -- the co-sim's documented ordering contract) against a single-shard
-// NameNode built from the same seeds, with a full-rescan audit every few
-// events.
+// -- the co-sim's documented ordering contract) against a NameNode built
+// from the same seeds, with a full-rescan audit every few events.
 StorageCosimResult DenseReferenceReplay(const Cluster& cluster,
                                         const StorageTimeline& timeline,
                                         const StorageCosimOptions& options) {
@@ -362,19 +296,13 @@ TEST(StorageCosimTest, ReplayMatchesDenseReferenceForEveryKind) {
     options.num_blocks = 3000;
     options.writer_seed = 11;
     options.policy_seed = DerivedStreamSeed(11, PlacementKindName(kind));
-    // The dense reference always runs single-shard; the replay must match
-    // it at every shard count.
-    options.nn_shards = 1;
     StorageCosimResult dense = DenseReferenceReplay(cluster, timeline, options);
-    for (int shards : {1, 3, 8}) {
-      options.nn_shards = shards;
-      StorageCosimResult replayed = RunStorageCosim(cluster, timeline, options);
-      ExpectResultsEqual(replayed, dense, PlacementKindName(kind));
-      // The timeline did real damage and the namespace was populated.
-      EXPECT_EQ(replayed.stats.blocks_created, 3000);
-      EXPECT_GT(replayed.stats.replicas_destroyed, 0) << PlacementKindName(kind);
-      EXPECT_GT(replayed.stats.accesses, 0) << PlacementKindName(kind);
-    }
+    StorageCosimResult replayed = RunStorageCosim(cluster, timeline, options);
+    ExpectResultsEqual(replayed, dense, PlacementKindName(kind));
+    // The timeline did real damage and the namespace was populated.
+    EXPECT_EQ(replayed.stats.blocks_created, 3000);
+    EXPECT_GT(replayed.stats.replicas_destroyed, 0) << PlacementKindName(kind);
+    EXPECT_GT(replayed.stats.accesses, 0) << PlacementKindName(kind);
   }
 }
 
