@@ -10,7 +10,6 @@ FleetTable::FleetTable(const Cluster& cluster) {
   const size_t n = cluster.num_servers();
   capacity_cores_.reserve(n);
   capacity_memory_mb_.reserve(n);
-  rack_.reserve(n);
   trace_index_.reserve(n);
   group_.reserve(n);
   // Pooling map is lookup-only (never iterated), so its order cannot leak
@@ -19,8 +18,6 @@ FleetTable::FleetTable(const Cluster& cluster) {
   for (const Server& server : cluster.servers()) {
     capacity_cores_.push_back(server.capacity.cores);
     capacity_memory_mb_.push_back(server.capacity.memory_mb);
-    rack_.push_back(server.rack);
-    num_racks_ = std::max(num_racks_, server.rack + 1);
     const UtilizationTrace* trace = server.utilization.get();
     if (trace == nullptr || trace->empty()) {
       trace_index_.push_back(-1);
@@ -33,8 +30,8 @@ FleetTable::FleetTable(const Cluster& cluster) {
     }
     // A new group starts whenever the telemetry inputs (trace, capacity)
     // change from the previous server. Runs, not equivalence classes: this
-    // keeps groups contiguous by construction, which is what lets shard
-    // boundaries snap to them.
+    // keeps groups contiguous by construction, so a walk over a ServerId
+    // range meets each group as one run.
     const size_t s = capacity_cores_.size() - 1;
     const bool new_group =
         s == 0 || trace_index_[s] != trace_index_[s - 1] ||
@@ -64,26 +61,6 @@ std::vector<std::pair<std::string, int64_t>> FleetTable::ShapeCounts() const {
 int FleetTable::AutoShardCount(size_t servers) {
   const size_t shards = servers / 4096;
   return static_cast<int>(std::min<size_t>(16, std::max<size_t>(1, shards)));
-}
-
-std::vector<size_t> FleetTable::ShardStarts(int shards) const {
-  const size_t n = num_servers();
-  std::vector<size_t> starts{0};
-  if (shards <= 1 || n == 0) {
-    return starts;
-  }
-  for (int k = 1; k < shards; ++k) {
-    const size_t target = n * static_cast<size_t>(k) / static_cast<size_t>(shards);
-    // Snap up to the next group boundary at or after `target`.
-    auto it = std::lower_bound(group_start_.begin(), group_start_.end(), target);
-    if (it == group_start_.end()) {
-      break;
-    }
-    if (*it > starts.back()) {
-      starts.push_back(*it);
-    }
-  }
-  return starts;
 }
 
 }  // namespace harvest

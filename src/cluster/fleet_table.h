@@ -4,9 +4,9 @@
 // construction and for the trace/replay layer, but hostile to the
 // co-simulation hot loops, which touch one field of every server per
 // telemetry slot. FleetTable derives contiguous per-field columns (capacity
-// cores / memory, rack, pooled trace index) from a Cluster once, so slot
+// cores / memory, pooled trace index) from a Cluster once, so slot
 // refreshes stream cache lines instead of striding through ~200-byte Server
-// objects, and adds the two structural indexes the sharded accounting is
+// objects, and adds the two structural indexes the per-slot refresh is
 // built on:
 //
 //   * trace pooling: distinct UtilizationTrace objects are numbered in
@@ -17,10 +17,6 @@
 //     (trace, capacity). Every per-slot quantity that depends only on the
 //     trace and the capacity (live primary cores, forecast cores) is
 //     constant within a group and computed once per group.
-//
-// Shard partitions (ShardStarts) are contiguous ServerId ranges snapped to
-// group boundaries, so a shard owns whole groups and parallel per-shard
-// refreshes never share a group computation across workers.
 //
 // The table is a read-only index: it borrows the Cluster (which must
 // outlive it) and holds no mutable simulation state.
@@ -49,7 +45,6 @@ class FleetTable {
   // SoA columns, indexed by ServerId.
   const std::vector<int>& capacity_cores() const { return capacity_cores_; }
   const std::vector<int>& capacity_memory_mb() const { return capacity_memory_mb_; }
-  const std::vector<RackId>& rack() const { return rack_; }
   // Pooled trace id per server (-1 = no / empty trace).
   const std::vector<int32_t>& trace_index() const { return trace_index_; }
   // Telemetry group (run) id per server.
@@ -67,32 +62,24 @@ class FleetTable {
     return next < group_start_.size() ? group_start_[next] : num_servers();
   }
 
-  int num_racks() const { return num_racks_; }
-
   // Server count per capacity shape ("<cores>c<memory_mb>m"), ordered by
   // (cores, memory). Feeds the self-describing trace MANIFEST.
   std::vector<std::pair<std::string, int64_t>> ShapeCounts() const;
 
-  // Default shard count for a fleet of `servers` servers: one shard per
-  // 4096 servers, clamped to [1, 16]. Shared by the RM and NameNode "0 =
-  // auto" knob semantics; any value is byte-equivalent, this one just keeps
-  // small fleets overhead-free and big fleets parallelizable.
+  // One per 4096 servers, clamped to [1, 16]. Two readers: the NameNode's
+  // heal-lane group count (a model parameter, so it changes results) and
+  // the cap on the RM's per-slot refresh workers (execution layout, so it
+  // changes no byte), which keeps fleets under 8,192 servers from starting
+  // a thread per slot.
   static int AutoShardCount(size_t servers);
-
-  // Contiguous shard partition: `shards` ascending start indexes (the first
-  // is always 0), each snapped up to the next group boundary. Fewer starts
-  // come back when the fleet has fewer groups than requested shards.
-  std::vector<size_t> ShardStarts(int shards) const;
 
  private:
   std::vector<int> capacity_cores_;
   std::vector<int> capacity_memory_mb_;
-  std::vector<RackId> rack_;
   std::vector<int32_t> trace_index_;
   std::vector<int32_t> group_;
   std::vector<size_t> group_start_;
   std::vector<const UtilizationTrace*> traces_;
-  int num_racks_ = 0;
 };
 
 }  // namespace harvest

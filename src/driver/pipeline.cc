@@ -193,8 +193,6 @@ std::string FormatRunTelemetry(const ScenarioRunResult& run) {
   const RunTelemetry& telemetry = run.telemetry;
   std::string text = "harvest_sim: telemetry";
   AppendField(text, "threads", int64_t{telemetry.threads});
-  AppendField(text, "rm_shards", int64_t{telemetry.rm_shards});
-  AppendField(text, "nn_shards", int64_t{telemetry.nn_shards});
   AppendField(text, "peak_rss_bytes", telemetry.peak_rss_bytes);
   AppendField(text, "total_seconds", telemetry.total_seconds);
   text += "\n";
@@ -255,17 +253,7 @@ ScenarioRunResult RunScenario(const ScenarioConfig& base_config,
   run.result.seed = options.seed;
   run.result.scale = options.scale;
   run.result.trace_source = MakeTraceSource(config).Provenance();
-  // Execution-layout overrides (shard counts) are provenance of HOW the run
-  // executed, not WHAT it computed: they go in the run telemetry, so
-  // `--set rm_shards=8` cannot change a deterministic byte. The trace
-  // MANIFEST keeps the full override list (its replay line must reproduce
-  // the exact invocation).
-  for (const std::string& override_text : options.overrides) {
-    if (override_text.rfind("rm_shards=", 0) != 0 &&
-        override_text.rfind("nn_shards=", 0) != 0) {
-      run.result.overrides.push_back(override_text);
-    }
-  }
+  run.result.overrides = options.overrides;
   run.result.datacenters.resize(labels.size());
   RunTelemetry& telemetry = run.telemetry;
   telemetry.datacenters.resize(labels.size());
@@ -292,8 +280,6 @@ ScenarioRunResult RunScenario(const ScenarioConfig& base_config,
     result.datacenters[index] = RunDatacenterStages(ctx, telemetry.datacenters[index]);
   });
   telemetry.threads = threads;
-  telemetry.rm_shards = config.rm_shards;
-  telemetry.nn_shards = config.nn_shards;
   struct rusage usage;
   if (getrusage(RUSAGE_SELF, &usage) == 0) {
     // Linux reports ru_maxrss in kilobytes.

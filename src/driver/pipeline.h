@@ -61,11 +61,6 @@ struct ScenarioSummary {
 // (FormatRunTelemetry).
 struct RunTelemetry {
   int threads = 0;  // worker threads the per-DC loop used
-  // Execution-layout knobs as configured (0 = auto; nn_shards has no
-  // effect). Kept out of the rendered "overrides" so layout never changes a
-  // result byte.
-  int rm_shards = 0;
-  int nn_shards = 0;
   // Peak resident set of the whole process (getrusage ru_maxrss), bytes.
   int64_t peak_rss_bytes = 0;
   double total_seconds = 0.0;  // RunScenario wall time

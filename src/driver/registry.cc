@@ -142,8 +142,18 @@ bool ParseShape(std::string_view text, ServerShape* out, std::string* error) {
       !ParseDouble(text.substr(at + 1), &weight, error)) {
     return false;
   }
-  if (cores <= 0 || memory <= 0 || weight <= 0.0) {
-    return Fail(error, "server shape fields must be positive in '" + std::string(text) + "'");
+  // Cores and memory land in int fields: anything wider would wrap.
+  constexpr int64_t kMaxField = std::numeric_limits<int>::max();
+  const std::string bound = " must be an integer in [1, " + std::to_string(kMaxField) + "] in '" +
+                            std::string(text) + "'";
+  if (cores <= 0 || cores > kMaxField) {
+    return Fail(error, "server shape cores" + bound);
+  }
+  if (memory <= 0 || memory > kMaxField) {
+    return Fail(error, "server shape memory" + bound);
+  }
+  if (weight <= 0.0) {
+    return Fail(error, "server shape weight must be positive in '" + std::string(text) + "'");
   }
   out->capacity = Resources{static_cast<int>(cores), static_cast<int>(memory)};
   out->weight = weight;
@@ -196,21 +206,6 @@ Apply StringKnob(std::string ScenarioConfig::* field) {
       return Fail(error, "value must not be empty");
     }
     config.*field = std::string(value);
-    return true;
-  };
-}
-
-// Shard-count knobs: 0 means "auto from fleet size", so zero is valid.
-Apply ShardCountKnob(int ScenarioConfig::* field) {
-  return [field](ScenarioConfig& config, std::string_view value, std::string* error) {
-    int64_t parsed = 0;
-    if (!ParseInt64(value, &parsed, error)) {
-      return false;
-    }
-    if (parsed < 0 || parsed > 4096) {
-      return Fail(error, "value must be an integer in [0, 4096] (0 = auto)");
-    }
-    config.*field = static_cast<int>(parsed);
     return true;
   };
 }
@@ -279,10 +274,6 @@ std::vector<ScenarioKnob> MakeKnobs() {
       PositiveIntKnob(&ScenarioConfig::reimage_months));
   add("per_server_traces", "bool", "materialize per-server (vs shared per-tenant) traces",
       BoolKnob(&ScenarioConfig::per_server_traces));
-  add("rm_shards", "int >= 0", "RM accounting shards (0 = auto from fleet size)",
-      ShardCountKnob(&ScenarioConfig::rm_shards));
-  add("nn_shards", "int >= 0", "no effect (the NameNode keeps one heal queue)",
-      ShardCountKnob(&ScenarioConfig::nn_shards));
   add("reimage_storm", "bool", "boost correlated mass-reimage events",
       BoolKnob(&ScenarioConfig::reimage_storm));
   add("storm_monthly_prob", "double in [0, 1]", "monthly mass-event probability per tenant",
@@ -496,7 +487,7 @@ std::vector<ScenarioKnob> MakeKnobs() {
       "degrade RM-H to live-availability placement during telemetry blackouts",
       BoolKnob(&ScenarioConfig::forecast_fallback));
   add("max_inflight_heals_per_shard", "int >= 0",
-      "bound on concurrent heals per NameNode shard (0 = unbounded)",
+      "bound on concurrent heals per heal-lane group of contiguous racks (0 = unbounded)",
       [](ScenarioConfig& config, std::string_view value, std::string* error) {
         int64_t parsed = 0;
         if (!ParseInt64(value, &parsed, error)) {

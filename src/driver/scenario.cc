@@ -352,7 +352,7 @@ ScenarioConfig Dc9TestbedReplay() {
 // Shared base of the three fault-injection presets: the 102-server testbed
 // (one rack per tenant, 4-5 servers each, so rack-scoped faults hit ~5% of
 // the fleet) with heal-storm backpressure enabled -- 4 in-flight heals per
-// NameNode shard, 10-minute base retry backoff doubling to a 2-hour cap.
+// heal-lane group, 10-minute base retry backoff doubling to a 2-hour cap.
 ScenarioConfig FaultPresetBase() {
   ScenarioConfig config;
   config.use_testbed = true;

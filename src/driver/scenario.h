@@ -120,16 +120,9 @@ struct ScenarioConfig {
   int64_t availability_accesses = 50000;
   std::vector<double> availability_utilizations = {0.30, 0.50};
 
-  // --- Execution layout (never changes any emitted byte) ---
-  // Accounting shards for the scheduler RM; 0 = auto from fleet size
-  // (FleetTable::AutoShardCount). Like --threads, this is a layout knob:
-  // the driver excludes it from the rendered "overrides" provenance
-  // (harvest_sim reports it with the run telemetry on stderr instead) and
-  // tests/golden_check.sh enforces byte-identity across values.
+  // Unread; goes with the benchmark change that stops perfbench/probe.cc reading it.
   int rm_shards = 0;
-  // Has no effect: the NameNode keeps one heal queue. Like rm_shards it
-  // stays out of the rendered overrides; it goes once the benchmark's probe
-  // (perfbench/probe.cc) stops assigning the options fields it used to feed.
+  // Unread; goes with the benchmark change that stops perfbench/probe.cc reading it.
   int nn_shards = 0;
 
   // --- Fault injection (src/fault) ----------------------------------------
@@ -143,7 +136,7 @@ struct ScenarioConfig {
   // Graceful RM-H degradation during telemetry blackouts: fall back to
   // live-availability placement while the day-ago forecast window is dark.
   bool forecast_fallback = true;
-  // NameNode heal-storm backpressure: per-shard bound on in-flight heals
+  // NameNode heal-storm backpressure: per heal-lane group bound on in-flight heals
   // (0 = unbounded, the legacy behavior) and exponential retry backoff
   // bounds (base 0 = instant retry).
   int max_inflight_heals_per_shard = 0;

@@ -57,7 +57,6 @@ SchedulingStageResult RunSchedulingStage(const DcContext& ctx, const Cluster& cl
   options.thresholds.short_below *= config.job_duration_factor;
   options.thresholds.long_above *= config.job_duration_factor;
   options.seed = ctx.StreamSeed("scheduling");
-  options.rm_shards = config.rm_shards;
   // Power subsystem: both runs account energy under the same curve so the
   // H-vs-PT cost delta is apples-to-apples; the right-sizing and deferral
   // policies themselves are H-only (the simulation gates them on mode).
@@ -80,7 +79,7 @@ SchedulingStageResult RunSchedulingStage(const DcContext& ctx, const Cluster& cl
   }
   options.forecast_fallback = config.forecast_fallback;
   // Whatever headroom remains after the PT / H task split feeds the RM's
-  // per-slot shard refresh.
+  // per-slot refresh (the simulation caps it by fleet size).
   options.slot_threads = std::max(1, ctx.task_threads / 2);
 
   // The PT and H co-simulations are independent: each builds its own RNG

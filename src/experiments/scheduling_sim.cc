@@ -49,8 +49,8 @@ class SchedulingSimulation {
       : cluster_(cluster),
         options_(options),
         rng_(options.seed),
-        rm_(&cluster, options.mode, kDefaultReserve, options.rm_shards,
-            options.slot_threads),
+        rm_(&cluster, options.mode, kDefaultReserve,
+            std::min(options.slot_threads, FleetTable::AutoShardCount(cluster.num_servers()))),
         history_(options.thresholds),
         latency_model_() {
     // Scale the suite once.

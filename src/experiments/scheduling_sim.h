@@ -50,14 +50,14 @@ struct SchedulingSimOptions {
   bool collect_latency = false;
   // Blocks of job input the co-simulated file system holds.
   int64_t storage_blocks = 5000;
-  // Accounting shards for the RM (0 = auto from fleet size,
-  // FleetTable::AutoShardCount) and the worker cap for the RM's per-slot
-  // refresh. Execution layout only: results are byte-identical for every
-  // combination (tests/golden_check.sh).
+  // Unread; goes with the benchmark change that stops perfbench/probe.cc assigning it.
   int rm_shards = 0;
-  // Has no effect: the co-simulated NameNode keeps one heal queue. Kept
-  // until the benchmark's probe (perfbench/probe.cc) stops assigning it.
+  // Unread; goes with the benchmark change that stops perfbench/probe.cc assigning it.
   int nn_shards = 0;
+  // Worker cap for the RM's per-slot refresh. The simulation lowers it to
+  // FleetTable::AutoShardCount(servers), so fleets under 8,192 servers
+  // refresh on the calling thread. Execution layout only: results are
+  // byte-identical for every value.
   int slot_threads = 1;
   // --- Power subsystem (src/power) ----------------------------------------
   // Energy / cost accounting riding the tick cadence. Off by default: no

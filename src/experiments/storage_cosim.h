@@ -101,8 +101,7 @@ struct StorageCosimOptions {
   uint64_t writer_seed = 1;
   // Per-kind policy stream.
   uint64_t policy_seed = 1;
-  // Has no effect: the NameNode keeps one heal queue. Kept until the
-  // benchmark's probe (perfbench/probe.cc) stops assigning it.
+  // Unread; goes with the benchmark change that stops perfbench/probe.cc assigning it.
   int nn_shards = 0;
   // Compiled fault timeline (not owned; must outlive the run), or nullptr
   // for a fault-free cell. The timeline's partitions are applied in replay
@@ -110,8 +109,8 @@ struct StorageCosimOptions {
   // StorageTimeline (BuildStorageTimeline does both from the same pointer).
   const FaultTimeline* faults = nullptr;
   // Heal-storm backpressure mirrors of NameNodeOptions (see name_node.h):
-  // bounded in-flight heals per shard with exponential retry backoff. The
-  // defaults keep the legacy unbounded / instant-retry behavior.
+  // bounded in-flight heals per heal-lane group with exponential retry
+  // backoff. The defaults keep the legacy unbounded / instant-retry behavior.
   int max_inflight_heals_per_shard = 0;
   double heal_backoff_base_seconds = 0.0;
   double heal_backoff_max_seconds = 7200.0;

@@ -104,8 +104,10 @@ bool ParseSpec(std::string_view text, FaultSpec* spec, std::string* error) {
       if (!number(0, &start) || !number(1, &rack) || !number(2, &duration)) {
         return false;
       }
-      if (rack < 0.0 || rack != std::floor(rack)) {
-        return Fail(error, std::string(name) + ": rack must be a non-negative integer");
+      // 2^63 and up does not fit the int64 rack id (the cast would be
+      // undefined, and a wrapped negative rack indexes out of bounds).
+      if (rack < 0.0 || rack != std::floor(rack) || rack >= 0x1p63) {
+        return Fail(error, std::string(name) + ": rack must be a non-negative integer below 2^63");
       }
       spec->rack = static_cast<int64_t>(rack);
       break;

@@ -7,7 +7,7 @@
 // waves. Compilation draws only from the Rng seed passed in (the driver uses
 // the per-(seed, dc) "fault" stream), so every stage that compiles the same
 // plan against the same fleet sees the identical timeline -- byte-identical
-// across --threads x rm_shards x nn_shards by construction.
+// across --threads by construction.
 //
 // The kinds:
 //   rack_outage:START,RACK,DURATION        all servers in RACK vanish at START
@@ -131,8 +131,7 @@ struct FaultTimeline {
 };
 
 // Binds a plan to a fleet. All randomness (reimage-wave victims and jitter)
-// comes from Rng(seed), consumed in spec order -- independent of threading
-// and shard layout.
+// comes from Rng(seed), consumed in spec order -- independent of threading.
 FaultTimeline CompileFaultPlan(const FaultPlan& plan, const Cluster& cluster,
                                uint64_t seed);
 

@@ -9,9 +9,9 @@
 //     it is integrated once per tick over [tick - dt, tick) using the trace
 //     value at the interval start. The per-slot fleet draw is an exact
 //     int64 milliwatt sum, computed once per telemetry group (the power
-//     model is per SKU; see power_model.h) in one serial loop, so neither
-//     --threads nor rm_shards can move a byte (tests/power_oracle_test.cc
-//     audits it against the dense per-server sum).
+//     model is per SKU; see power_model.h) in one serial loop, so
+//     --threads cannot move a byte (tests/power_oracle_test.cc audits it
+//     against the dense per-server sum).
 //
 //   * Container (secondary) component: containers start and end at event
 //     times, not slot boundaries, so their draw is accounted event-driven

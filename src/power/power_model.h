@@ -8,12 +8,12 @@
 // energy accountant integrates per telemetry group, not per server.
 //
 // All coefficients are integer MILLIWATTS. Per-slot fleet draw is then an
-// exact int64 sum: per-shard partials merged in shard order equal the dense
-// per-server sum term for term, which is what keeps the energy block
-// byte-identical across --threads / rm_shards (the same argument as the
-// RM's class-core aggregates). The numbers sketch a commodity 2-socket
-// server: ~90 W idle at 12 cores, ~6.5 W per busy core (fully busy ~170 W),
-// and a parked (suspended) server an order of magnitude below idle.
+// exact int64 sum: the per-group sum equals the dense per-server sum term
+// for term, which is what keeps the energy block byte-identical across
+// --threads (the same argument as the RM's class-core aggregates). The
+// numbers sketch a commodity 2-socket server: ~90 W idle at 12 cores,
+// ~6.5 W per busy core (fully busy ~170 W), and a parked (suspended)
+// server an order of magnitude below idle.
 //
 // The model deliberately has no per-preset knobs: the per-SKU variation
 // enters through the capacity shapes the scenario already configures, and a

@@ -41,12 +41,8 @@ const char* SchedulerModeName(SchedulerMode mode) {
 }
 
 ResourceManager::ResourceManager(const Cluster* cluster, SchedulerMode mode, Resources reserve,
-                                 int shards, int slot_threads)
-    : cluster_(cluster), mode_(mode), table_(*cluster) {
-  const int resolved =
-      shards <= 0 ? FleetTable::AutoShardCount(cluster->num_servers()) : shards;
-  shard_starts_ = table_.ShardStarts(resolved);
-  slot_threads_ = std::max(1, slot_threads);
+                                 int workers)
+    : cluster_(cluster), mode_(mode), table_(*cluster), workers_(std::max(1, workers)) {
   nodes_.reserve(cluster->num_servers());
   for (const auto& server : cluster->servers()) {
     nodes_.emplace_back(&server, reserve, mode);
@@ -82,22 +78,10 @@ void ResourceManager::SetServerClasses(std::vector<int> server_class) {
   node_forecast_cores_.assign(nodes_.size(), 0);
   node_avail_.assign(nodes_.size(), Resources{0, 0});
   node_weight_.assign(nodes_.size(), 0);
-  // Shard layouts: the global sampler follows the FleetTable partition; each
-  // class sampler inherits it positionally (class lists are in ascending
-  // ServerId order, so shard k of class c is a contiguous position range --
-  // possibly empty -- and shard k's rebuild task owns it exclusively).
-  all_servers_picker_.SetLayout(shard_starts_, nodes_.size());
-  class_pickers_.assign(static_cast<size_t>(num_classes_), ShardedPicker());
+  class_pickers_.assign(static_cast<size_t>(num_classes_), WeightedPicker());
+  class_cols_.resize(static_cast<size_t>(num_classes_));
   for (int c = 0; c < num_classes_; ++c) {
-    const auto& servers = class_servers_[static_cast<size_t>(c)];
-    std::vector<size_t> starts;
-    starts.reserve(shard_starts_.size());
-    for (size_t shard_start : shard_starts_) {
-      const auto it = std::lower_bound(servers.begin(), servers.end(),
-                                       static_cast<ServerId>(shard_start));
-      starts.push_back(static_cast<size_t>(it - servers.begin()));
-    }
-    class_pickers_[static_cast<size_t>(c)].SetLayout(std::move(starts), servers.size());
+    class_cols_[static_cast<size_t>(c)].resize(class_servers_[static_cast<size_t>(c)].size());
   }
   class_avail_cores_.assign(static_cast<size_t>(num_classes_), 0);
   class_util_slot_.assign(static_cast<size_t>(num_classes_), kNoSlot);
@@ -169,20 +153,22 @@ void ResourceManager::RefreshForecasts() const {
   const bool rebuild = samples != forecast_samples_ || forecast_start_slot_ == kNoSlot ||
                        start_slot < forecast_start_slot_ ||
                        start_slot - forecast_start_slot_ >= samples;
-  ParallelForIndex(slot_threads_, table_.num_traces(), [&](int w) {
-    AdvanceTraceWindow(trace_windows_[static_cast<size_t>(w)], start_slot, samples, rebuild,
-                       forecast_start_slot_, /*wrap=*/false);
+  ForEachRange(trace_windows_.size(), [&](size_t begin, size_t end) {
+    for (size_t w = begin; w < end; ++w) {
+      AdvanceTraceWindow(trace_windows_[w], start_slot, samples, rebuild, forecast_start_slot_,
+                         /*wrap=*/false);
+    }
   });
   forecast_start_slot_ = start_slot;
   forecast_samples_ = samples;
   // Broadcast window peaks to per-server forecast cores, once per telemetry
   // group (the rounded forecast depends only on the trace and the capacity,
-  // both group-constant). Groups never straddle shards.
+  // both group-constant). A group cut by a range boundary is evaluated once
+  // on each side, to the same value.
   const std::vector<int32_t>& trace_of = table_.trace_index();
   const std::vector<int>& cores_of = table_.capacity_cores();
-  ParallelForIndex(slot_threads_, num_shards(), [&](int shard) {
-    const size_t end = all_servers_picker_.shard_end(shard);
-    size_t s = all_servers_picker_.shard_begin(shard);
+  ForEachRange(nodes_.size(), [&](size_t begin, size_t end) {
+    size_t s = begin;
     while (s < end) {
       const size_t group_end = std::min(end, table_.group_end(table_.group()[s]));
       const int trace = trace_of[s];
@@ -216,65 +202,56 @@ int64_t ResourceManager::NodeWeight(ServerId s) const {
   return weight;
 }
 
+void ResourceManager::ForEachRange(size_t count,
+                                   const std::function<void(size_t, size_t)>& fn) const {
+  const size_t ranges = static_cast<size_t>(workers_);
+  ParallelForIndex(workers_, workers_, [&](int k) {
+    const size_t i = static_cast<size_t>(k);
+    fn(count * i / ranges, count * (i + 1) / ranges);
+  });
+}
+
 void ResourceManager::RebuildAvailabilityAndWeights() const {
-  const int shards = num_shards();
-  const size_t classes = static_cast<size_t>(num_classes_);
-  class_partials_.assign(static_cast<size_t>(shards) * classes, 0);
-  class_cols_.resize(classes);
-  for (size_t c = 0; c < classes; ++c) {
-    class_cols_[c].resize(class_servers_[c].size());
-  }
-  ParallelForIndex(slot_threads_, shards, [&](int shard) {
-    const size_t begin = all_servers_picker_.shard_begin(shard);
-    const size_t end = all_servers_picker_.shard_end(shard);
+  ForEachRange(nodes_.size(), [&](size_t begin, size_t end) {
     // Live primary cores, once per telemetry group (pure function of the
     // trace and the capacity; identical to the per-server call).
-    {
-      size_t s = begin;
-      while (s < end) {
-        const size_t group_end = std::min(end, table_.group_end(table_.group()[s]));
-        const int cores = nodes_[s].PrimaryCores(cache_time_);
-        for (; s < group_end; ++s) {
-          node_primary_cores_[s] = cores;
-        }
+    size_t s = begin;
+    while (s < end) {
+      const size_t group_end = std::min(end, table_.group_end(table_.group()[s]));
+      const int cores = nodes_[s].PrimaryCores(cache_time_);
+      for (; s < group_end; ++s) {
+        node_primary_cores_[s] = cores;
       }
     }
-    int64_t* partial = class_partials_.data() + static_cast<size_t>(shard) * classes;
-    for (size_t s = begin; s < end; ++s) {
+    for (s = begin; s < end; ++s) {
       // A parked or down server reports no room at all: weight 0 in every
       // sampler (Resources{0,0} fits no shape) and nothing in the class
       // aggregates.
       node_avail_[s] = IsUnavailable(static_cast<ServerId>(s))
                            ? Resources{0, 0}
                            : nodes_[s].AvailableForSecondaryGiven(node_primary_cores_[s]);
-      int c = server_class_[s];
-      if (c >= 0 && c < num_classes_) {
-        partial[c] += node_avail_[s].cores;
-      }
       node_weight_[s] = profile_.valid ? NodeWeight(static_cast<ServerId>(s)) : 0;
     }
-    all_servers_picker_.BuildShard(shard, node_weight_.data());
-    for (int c = 0; c < num_classes_; ++c) {
-      ShardedPicker& picker = class_pickers_[static_cast<size_t>(c)];
-      const auto& servers = class_servers_[static_cast<size_t>(c)];
-      std::vector<int64_t>& column = class_cols_[static_cast<size_t>(c)];
-      const size_t pos_end = picker.shard_end(shard);
-      for (size_t pos = picker.shard_begin(shard); pos < pos_end; ++pos) {
-        column[pos] = node_weight_[static_cast<size_t>(servers[pos])];
-      }
-      picker.BuildShard(shard, column.data());
-    }
   });
-  // Deterministic merge: shard order, exact integer sums.
-  for (int c = 0; c < num_classes_; ++c) {
-    int64_t cores = 0;
-    for (int shard = 0; shard < shards; ++shard) {
-      cores += class_partials_[static_cast<size_t>(shard) * classes + static_cast<size_t>(c)];
+  // Task 0 rebuilds the all-servers sampler, task c + 1 class c's sampler
+  // and available-core sum (an exact integer sum in class-list order).
+  ParallelForIndex(workers_, num_classes_ + 1, [&](int task) {
+    if (task == 0) {
+      all_servers_picker_.Build(node_weight_.data(), node_weight_.size());
+      return;
     }
-    class_avail_cores_[static_cast<size_t>(c)] = cores;
-    class_pickers_[static_cast<size_t>(c)].FinishBuild();
-  }
-  all_servers_picker_.FinishBuild();
+    const size_t c = static_cast<size_t>(task - 1);
+    const std::vector<ServerId>& servers = class_servers_[c];
+    std::vector<int64_t>& column = class_cols_[c];
+    int64_t cores = 0;
+    for (size_t pos = 0; pos < servers.size(); ++pos) {
+      const size_t s = static_cast<size_t>(servers[pos]);
+      column[pos] = node_weight_[s];
+      cores += node_avail_[s].cores;
+    }
+    class_avail_cores_[c] = cores;
+    class_pickers_[c].Build(column.data(), column.size());
+  });
 }
 
 void ResourceManager::EnsureProfile(const ContainerRequest& request) {
@@ -333,7 +310,7 @@ std::vector<Container> ResourceManager::Allocate(const ContainerRequest& request
   // server when no label was named (RM default policy). Each segment is a
   // persistent Fenwick sampler; segment order reproduces the order the dense
   // scan used to concatenate candidate lists in.
-  std::vector<const ShardedPicker*> segments;
+  std::vector<const WeightedPicker*> segments;
   std::vector<int> segment_class;  // -1 = all-servers segment
   if (request.allowed_classes.empty()) {
     segments.push_back(&all_servers_picker_);
@@ -353,7 +330,7 @@ std::vector<Container> ResourceManager::Allocate(const ContainerRequest& request
   // see src/util/weighted_picker.h).
   for (int n = 0; n < request.count; ++n) {
     int64_t grand_total = 0;
-    for (const ShardedPicker* segment : segments) {
+    for (const WeightedPicker* segment : segments) {
       grand_total += segment->Total();
     }
     if (grand_total <= 0) {
@@ -362,7 +339,7 @@ std::vector<Container> ResourceManager::Allocate(const ContainerRequest& request
     double point = rng.NextDouble() * static_cast<double>(grand_total);
     ServerId server = kInvalidServer;
     for (size_t g = 0; g < segments.size(); ++g) {
-      const ShardedPicker& segment = *segments[g];
+      const WeightedPicker& segment = *segments[g];
       double segment_total = static_cast<double>(segment.Total());
       // point == 0 (NextDouble() drew 0.0) selects the first positive
       // weight overall, exactly like the dense subtraction scan.
@@ -483,9 +460,11 @@ void ResourceManager::UpdateParking(double t) {
   if (start_slot != park_start_slot_) {
     const bool rebuild = park_start_slot_ == kNoSlot || start_slot < park_start_slot_ ||
                          start_slot - park_start_slot_ >= samples;
-    ParallelForIndex(slot_threads_, table_.num_traces(), [&](int w) {
-      AdvanceTraceWindow(park_windows_[static_cast<size_t>(w)], start_slot, samples, rebuild,
-                         park_start_slot_, /*wrap=*/true);
+    ForEachRange(park_windows_.size(), [&](size_t begin, size_t end) {
+      for (size_t w = begin; w < end; ++w) {
+        AdvanceTraceWindow(park_windows_[w], start_slot, samples, rebuild, park_start_slot_,
+                           /*wrap=*/true);
+      }
     });
     park_start_slot_ = start_slot;
   }
@@ -592,7 +571,7 @@ double ResourceManager::AverageTotalUtilization(double t) const {
     return 0.0;
   }
   // Deliberately the dense per-server sum: this is a float accumulation in
-  // ServerId order, and regrouping it (per shard, per group) would change
+  // ServerId order, and regrouping it (per range, per group) would change
   // the rounding -- and therefore emitted bytes.
   double sum = 0.0;
   for (const auto& node : nodes_) {
@@ -699,7 +678,7 @@ bool ResourceManager::AuditCachesForTest(std::string* error) const {
   }
   for (int c = 0; c < num_classes_; ++c) {
     const auto& servers = class_servers_[static_cast<size_t>(c)];
-    const ShardedPicker& picker = class_pickers_[static_cast<size_t>(c)];
+    const WeightedPicker& picker = class_pickers_[static_cast<size_t>(c)];
     const std::string at = " for class " + std::to_string(c);
     int64_t cores = 0;
     int64_t class_weight = 0;

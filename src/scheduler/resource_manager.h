@@ -16,31 +16,30 @@
 // the exactness argument, and tests/rm_oracle_test.cc for the oracle that
 // checks every cached quantity against a naive full rescan).
 //
-// Sharding (100k-server DCs): accounting is partitioned into contiguous
-// ServerId shards derived from the FleetTable (snapped to telemetry-group
-// boundaries). Each shard owns one Fenwick sub-tree per sampler and one
-// partial per-class aggregate; the per-slot refresh runs the shards as
-// independent tasks on up to `slot_threads` workers and merges the partials
-// serially in shard order (exact integer sums). Trace-dependent per-slot
-// values (live primary cores, forecast cores) are computed once per
-// telemetry group and broadcast, so slot work is O(groups + active servers)
-// in the shared-trace fleets the paper models; EnforceReserves walks an
-// ordered active-node set instead of the whole fleet. Shard count and
-// thread count are execution-layout knobs: neither may change any emitted
-// byte (src/util/sharded_picker.h has the draw-exactness argument;
-// tests/golden_check.sh enforces the contract end to end).
+// Parallel refresh (100k-server DCs): the per-slot refresh runs on up to
+// `workers` threads. Per-server caches are filled over contiguous ServerId
+// ranges, one per worker; then the all-servers sampler and each class
+// sampler (with that class's available-core sum) are rebuilt as independent
+// tasks. Trace-dependent per-slot values (live primary cores, forecast
+// cores) are computed once per telemetry group and broadcast, so slot work
+// is O(groups + active servers) in the shared-trace fleets the paper
+// models; EnforceReserves walks an ordered active-node set instead of the
+// whole fleet. The worker count is execution layout: no task's result
+// depends on how the work is split, so it may not change any emitted byte
+// (tests/rm_oracle_test.cc runs its oracle at several worker counts).
 //
 // Not thread-safe: one RM belongs to one simulation thread (the slot
-// refresh may *internally* fan out to slot_threads workers, but all
-// externally visible state is settled before any call returns). Callers
-// must not mutate NodeManagers behind the RM's back (use Allocate /
-// Release / EnforceReserves), or the caches desynchronize.
+// refresh may *internally* fan out to its workers, but all externally
+// visible state is settled before any call returns). Callers must not
+// mutate NodeManagers behind the RM's back (use Allocate / Release /
+// EnforceReserves), or the caches desynchronize.
 
 #ifndef HARVEST_SRC_SCHEDULER_RESOURCE_MANAGER_H_
 #define HARVEST_SRC_SCHEDULER_RESOURCE_MANAGER_H_
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <limits>
 #include <set>
 #include <string>
@@ -52,7 +51,7 @@
 #include "src/scheduler/container.h"
 #include "src/scheduler/node_manager.h"
 #include "src/util/rng.h"
-#include "src/util/sharded_picker.h"
+#include "src/util/weighted_picker.h"
 
 namespace harvest {
 
@@ -66,12 +65,10 @@ inline constexpr double kMinForecastWindowSeconds = 3.0 * 3600.0;
 class ResourceManager {
  public:
   // Builds one NodeManager per server of `cluster`. The cluster must outlive
-  // the RM. `shards` partitions the accounting (0 = auto from fleet size,
-  // FleetTable::AutoShardCount); `slot_threads` caps the workers the
-  // per-slot refresh may fan out to. Both are execution layout: results are
-  // byte-identical for every combination.
+  // the RM. `workers` caps the threads the per-slot refresh fans out to;
+  // it is execution layout: results are byte-identical for every value.
   ResourceManager(const Cluster* cluster, SchedulerMode mode, Resources reserve,
-                  int shards = 1, int slot_threads = 1);
+                  int workers = 1);
 
   void SetServerClasses(std::vector<int> server_class);
 
@@ -105,7 +102,6 @@ class ResourceManager {
   const NodeManager& node(ServerId id) const { return nodes_[static_cast<size_t>(id)]; }
   size_t num_nodes() const { return nodes_.size(); }
   SchedulerMode mode() const { return mode_; }
-  int num_shards() const { return static_cast<int>(shard_starts_.size()); }
 
   // Cluster-wide average total (primary + secondary) utilization at `t`.
   double AverageTotalUtilization(double t) const;
@@ -221,7 +217,7 @@ class ResourceManager {
   // O(window) sample set per server -- the ROADMAP-flagged H-mode refresh
   // fix. Exactly equivalent to the naive per-node scan by construction
   // (same integer slot walk; rm_oracle_test audits it). Window slides and
-  // the per-shard broadcast both fan out to slot_threads workers.
+  // the per-group broadcast both fan out to the RM's workers, by range.
   void RefreshForecasts() const;
   // Slides (or rebuilds) one trace window to [start_slot, start_slot+samples).
   // `prev_start_slot` is the window's previous start (a slide resumes
@@ -237,11 +233,16 @@ class ResourceManager {
   // Park-on-drain hook (Release / reserve kills): a server going idle in a
   // currently-parkable group parks immediately.
   void MaybeParkOnDrain(ServerId s);
-  // Recomputes per-node primary cores (once per telemetry group) and
-  // availability + class aggregates, and (when a profile is cached) all
-  // weights + Fenwick sub-trees: one task per shard, partials merged
-  // serially in shard order.
+  // Recomputes per-node primary cores (once per telemetry group),
+  // availability and (when a profile is cached) weights over one server
+  // range per worker, then every Fenwick tree and class aggregate as one
+  // task per sampler.
   void RebuildAvailabilityAndWeights() const;
+  // Runs fn(begin, end) on workers_ contiguous, disjoint ranges that
+  // together cover [0, count), one range per worker. Whole ranges, not one
+  // task per index: the per-index work (a window slide, a server's cache
+  // line) is too small to pay for a shared work counter.
+  void ForEachRange(size_t count, const std::function<void(size_t, size_t)>& fn) const;
   // Placement weight of server `s` from its cached inputs and live
   // allocations. Zero when the profile's shape does not fit.
   int64_t NodeWeight(ServerId s) const;
@@ -254,11 +255,9 @@ class ResourceManager {
 
   const Cluster* cluster_;
   SchedulerMode mode_;
-  // SoA columns + trace pool + telemetry groups derived from the cluster;
-  // the shard partition is snapped to its group boundaries.
+  // SoA columns + trace pool + telemetry groups derived from the cluster.
   FleetTable table_;
-  std::vector<size_t> shard_starts_;
-  int slot_threads_ = 1;
+  int workers_ = 1;
   std::vector<NodeManager> nodes_;
   std::vector<int> server_class_;
   std::vector<std::vector<ServerId>> class_servers_;
@@ -305,19 +304,17 @@ class ResourceManager {
   mutable std::vector<Resources> node_avail_;
   mutable std::vector<int64_t> node_weight_;
   // Placement samplers: all servers in ServerId order (label-free requests)
-  // and one per class in class-list order (labeled requests). Sharded: one
-  // Fenwick sub-tree per shard, rebuilt shard-parallel each slot.
-  mutable ShardedPicker all_servers_picker_;
-  mutable std::vector<ShardedPicker> class_pickers_;
+  // and one per class in class-list order (labeled requests), each rebuilt
+  // by its own task every slot.
+  mutable WeightedPicker all_servers_picker_;
+  mutable std::vector<WeightedPicker> class_pickers_;
   // Running aggregate: sum of cached available cores per class.
   mutable std::vector<int64_t> class_avail_cores_;
   // Per-class mean primary utilization, computed once per slot on demand.
   mutable std::vector<int64_t> class_util_slot_;
   mutable std::vector<double> class_util_value_;
-  // Per-slot rebuild scratch, sized before the shard fan-out: per-(shard,
-  // class) available-core partials and one position-indexed weight column
-  // per class (each shard writes only its own slice of both).
-  mutable std::vector<int64_t> class_partials_;
+  // Per-slot rebuild scratch: one position-indexed weight column per class,
+  // sized by SetServerClasses and written only by that class's task.
   mutable std::vector<std::vector<int64_t>> class_cols_;
 };
 

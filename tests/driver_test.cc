@@ -225,6 +225,10 @@ TEST(ScenarioOverrideTest, UnknownKeyAndMalformedValueAreUsageErrors) {
   EXPECT_FALSE(ApplyScenarioOverride(config, "storage_blocks", "99999999999999999999", &error));
   EXPECT_FALSE(ApplyScenarioOverride(config, "placement_sample_blocks", "4294967296", &error));
   EXPECT_FALSE(ApplyScenarioOverride(config, "elbow_min_gain", "1e999", &error));
+  EXPECT_FALSE(ApplyScenarioOverride(config, "server_shapes", "2147483648x32768@1", &error));
+  EXPECT_NE(error.find("cores"), std::string::npos) << error;
+  EXPECT_FALSE(ApplyScenarioOverride(config, "server_shapes", "12x4294967296@1", &error));
+  EXPECT_NE(error.find("memory"), std::string::npos) << error;
 }
 
 TEST(ScenarioOverrideTest, UnknownKeyAndBadValueAreDistinctStatuses) {
@@ -237,6 +241,12 @@ TEST(ScenarioOverrideTest, UnknownKeyAndBadValueAreDistinctStatuses) {
   EXPECT_EQ(ApplyScenarioOverrideStatus(config, "fleet_scael", "0.5", &error),
             OverrideStatus::kUnknownKey);
   EXPECT_NE(error.find("did you mean"), std::string::npos);
+  // The RM's refresh workers follow --threads and the fleet size; there is
+  // no layout knob to set.
+  EXPECT_EQ(ApplyScenarioOverrideStatus(config, "rm_shards", "1", &error),
+            OverrideStatus::kUnknownKey);
+  EXPECT_EQ(ApplyScenarioOverrideStatus(config, "nn_shards", "1", &error),
+            OverrideStatus::kUnknownKey);
   EXPECT_EQ(ApplyScenarioOverrideStatus(config, "fleet_scale", "banana", &error),
             OverrideStatus::kBadValue);
   EXPECT_NE(error.find("fleet_scale"), std::string::npos);
@@ -512,8 +522,6 @@ TEST(DriverPipelineTest, TelemetryIsPopulatedButNeverRendered) {
 TEST(DriverPipelineTest, TelemetryLinesCarryEveryField) {
   ScenarioRunResult run;
   run.telemetry.threads = 3;
-  run.telemetry.rm_shards = 4;
-  run.telemetry.nn_shards = 1;
   run.telemetry.peak_rss_bytes = 1048576;
   run.telemetry.total_seconds = 9.5;
   DatacenterResult dc;
@@ -534,8 +542,7 @@ TEST(DriverPipelineTest, TelemetryLinesCarryEveryField) {
   run.result.datacenters[1].name = "DC-1";
   run.telemetry.datacenters = {timing, DcStageTiming{}};
   EXPECT_EQ(FormatRunTelemetry(run),
-            "harvest_sim: telemetry threads=3 rm_shards=4 nn_shards=1 "
-            "peak_rss_bytes=1048576 total_seconds=9.5\n"
+            "harvest_sim: telemetry threads=3 peak_rss_bytes=1048576 total_seconds=9.5\n"
             "harvest_sim: telemetry name=DC-0 fleet_build_seconds=0.5 clustering_seconds=0.25 "
             "scheduling_seconds=3 power_seconds=0.125 placement_seconds=0.0625 "
             "durability_seconds=1.5 availability_seconds=2 fault_seconds=1 total_seconds=9\n"

@@ -87,6 +87,9 @@ TEST(FaultPlanTest, RejectsMalformedSpecs) {
       "reimage_wave:3600,-0.1,1800",    // fraction < 0
       "rack_outage:abc,1,7200",         // non-numeric
       "+rack_outage:7200,1,7200",       // empty spec before '+'
+      "rack_outage:100,1e30,100",       // rack does not fit int64
+      "tor_partition:100,9.3e18,100",   // rack just above int64's range
+      "tor_partition:100,9223372036854775808,100",  // rack == 2^63
   };
   for (const char* text : bad) {
     FaultPlan plan;
@@ -94,6 +97,11 @@ TEST(FaultPlanTest, RejectsMalformedSpecs) {
     EXPECT_FALSE(ParseFaultPlan(text, &plan, &error)) << text;
     EXPECT_FALSE(error.empty()) << text;
   }
+  // An out-of-range rack names the field.
+  FaultPlan plan;
+  std::string error;
+  EXPECT_FALSE(ParseFaultPlan("tor_partition:100,1e30,100", &plan, &error));
+  EXPECT_NE(error.find("rack"), std::string::npos) << error;
 }
 
 TEST(FaultPlanTest, GrammarTableCoversEveryKind) {

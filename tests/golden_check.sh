@@ -1,17 +1,12 @@
 #!/usr/bin/env bash
 # Layout check for one blessed result; CMakeLists.txt registers one CTest per
 # file under tests/golden. harvest_sim renders only deterministic fields, so
-# its output must `cmp` equal to the golden, with no filter, at every
-# execution layout:
-#
-#   --threads=2                                            (the bless layout)
-#   --threads {1, 8} x (rm_shards, nn_shards) {(0,0), (1,4), (4,1), (4,4)}
-#
-# where 0 = auto, which resolves to 1 shard at golden scale. The two (0,0)
-# runs also export their fleets with --dump-traces: the threads=1 and
-# threads=8 exports must be byte-identical, and replaying the threads=1
-# export with --set trace_dir= must reproduce the golden in every field but
-# the provenance pair ("trace_source", "overrides").
+# its output must `cmp` equal to the golden, with no filter, at
+# --threads=2 (the bless layout), 1 and 8. The threads=1 and threads=8 runs
+# also export their fleets with --dump-traces: the two exports must be
+# byte-identical, and replaying the threads=1 export with --set trace_dir=
+# must reproduce the golden in every field but the provenance pair
+# ("trace_source", "overrides").
 #
 # A difference is a behavior change: a regression, or an intentional change
 # to re-bless with tools/bless_goldens.sh. Goldens are byte-exact within one
@@ -52,14 +47,7 @@ check() {
 
 check "threads=2" --threads=2
 for threads in 1 8; do
-  check "threads=$threads rm_shards=0 nn_shards=0" --threads="$threads" \
-    --dump-traces="$tmp/traces$threads"
-  for shards in 1,4 4,1 4,4; do
-    rm_shards=${shards%,*}
-    nn_shards=${shards#*,}
-    check "threads=$threads rm_shards=$rm_shards nn_shards=$nn_shards" \
-      --threads="$threads" --set rm_shards="$rm_shards" --set nn_shards="$nn_shards"
-  done
+  check "threads=$threads" --threads="$threads" --dump-traces="$tmp/traces$threads"
 done
 
 exports=$(cd "$tmp/traces1" && ls -- *.trace)

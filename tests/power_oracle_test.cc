@@ -10,13 +10,14 @@
 //   * ResourceManager right-sizing vs the cache audit: randomized
 //     Allocate / Release / EnforceReserves / UpdateParking sequences with
 //     AuditCachesForTest after every operation, parked-count invariants,
-//     and the guarantee that a parked server never receives a placement.
-//     Parking transitions (events, forced unparks, final parked set) must
-//     be identical across shard counts.
+//     and the guarantee that a parked server never receives a placement,
+//     on a per-server-trace and a shared-trace fleet. Parking transitions
+//     (events, forced unparks, final parked set) must be identical across
+//     refresh worker counts.
 //
 //   * The full co-simulation with power accounting, right-sizing, and
-//     wave deferral enabled must produce identical energy ledgers and
-//     job counters across (rm_shards, slot_threads) layouts.
+//     wave deferral enabled must produce an energy ledger and exercise
+//     every policy.
 
 #include <gtest/gtest.h>
 
@@ -209,7 +210,7 @@ TEST(PowerOracleTest, AccountantMatchesDenseReintegration) {
   EXPECT_GT(dense.totals.parked_server_seconds, 0.0);
 }
 
-// One parking-oracle run's observable outcome, for cross-shard comparison.
+// One parking-oracle run's observable outcome, for cross-worker comparison.
 struct ParkingSummary {
   int64_t park_events = 0;
   int64_t unpark_events = 0;
@@ -218,10 +219,24 @@ struct ParkingSummary {
   std::vector<uint8_t> parked_set;
 };
 
-ParkingSummary RunParkingOracle(uint64_t seed, int shards) {
+// The testbed's per-server traces make every telemetry group one server;
+// the DC-scale fleet shares one trace per tenant, so whole multi-server
+// groups park together and the refresh's server ranges cut through them.
+Cluster BuildParkingFleet(bool shared_traces, uint64_t seed) {
   Rng build_rng(seed);
-  Cluster cluster = BuildTestbedCluster(48, kSlotsPerDay, build_rng);
-  ResourceManager rm(&cluster, SchedulerMode::kHistory, kDefaultReserve, shards);
+  if (!shared_traces) {
+    return BuildTestbedCluster(48, kSlotsPerDay, build_rng);
+  }
+  BuildOptions options;
+  options.trace_slots = kSlotsPerDay;
+  options.reimage_months = 1;
+  options.scale = 0.05;
+  options.per_server_traces = false;
+  return BuildCluster(DatacenterByName("DC-9"), options, build_rng);
+}
+
+ParkingSummary RunParkingOracle(const Cluster& cluster, uint64_t seed, int workers) {
+  ResourceManager rm(&cluster, SchedulerMode::kHistory, kDefaultReserve, workers);
   std::vector<int> classes(cluster.num_servers());
   for (size_t s = 0; s < classes.size(); ++s) {
     classes[s] = static_cast<int>(s % 4);
@@ -301,25 +316,30 @@ ParkingSummary RunParkingOracle(uint64_t seed, int shards) {
   return summary;
 }
 
-TEST(PowerOracleTest, RandomizedParkingKeepsRmCachesExactAcrossShardCounts) {
-  const ParkingSummary reference = RunParkingOracle(404, /*shards=*/1);
-  // The testbed's calmer tenants must actually park and transition back;
-  // a zero here means the windows or thresholds went dead.
-  EXPECT_GT(reference.park_events, 0);
-  EXPECT_GT(reference.unpark_events, 0);
-  for (int shards : {3, 8}) {
-    const ParkingSummary summary = RunParkingOracle(404, shards);
-    EXPECT_EQ(summary.park_events, reference.park_events) << "shards=" << shards;
-    EXPECT_EQ(summary.unpark_events, reference.unpark_events) << "shards=" << shards;
-    EXPECT_EQ(summary.forced_unparks, reference.forced_unparks) << "shards=" << shards;
-    EXPECT_EQ(summary.final_parked, reference.final_parked) << "shards=" << shards;
-    EXPECT_EQ(summary.parked_set, reference.parked_set) << "shards=" << shards;
+TEST(PowerOracleTest, RandomizedParkingKeepsRmCachesExactAcrossWorkerCounts) {
+  for (bool shared_traces : {false, true}) {
+    SCOPED_TRACE(shared_traces ? "shared traces" : "testbed");
+    const Cluster cluster = BuildParkingFleet(shared_traces, 404);
+    const ParkingSummary reference = RunParkingOracle(cluster, 404, /*workers=*/1);
+    // The calmer tenants must actually park and transition back; a zero
+    // here means the windows or thresholds went dead.
+    EXPECT_GT(reference.park_events, 0);
+    EXPECT_GT(reference.unpark_events, 0);
+    for (int workers : {3, 8}) {
+      const ParkingSummary summary = RunParkingOracle(cluster, 404, workers);
+      EXPECT_EQ(summary.park_events, reference.park_events) << "workers=" << workers;
+      EXPECT_EQ(summary.unpark_events, reference.unpark_events) << "workers=" << workers;
+      EXPECT_EQ(summary.forced_unparks, reference.forced_unparks) << "workers=" << workers;
+      EXPECT_EQ(summary.final_parked, reference.final_parked) << "workers=" << workers;
+      EXPECT_EQ(summary.parked_set, reference.parked_set) << "workers=" << workers;
+    }
   }
 }
 
-// Full co-simulation: energy ledger, parking counters, and deferral
-// counters must be identical across accounting layouts.
-TEST(PowerOracleTest, SimulationEnergyIdenticalAcrossShardLayouts) {
+// Full co-simulation with every power policy on: the ledger fills and the
+// policies fire. (Whole runs are held byte-identical across --threads by
+// the golden checks and the harvest_sim_parallel_refresh CTest.)
+TEST(PowerOracleTest, SimulationAccountsEnergyAndExercisesPolicies) {
   Rng build_rng(5);
   Cluster cluster = BuildTestbedCluster(42, kSlotsPerDay, build_rng);
   auto full = BuildTpcDsSuite(3);
@@ -341,38 +361,13 @@ TEST(PowerOracleTest, SimulationEnergyIdenticalAcrossShardLayouts) {
   options.defer_min_gain = 0.01;
   options.power_cap_watts = 4500.0;
 
-  SchedulingSimResult reference;
-  bool have_reference = false;
-  const int layouts[][2] = {{1, 1}, {3, 2}, {8, 4}};  // {rm_shards, slot_threads}
-  for (const auto& layout : layouts) {
-    SchedulingSimOptions run = options;
-    run.rm_shards = layout[0];
-    run.slot_threads = layout[1];
-    SchedulingSimResult result = RunSchedulingSimulation(cluster, suite, run);
-    ASSERT_TRUE(result.has_energy);
-    EXPECT_GT(result.energy.fleet_joules, 0.0);
-    if (!have_reference) {
-      reference = result;
-      have_reference = true;
-      continue;
-    }
-    const std::string label =
-        "rm_shards=" + std::to_string(layout[0]) +
-        " slot_threads=" + std::to_string(layout[1]);
-    ExpectLedgersEqual(result.energy, reference.energy, label);
-    EXPECT_EQ(result.energy.park_events, reference.energy.park_events) << label;
-    EXPECT_EQ(result.energy.unpark_events, reference.energy.unpark_events) << label;
-    EXPECT_EQ(result.energy.forced_unparks, reference.energy.forced_unparks) << label;
-    EXPECT_EQ(result.energy.deferred_jobs, reference.energy.deferred_jobs) << label;
-    EXPECT_EQ(result.energy.deferred_seconds, reference.energy.deferred_seconds) << label;
-    EXPECT_EQ(result.jobs_arrived, reference.jobs_arrived) << label;
-    EXPECT_EQ(result.jobs_completed, reference.jobs_completed) << label;
-    EXPECT_EQ(result.total_kills, reference.total_kills) << label;
-  }
+  const SchedulingSimResult result = RunSchedulingSimulation(cluster, suite, options);
+  ASSERT_TRUE(result.has_energy);
+  EXPECT_GT(result.energy.fleet_joules, 0.0);
   // The run exercised the policies, not just the ledger: the 4.5 kW cap
   // sits below the testbed's busy draw, so cap-forced deferral must fire.
-  EXPECT_GT(reference.energy.deferred_jobs, 0);
-  EXPECT_GT(reference.energy.slots_over_cap, 0);
+  EXPECT_GT(result.energy.deferred_jobs, 0);
+  EXPECT_GT(result.energy.slots_over_cap, 0);
 }
 
 }  // namespace

@@ -10,7 +10,8 @@
 //     decrements) run on a copy of the RNG -- including that both consume
 //     the RNG stream identically.
 //
-// Runs >= 1000 operations in each of PT and H modes (ISSUE 3 acceptance).
+// Runs >= 1000 operations in each of PT and H modes, on two fleets and at
+// several refresh worker counts.
 
 #include "src/scheduler/resource_manager.h"
 
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "src/cluster/datacenter.h"
+#include "src/cluster/fleet_table.h"
 #include "src/util/rng.h"
 
 namespace harvest {
@@ -109,13 +111,37 @@ void ExpectClassAggregatesMatchNaive(const ResourceManager& rm, double t) {
   }
 }
 
-void RunOracle(SchedulerMode mode, uint64_t seed, int shards) {
+// The oracle's two fleets. The testbed's per-server traces make every
+// telemetry group a single server. The DC-scale fleet shares one trace per
+// tenant, so its groups span many servers and the refresh's per-worker
+// server ranges cut through them.
+enum class Fleet { kTestbed, kSharedTraces };
+
+Cluster BuildOracleFleet(Fleet fleet, uint64_t seed) {
   Rng build_rng(seed);
-  Cluster cluster = BuildTestbedCluster(48, kSlotsPerDay, build_rng);
-  // Shard count is execution layout: every placement, aggregate, and RNG
-  // draw below must be identical to the dense single-shard reference no
-  // matter how the accounting is partitioned.
-  ResourceManager rm(&cluster, mode, kDefaultReserve, shards);
+  if (fleet == Fleet::kTestbed) {
+    return BuildTestbedCluster(48, kSlotsPerDay, build_rng);
+  }
+  BuildOptions options;
+  options.trace_slots = kSlotsPerDay;
+  options.reimage_months = 1;
+  options.scale = 0.05;
+  options.per_server_traces = false;
+  Cluster cluster = BuildCluster(DatacenterByName("DC-9"), options, build_rng);
+  const FleetTable table(cluster);
+  EXPECT_LT(static_cast<size_t>(table.num_groups()) * 4, table.num_servers())
+      << "the shared-trace fleet should have multi-server telemetry groups";
+  return cluster;
+}
+
+void RunOracle(SchedulerMode mode, uint64_t seed, Fleet fleet, int workers) {
+  SCOPED_TRACE(testing::Message() << (fleet == Fleet::kTestbed ? "testbed" : "shared traces")
+                                  << ", " << workers << " workers");
+  Cluster cluster = BuildOracleFleet(fleet, seed);
+  // The worker count is execution layout: every placement, aggregate, and
+  // RNG draw below must be identical to the dense serial reference no
+  // matter how the refresh is split.
+  ResourceManager rm(&cluster, mode, kDefaultReserve, workers);
   if (mode == SchedulerMode::kHistory) {
     // Deterministic 4-class striping: enough classes to exercise labeled
     // segments without depending on the clustering service.
@@ -201,7 +227,7 @@ void RunOracle(SchedulerMode mode, uint64_t seed, int shards) {
 TEST(RmOracleTest, SlidingWindowForecastMatchesNaiveScanAcrossJumpsAndWindows) {
   Rng build_rng(7);
   Cluster cluster = BuildTestbedCluster(24, kSlotsPerDay, build_rng);
-  ResourceManager rm(&cluster, SchedulerMode::kHistory, kDefaultReserve, /*shards=*/3);
+  ResourceManager rm(&cluster, SchedulerMode::kHistory, kDefaultReserve, /*workers=*/3);
   Rng rng(99);
   const double steps[] = {30.0,    120.0,   360.0,  5000.0, 45000.0,
                           130000.0, 50.0,   240.0,  11.0,   86400.0};
@@ -222,25 +248,27 @@ TEST(RmOracleTest, SlidingWindowForecastMatchesNaiveScanAcrossJumpsAndWindows) {
   }
 }
 
-// Each mode runs the full oracle at shard counts 1, 3 and 8 (ISSUE 6): the
-// dense reference never shards, so any byte of divergence in placements,
-// aggregates, or RNG stream position pins a sharding bug.
-TEST(RmOracleTest, IncrementalAccountingMatchesFullRescanPtMode) {
-  for (int shards : {1, 3, 8}) {
-    RunOracle(SchedulerMode::kPrimaryAware, 101, shards);
+// Each mode runs the full oracle on both fleets at 1, 3 and 8 refresh
+// workers: the dense reference is serial, so any byte of divergence in
+// placements, aggregates, or RNG stream position pins a bug in the split.
+void RunOracleEverywhere(SchedulerMode mode, uint64_t seed) {
+  for (Fleet fleet : {Fleet::kTestbed, Fleet::kSharedTraces}) {
+    for (int workers : {1, 3, 8}) {
+      RunOracle(mode, seed, fleet, workers);
+    }
   }
+}
+
+TEST(RmOracleTest, IncrementalAccountingMatchesFullRescanPtMode) {
+  RunOracleEverywhere(SchedulerMode::kPrimaryAware, 101);
 }
 
 TEST(RmOracleTest, IncrementalAccountingMatchesFullRescanHistoryMode) {
-  for (int shards : {1, 3, 8}) {
-    RunOracle(SchedulerMode::kHistory, 202, shards);
-  }
+  RunOracleEverywhere(SchedulerMode::kHistory, 202);
 }
 
 TEST(RmOracleTest, StockModeStaysConsistentToo) {
-  for (int shards : {1, 3, 8}) {
-    RunOracle(SchedulerMode::kStock, 303, shards);
-  }
+  RunOracleEverywhere(SchedulerMode::kStock, 303);
 }
 
 }  // namespace

@@ -39,8 +39,9 @@ constexpr RuleInfo kRules[] = {
      "key on a stable id (ServerId, pooled index, name) instead of an address, or use an "
      "unordered lookup-only map; annotate '// detlint: addr-ok(<reason>)' if never iterated"},
     {"R5-float-accum", "exact-sum",
-     "accumulate int64 fixed-point per shard and merge in shard order (the RM's class-partial / "
-     "Fenwick idiom), or annotate '// detlint: exact-sum(<reason>)' if the sum cannot reach results"},
+     "accumulate in int64 fixed point, whose sums are exact under any work split (the RM's "
+     "per-class available-core sums), or annotate '// detlint: exact-sum(<reason>)' if the sum "
+     "cannot reach results"},
     {"R6-raw-thread", "thread-ok",
      "route parallelism through harvest::ParallelForIndex (src/util/executor.h), which pins "
      "the deterministic work-handout contract"},
@@ -636,7 +637,7 @@ class Linter {
           Report("R5-float-accum", t[j].line,
                  "floating-point accumulation into '" + t[k - 1].text +
                      "' inside a ParallelForIndex lambda: float addition is not associative, "
-                     "so shard layout changes the sum");
+                     "so the work split changes the sum");
         }
       }
       i = close;

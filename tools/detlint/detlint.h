@@ -1,9 +1,9 @@
 // detlint -- the determinism linter.
 //
 // Every result this repository publishes rests on one invariant: rendered
-// JSON is byte-identical across --threads x rm_shards x nn_shards (see
-// DESIGN.md "Determinism and seed policy").  The dynamic check
-// (tests/golden_check.sh, one layout matrix per golden) catches violations
+// JSON is byte-identical for any --threads value (see DESIGN.md
+// "Determinism and seed policy").  The dynamic check
+// (tests/golden_check.sh, one thread matrix per golden) catches violations
 // after they ship; detlint polices the *hazard class* that causes them at
 // lint time, as named, suppressible rules over a token-level lex of the
 // sources (no libclang -- the tool builds with nothing but the standard
@@ -22,8 +22,8 @@
 //                      iteration order would be allocation-address order
 //   R5-float-accum     double/float += accumulation inside a
 //                      ParallelForIndex lambda without an exact-sum
-//                      annotation (the int64 per-shard-partial idiom is
-//                      the sanctioned path)
+//                      annotation (int64 sums, exact under any work
+//                      split, are the sanctioned path)
 //   R6-raw-thread      std::thread / std::async / #pragma omp outside the
 //                      deterministic executor (src/util/executor.cc)
 //
