@@ -19,14 +19,14 @@
 
 namespace harvest {
 
-FaultStageResult RunFaultStage(const DcContext& ctx, const Cluster& cluster, const FaultPlan& plan,
+FaultStageResult RunFaultStage(const DcContext& ctx, const Cluster& cluster,
                                const FaultTimeline& faults,
                                const SchedulingStageResult* scheduling) {
   const ScenarioConfig& config = *ctx.config;
   const uint64_t base_seed = ctx.StreamSeed("fault");
 
   FaultStageResult result;
-  result.plan = CanonicalFaultPlan(plan);
+  result.plan = CanonicalFaultPlan(config.fault_plan);
   result.events.reserve(faults.events.size());
   double first_fault_start = -1.0;
   for (const FaultEvent& event : faults.events) {

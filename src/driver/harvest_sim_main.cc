@@ -16,7 +16,7 @@
 // runs; DESIGN.md maps each figure to its command.
 
 #include <cerrno>
-#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,6 +29,7 @@
 #include "src/driver/registry.h"
 #include "src/driver/scenario.h"
 #include "src/fault/fault_plan.h"
+#include "src/util/parse.h"
 
 namespace {
 
@@ -164,19 +165,14 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (ParseOption(argc, argv, i, "--scale", value)) {
-      char* end = nullptr;
-      options.scale = std::strtod(value.c_str(), &end);
-      if (value.empty() || end != value.c_str() + value.size() ||
-          !std::isfinite(options.scale) || !(options.scale > 0.0)) {
+      if (!harvest::ParseDouble(value, &options.scale, nullptr) || !(options.scale > 0.0)) {
         std::fprintf(stderr, "harvest_sim: --scale must be a positive number, got '%s'\n",
                      value.c_str());
         return 2;
       }
     } else if (ParseOption(argc, argv, i, "--threads", value)) {
-      char* end = nullptr;
-      long threads = std::strtol(value.c_str(), &end, 10);
-      if (value.empty() || end != value.c_str() + value.size() || threads < 1 ||
-          threads > 1024) {
+      int64_t threads = 0;
+      if (!harvest::ParseInt64(value, &threads, nullptr) || threads < 1 || threads > 1024) {
         std::fprintf(stderr, "harvest_sim: --threads must be an integer in [1, 1024], got '%s'\n",
                      value.c_str());
         return 2;

@@ -48,12 +48,7 @@ void WriteTraceManifest(const std::string& dir, const ScenarioConfig& config,
   // The active fault plan, canonicalized: replaying this directory with a
   // different plan is rejected (ValidateScenario), since the recorded fleet
   // and the goldens derived from it assume these exact injected events.
-  {
-    FaultPlan plan;
-    std::string error;
-    HARVEST_CHECK(ParseFaultPlan(config.fault_plan, &plan, &error)) << error;
-    text += "fault_plan: " + CanonicalFaultPlan(plan) + "\n";
-  }
+  text += "fault_plan: " + CanonicalFaultPlan(config.fault_plan) + "\n";
   for (size_t i = 0; i < labels.size(); ++i) {
     text += "trace: " + TraceSource::TraceFileName(labels[i]) + "\n";
     // Self-describing fleet line: size and shape mix of the recorded file,
@@ -116,12 +111,9 @@ DatacenterResult RunDatacenterStages(const DcContext& ctx, DcStageTiming& timing
   // One fault timeline per DC, from its "fault" stream, for the scheduling
   // runs and the fault stage alike.
   const bool has_faults = !ctx.config->fault_plan.empty();
-  FaultPlan fault_plan;
   FaultTimeline faults;
   if (has_faults) {
-    std::string error;
-    HARVEST_CHECK(ParseFaultPlan(ctx.config->fault_plan, &fault_plan, &error)) << error;
-    faults = CompileFaultPlan(fault_plan, fleet.cluster, ctx.StreamSeed("fault"));
+    faults = CompileFaultPlan(ctx.config->fault_plan, fleet.cluster, ctx.StreamSeed("fault"));
   }
   if (ctx.config->run_scheduling) {
     dc.has_scheduling = true;
@@ -149,7 +141,7 @@ DatacenterResult RunDatacenterStages(const DcContext& ctx, DcStageTiming& timing
   if (has_faults) {
     dc.has_faults = true;
     dc.faults = Timed(timing.fault_seconds, [&] {
-      return RunFaultStage(ctx, fleet.cluster, fault_plan, faults,
+      return RunFaultStage(ctx, fleet.cluster, faults,
                            dc.has_scheduling ? &dc.scheduling : nullptr);
     });
   }

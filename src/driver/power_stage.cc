@@ -6,7 +6,6 @@
 
 #include "src/driver/stage.h"
 #include "src/power/price_curve.h"
-#include "src/util/logging.h"
 
 namespace harvest {
 namespace {
@@ -42,9 +41,7 @@ PowerStageResult RunPowerStage(const DcContext& ctx, const SchedulingStageResult
   PowerStageResult result;
   // Re-derive this DC's curve exactly as the simulation did, so the echoed
   // canonical text matches what priced the ledgers.
-  PriceCurve price;
-  std::string error;
-  HARVEST_CHECK(PriceCurve::Parse(config.energy_price, &price, &error)) << error;
+  PriceCurve price = config.energy_price;
   price.ShiftPhase(static_cast<double>(ctx.dc_index) * config.price_phase_hours * 3600.0);
   result.price_curve = price.ToString();
   result.power_cap_watts = config.power_cap_watts;

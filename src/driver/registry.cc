@@ -1,9 +1,6 @@
 #include "src/driver/registry.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -15,6 +12,7 @@
 #include "src/trace/trace_source.h"
 #include "src/util/edit_distance.h"
 #include "src/util/logging.h"
+#include "src/util/parse.h"
 
 namespace harvest {
 
@@ -46,13 +44,6 @@ const ScenarioConfig* FindScenario(std::string_view name) {
 
 namespace {
 
-bool Fail(std::string* error, std::string message) {
-  if (error != nullptr) {
-    *error = std::move(message);
-  }
-  return false;
-}
-
 bool ParseBool(std::string_view text, bool* out, std::string* error) {
   if (text == "true" || text == "1" || text == "on") {
     *out = true;
@@ -64,31 +55,6 @@ bool ParseBool(std::string_view text, bool* out, std::string* error) {
   }
   return Fail(error, "expected a boolean (true/false/1/0/on/off), got '" +
                          std::string(text) + "'");
-}
-
-bool ParseDouble(std::string_view text, double* out, std::string* error) {
-  std::string buffer(text);
-  char* end = nullptr;
-  errno = 0;
-  double value = std::strtod(buffer.c_str(), &end);
-  if (buffer.empty() || end != buffer.c_str() + buffer.size() || errno == ERANGE ||
-      !std::isfinite(value)) {
-    return Fail(error, "expected a finite number, got '" + buffer + "'");
-  }
-  *out = value;
-  return true;
-}
-
-bool ParseInt64(std::string_view text, int64_t* out, std::string* error) {
-  std::string buffer(text);
-  char* end = nullptr;
-  errno = 0;
-  long long value = std::strtoll(buffer.c_str(), &end, 10);
-  if (buffer.empty() || end != buffer.c_str() + buffer.size() || errno == ERANGE) {
-    return Fail(error, "expected an integer (in range), got '" + buffer + "'");
-  }
-  *out = static_cast<int64_t>(value);
-  return true;
 }
 
 // Shared by the member-pointer knob factories and the nested-member knobs
@@ -104,27 +70,17 @@ bool ParsePositiveInt(std::string_view text, int64_t max_value, int64_t* out,
   return true;
 }
 
+// Leaves *out untouched on failure, like every parser in src/util/parse.h.
 bool ParseNonNegativeDouble(std::string_view text, double* out, std::string* error) {
-  if (!ParseDouble(text, out, error)) {
+  double parsed = 0.0;
+  if (!ParseDouble(text, &parsed, error)) {
     return false;
   }
-  if (*out < 0.0) {
+  if (parsed < 0.0) {
     return Fail(error, "value must be >= 0");
   }
+  *out = parsed;
   return true;
-}
-
-std::vector<std::string_view> SplitList(std::string_view text) {
-  std::vector<std::string_view> items;
-  while (!text.empty()) {
-    size_t comma = text.find(',');
-    items.push_back(text.substr(0, comma));
-    if (comma == std::string_view::npos) {
-      break;
-    }
-    text.remove_prefix(comma + 1);
-  }
-  return items;
 }
 
 // "12x32768@0.5" -> {cores 12, memory 32768 MB, weight 0.5}.
@@ -179,6 +135,12 @@ Apply PositiveDoubleKnob(double ScenarioConfig::* field) {
     }
     config.*field = parsed;
     return true;
+  };
+}
+
+Apply NonNegativeDoubleKnob(double ScenarioConfig::* field) {
+  return [field](ScenarioConfig& config, std::string_view value, std::string* error) {
+    return ParseNonNegativeDouble(value, &(config.*field), error);
   };
 }
 
@@ -244,14 +206,18 @@ std::vector<ScenarioKnob> MakeKnobs() {
   add("datacenters", "comma list of DC-0..DC-9",
       "datacenter profiles to run, e.g. DC-1,DC-4",
       [](ScenarioConfig& config, std::string_view value, std::string* error) {
+        std::vector<std::string_view> items;
+        if (!SplitList(value, &items, error)) {
+          return false;
+        }
         std::vector<std::string> names;
-        for (std::string_view item : SplitList(value)) {
+        for (std::string_view item : items) {
           std::string name(item);
           bool known = false;
           for (const auto& profile : AllDatacenterProfiles()) {
             known = known || profile.name == name;
           }
-          if (name.empty() || !known) {
+          if (!known) {
             return Fail(error, "unknown datacenter '" + name + "' (expected DC-0..DC-9)");
           }
           // Results, trace files and replay all key on the DC name.
@@ -259,9 +225,6 @@ std::vector<ScenarioKnob> MakeKnobs() {
             return Fail(error, "duplicate datacenter '" + name + "'");
           }
           names.push_back(std::move(name));
-        }
-        if (names.empty()) {
-          return Fail(error, "datacenter list must not be empty");
         }
         config.datacenters = std::move(names);
         return true;
@@ -283,16 +246,15 @@ std::vector<ScenarioKnob> MakeKnobs() {
   add("server_shapes", "list of CORESxMEMORY_MB@WEIGHT",
       "heterogeneous SKU mix, e.g. 12x32768@0.6,24x65536@0.4 (empty default = homogeneous)",
       [](ScenarioConfig& config, std::string_view value, std::string* error) {
-        std::vector<ServerShape> shapes;
-        for (std::string_view item : SplitList(value)) {
-          ServerShape shape;
-          if (!ParseShape(item, &shape, error)) {
+        std::vector<std::string_view> items;
+        if (!SplitList(value, &items, error)) {
+          return false;
+        }
+        std::vector<ServerShape> shapes(items.size());
+        for (size_t i = 0; i < items.size(); ++i) {
+          if (!ParseShape(items[i], &shapes[i], error)) {
             return false;
           }
-          shapes.push_back(shape);
-        }
-        if (shapes.empty()) {
-          return Fail(error, "server shape list must not be empty");
         }
         config.server_shapes = std::move(shapes);
         return true;
@@ -308,12 +270,7 @@ std::vector<ScenarioKnob> MakeKnobs() {
       });
   add("elbow_min_gain", "double >= 0", "relative gain a further K-Means class must add",
       [](ScenarioConfig& config, std::string_view value, std::string* error) {
-        double parsed = 0.0;
-        if (!ParseNonNegativeDouble(value, &parsed, error)) {
-          return false;
-        }
-        config.clustering.elbow_min_gain = parsed;
-        return true;
+        return ParseNonNegativeDouble(value, &config.clustering.elbow_min_gain, error);
       });
   add("run_scheduling", "bool", "run the Algorithm-1 scheduling co-simulation",
       BoolKnob(&ScenarioConfig::run_scheduling));
@@ -361,18 +318,22 @@ std::vector<ScenarioKnob> MakeKnobs() {
   add("energy_price", "flat:P | diurnal:BASE,AMP,PEAK_HOUR",
       "electricity price curve in $/kWh, e.g. diurnal:0.08,0.05,18",
       [](ScenarioConfig& config, std::string_view value, std::string* error) {
-        PriceCurve curve;
-        std::string detail;
-        if (!PriceCurve::Parse(value, &curve, &detail)) {
-          return Fail(error, detail);
-        }
-        config.energy_price = std::string(value);
-        return true;
+        return PriceCurve::Parse(value, &config.energy_price, error);
       });
-  add("price_phase_hours", "double >= 0",
+  add("price_phase_hours", "double in [0, 24)",
       "shift DC i's price peak later by i * this many hours (time-zone spread)",
       [](ScenarioConfig& config, std::string_view value, std::string* error) {
-        return ParseNonNegativeDouble(value, &config.price_phase_hours, error);
+        double parsed = 0.0;
+        if (!ParseDouble(value, &parsed, error)) {
+          return false;
+        }
+        // Every DC's shift of h hours equals one of h mod 24, and an
+        // unbounded h overflows the shift (a NaN price).
+        if (parsed < 0.0 || parsed >= 24.0) {
+          return Fail(error, "value must be in [0, 24)");
+        }
+        config.price_phase_hours = parsed;
+        return true;
       });
   add("rightsizing", "bool", "park / unpark primary-idle servers (H runs only)",
       BoolKnob(&ScenarioConfig::rightsizing));
@@ -386,14 +347,10 @@ std::vector<ScenarioKnob> MakeKnobs() {
       PositiveDoubleKnob(&ScenarioConfig::defer_window_hours));
   add("defer_min_gain", "double >= 0",
       "minimum forecast-utilization drop a deferral must gain",
-      [](ScenarioConfig& config, std::string_view value, std::string* error) {
-        return ParseNonNegativeDouble(value, &config.defer_min_gain, error);
-      });
+      NonNegativeDoubleKnob(&ScenarioConfig::defer_min_gain));
   add("power_cap_watts", "double >= 0",
       "fleet power cap: count violations and force deferral above it (0 = none)",
-      [](ScenarioConfig& config, std::string_view value, std::string* error) {
-        return ParseNonNegativeDouble(value, &config.power_cap_watts, error);
-      });
+      NonNegativeDoubleKnob(&ScenarioConfig::power_cap_watts));
   add("placement_sample_blocks", "int > 0", "blocks sampled by the placement audit",
       PositiveIntKnob(&ScenarioConfig::placement_sample_blocks));
   add("run_durability", "bool", "run the storage durability grid",
@@ -402,14 +359,16 @@ std::vector<ScenarioKnob> MakeKnobs() {
       PositiveIntKnob(&ScenarioConfig::storage_blocks));
   add("access_rate", "double >= 0",
       "client accesses per hour injected into the durability timeline (0 = none)",
-      [](ScenarioConfig& config, std::string_view value, std::string* error) {
-        return ParseNonNegativeDouble(value, &config.access_rate, error);
-      });
+      NonNegativeDoubleKnob(&ScenarioConfig::access_rate));
   add("placement_kinds", "comma list of stock|history|random|greedy|soft",
       "placement flavors in the storage grid, e.g. stock,history",
       [](ScenarioConfig& config, std::string_view value, std::string* error) {
+        std::vector<std::string_view> items;
+        if (!SplitList(value, &items, error)) {
+          return false;
+        }
         std::vector<PlacementKind> kinds;
-        for (std::string_view item : SplitList(value)) {
+        for (std::string_view item : items) {
           PlacementKind kind;
           if (!ParsePlacementKind(item, &kind)) {
             return Fail(error, "unknown placement kind '" + std::string(item) +
@@ -420,17 +379,18 @@ std::vector<ScenarioKnob> MakeKnobs() {
           }
           kinds.push_back(kind);
         }
-        if (kinds.empty()) {
-          return Fail(error, "placement kind list must not be empty");
-        }
         config.placement_kinds = std::move(kinds);
         return true;
       });
   add("replications", "comma list of ints in [1, 16]",
       "replication factors compared, e.g. 3,4",
       [](ScenarioConfig& config, std::string_view value, std::string* error) {
+        std::vector<std::string_view> items;
+        if (!SplitList(value, &items, error)) {
+          return false;
+        }
         std::vector<int> replications;
-        for (std::string_view item : SplitList(value)) {
+        for (std::string_view item : items) {
           int64_t parsed = 0;
           if (!ParseInt64(item, &parsed, error)) {
             return false;
@@ -439,9 +399,6 @@ std::vector<ScenarioKnob> MakeKnobs() {
             return Fail(error, "replication factors must be in [1, 16]");
           }
           replications.push_back(static_cast<int>(parsed));
-        }
-        if (replications.empty()) {
-          return Fail(error, "replication list must not be empty");
         }
         config.replications = std::move(replications);
         return true;
@@ -456,18 +413,13 @@ std::vector<ScenarioKnob> MakeKnobs() {
       "target utilizations swept, e.g. 0.3,0.5,0.7",
       [](ScenarioConfig& config, std::string_view value, std::string* error) {
         std::vector<double> targets;
-        for (std::string_view item : SplitList(value)) {
-          double parsed = 0.0;
-          if (!ParseDouble(item, &parsed, error)) {
-            return false;
-          }
-          if (parsed <= 0.0 || parsed >= 1.0) {
+        if (!ParseDoubleList(value, &targets, error)) {
+          return false;
+        }
+        for (double target : targets) {
+          if (target <= 0.0 || target >= 1.0) {
             return Fail(error, "target utilizations must be in (0, 1)");
           }
-          targets.push_back(parsed);
-        }
-        if (targets.empty()) {
-          return Fail(error, "target utilization list must not be empty");
         }
         config.availability_utilizations = std::move(targets);
         return true;
@@ -475,17 +427,8 @@ std::vector<ScenarioKnob> MakeKnobs() {
   add("fault_plan", "'+'-separated fault specs, or none",
       "inject faults, e.g. rack_outage:7200,1,7200 (grammar: harvest_sim --list-faults)",
       [](ScenarioConfig& config, std::string_view value, std::string* error) {
-        FaultPlan plan;
-        std::string detail;
-        if (!ParseFaultPlan(std::string(value), &plan, &detail)) {
-          return Fail(error, detail);
-        }
-        config.fault_plan = std::string(value);
-        return true;
+        return ParseFaultPlan(value, &config.fault_plan, error);
       });
-  add("forecast_fallback", "bool",
-      "degrade RM-H to live-availability placement during telemetry blackouts",
-      BoolKnob(&ScenarioConfig::forecast_fallback));
   add("max_inflight_heals_per_shard", "int >= 0",
       "bound on concurrent heals per heal-lane group of contiguous racks (0 = unbounded)",
       [](ScenarioConfig& config, std::string_view value, std::string* error) {
@@ -501,9 +444,7 @@ std::vector<ScenarioKnob> MakeKnobs() {
       });
   add("heal_backoff_base_seconds", "double >= 0",
       "initial retry backoff for heals that lost their source or target (0 = instant)",
-      [](ScenarioConfig& config, std::string_view value, std::string* error) {
-        return ParseNonNegativeDouble(value, &config.heal_backoff_base_seconds, error);
-      });
+      NonNegativeDoubleKnob(&ScenarioConfig::heal_backoff_base_seconds));
   add("heal_backoff_max_seconds", "double > 0",
       "cap on the exponential heal retry backoff",
       PositiveDoubleKnob(&ScenarioConfig::heal_backoff_max_seconds));
@@ -562,13 +503,6 @@ std::string ValidateScenario(const ScenarioConfig& config) {
   if (!config.use_testbed && config.datacenters.empty()) {
     return "datacenters must not be empty when use_testbed=false";
   }
-  FaultPlan fault_plan;
-  {
-    std::string error;
-    if (!ParseFaultPlan(config.fault_plan, &fault_plan, &error)) {
-      return "invalid fault_plan: " + error;
-    }
-  }
   const TraceSource source = MakeTraceSource(config);
   if (source.is_replay()) {
     // Resolve every datacenter's trace file up front so a typo'd directory
@@ -600,7 +534,7 @@ std::string ValidateScenario(const ScenarioConfig& config) {
           break;
         }
       }
-      const std::string active = CanonicalFaultPlan(fault_plan);
+      const std::string active = CanonicalFaultPlan(config.fault_plan);
       if (recorded != active) {
         return "fault_plan mismatch: trace directory '" + config.trace_dir +
                "' was captured with fault_plan '" + recorded + "' but this run sets '" +

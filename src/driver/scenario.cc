@@ -2,11 +2,24 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <string_view>
 
 #include "src/cluster/datacenter.h"
+#include "src/util/logging.h"
 
 namespace harvest {
 namespace {
+
+// A preset's fault plan or price curve, parsed from its literal text by the
+// grammar the knob uses, once, when the preset list is built.
+template <typename T>
+T ParsePresetText(bool (*parse)(std::string_view, T*, std::string*), std::string_view text) {
+  T value;
+  std::string error;
+  HARVEST_CHECK(parse(text, &value, &error)) << "preset text '" << text << "': " << error;
+  return value;
+}
 
 ScenarioConfig Dc9Testbed() {
   ScenarioConfig config;
@@ -278,7 +291,7 @@ ScenarioConfig DiurnalPricing() {
   // only pays on an underutilized fleet, the paper's core premise.
   config.scheduling_target_utilization = 0.30;
   config.power_accounting = true;
-  config.energy_price = "diurnal:0.08,0.05,18";
+  config.energy_price = ParsePresetText(PriceCurve::Parse, "diurnal:0.08,0.05,18");
   config.price_phase_hours = 8.0;
   config.rightsizing = true;
   config.park_threshold = 0.25;
@@ -310,7 +323,7 @@ ScenarioConfig PowerCap() {
   config.scheduling_storage = StorageVariant::kNone;
   config.scheduling_target_utilization = 0.40;
   config.power_accounting = true;
-  config.energy_price = "flat:0.12";
+  config.energy_price = ParsePresetText(PriceCurve::Parse, "flat:0.12");
   config.rightsizing = true;
   config.park_threshold = 0.15;
   config.defer_waves = true;
@@ -384,7 +397,7 @@ ScenarioConfig RackOutage() {
       "co-simulation reports the Stock-vs-H replica loss and the bounded heal "
       "backlog's peak and drain time under backpressure.";
   config.scheduling_horizon_seconds = 6.0 * 3600.0;
-  config.fault_plan = "rack_outage:7200,1,7200";
+  config.fault_plan = ParsePresetText(ParseFaultPlan, "rack_outage:7200,1,7200");
   return config;
 }
 
@@ -398,7 +411,7 @@ ScenarioConfig TelemetryBlackout() {
       "blacked-out interval. The 30-hour horizon covers the degraded window; the "
       "faults block reports degraded seconds and the H-vs-PT delta under fault.";
   config.scheduling_horizon_seconds = 30.0 * 3600.0;
-  config.fault_plan = "telemetry_blackout:3600,10800";
+  config.fault_plan = ParsePresetText(ParseFaultPlan, "telemetry_blackout:3600,10800");
   return config;
 }
 
@@ -412,7 +425,8 @@ ScenarioConfig PartitionHealStorm() {
       "source rack. Exercises the per-shard in-flight heal budget, exponential "
       "retry backoff, and mid-heal source/target death requeues.";
   config.scheduling_horizon_seconds = 4.0 * 3600.0;
-  config.fault_plan = "tor_partition:3600,2,10800+reimage_wave:3600,0.3,1800";
+  config.fault_plan =
+      ParsePresetText(ParseFaultPlan, "tor_partition:3600,2,10800+reimage_wave:3600,0.3,1800");
   return config;
 }
 

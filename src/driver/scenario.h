@@ -23,6 +23,8 @@
 #include "src/core/utilization_clustering.h"
 #include "src/experiments/scheduling_sim.h"
 #include "src/experiments/storage_cosim.h"
+#include "src/fault/fault_plan.h"
+#include "src/power/price_curve.h"
 #include "src/trace/trace_source.h"
 #include "src/trace/utilization_trace.h"
 
@@ -79,12 +81,12 @@ struct ScenarioConfig {
   // cadence; adds the per-DC "energy" JSON block. No effect without
   // run_scheduling.
   bool power_accounting = false;
-  // Electricity price knob text: "flat:<$/kWh>" or
-  // "diurnal:<base>,<amplitude>,<peak_hour>" ("" = flat:0.10). See
+  // Electricity price curve, parsed from "flat:<$/kWh>" or
+  // "diurnal:<base>,<amplitude>,<peak_hour>" (default flat:0.10). See
   // src/power/price_curve.h.
-  std::string energy_price;
+  PriceCurve energy_price;
   // Shifts DC i's price peak later by i * price_phase_hours (fleets spread
-  // across time zones / regional markets).
+  // across time zones / regional markets), in [0, 24).
   double price_phase_hours = 0.0;
   // Dynamic right-sizing (H runs only): park primary-idle servers -- parked
   // servers draw parked watts and are invisible to placement -- and unpark
@@ -126,16 +128,14 @@ struct ScenarioConfig {
   int nn_shards = 0;
 
   // --- Fault injection (src/fault) ----------------------------------------
-  // Fault plan text: '+'-separated specs like "rack_outage:7200,1,7200"
-  // ("" or "none" = fault-free; `harvest_sim --list-faults` prints the
-  // grammar). A non-empty plan compiles to one FaultTimeline per DC from
-  // the "fault" stream seed, drives degraded intervals inside the
-  // scheduling co-simulation, and appends the FaultStage / "faults" JSON
-  // block with fault-aware storage co-simulations.
-  std::string fault_plan;
-  // Graceful RM-H degradation during telemetry blackouts: fall back to
-  // live-availability placement while the day-ago forecast window is dark.
-  bool forecast_fallback = true;
+  // Fault plan, parsed from '+'-separated specs like
+  // "rack_outage:7200,1,7200" ("" or "none" = fault-free; `harvest_sim
+  // --list-faults` prints the grammar). A non-empty plan compiles to one
+  // FaultTimeline per DC from the "fault" stream seed, drives degraded
+  // intervals inside the scheduling co-simulation (RM-H falls back to live
+  // availability while its forecast window is blacked out), and appends the
+  // FaultStage / "faults" JSON block with fault-aware storage co-simulations.
+  FaultPlan fault_plan;
   // NameNode heal-storm backpressure: per heal-lane group bound on in-flight heals
   // (0 = unbounded, the legacy behavior) and exponential retry backoff
   // bounds (base 0 = instant retry).

@@ -302,7 +302,8 @@ struct FaultStageResult {
   std::string plan;  // canonical fault-plan text
   std::vector<FaultEventResult> events;
   // Integral of down servers over the horizon (server-seconds of injected
-  // unavailability), and total telemetry-blackout seconds.
+  // unavailability, each server counted once however many outages hold
+  // it), and total telemetry-blackout seconds.
   double unavailability_server_seconds = 0.0;
   double blackout_seconds = 0.0;
   int replication = 3;
@@ -315,7 +316,7 @@ struct FaultStageResult {
   double forecast_degraded_seconds = 0.0;
 };
 
-FaultStageResult RunFaultStage(const DcContext& ctx, const Cluster& cluster, const FaultPlan& plan,
+FaultStageResult RunFaultStage(const DcContext& ctx, const Cluster& cluster,
                                const FaultTimeline& faults,
                                const SchedulingStageResult* scheduling);
 

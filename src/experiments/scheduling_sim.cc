@@ -6,13 +6,11 @@
 #include <limits>
 #include <map>
 #include <set>
-#include <tuple>
 #include <unordered_map>
 
 #include "src/core/utilization_clustering.h"
 #include "src/jobs/app_master.h"
 #include "src/sim/event_queue.h"
-#include "src/util/logging.h"
 #include "src/util/stats.h"
 
 namespace harvest {
@@ -65,9 +63,7 @@ class SchedulingSimulation {
       SetupStorage();
     }
     if (options.power_accounting) {
-      PriceCurve price;
-      std::string error;
-      HARVEST_CHECK(PriceCurve::Parse(options.energy_price, &price, &error)) << error;
+      PriceCurve price = options.energy_price;
       price.ShiftPhase(static_cast<double>(options.dc_index) * options.price_phase_hours *
                        3600.0);
       accountant_ = std::make_unique<EnergyAccountant>(&rm_.fleet_table(), PowerModel{}, price,
@@ -78,23 +74,6 @@ class SchedulingSimulation {
       rightsizing.enabled = true;
       rightsizing.park_threshold = options.park_threshold;
       rm_.ConfigureRightSizing(rightsizing);
-    }
-    if (options.faults != nullptr && !options.faults->down.empty()) {
-      // Flatten the down intervals into a sorted transition list; a per-server
-      // depth counter makes overlapping intervals (rack outage inside a DC
-      // outage) compose correctly. Recovery sorts before failure at the same
-      // instant so abutting intervals do not double-toggle.
-      fault_transitions_.reserve(options.faults->down.size() * 2);
-      for (const ServerDownInterval& interval : options.faults->down) {
-        fault_transitions_.push_back({interval.start, interval.server, +1});
-        fault_transitions_.push_back({interval.end, interval.server, -1});
-      }
-      std::sort(fault_transitions_.begin(), fault_transitions_.end(),
-                [](const FaultTransition& a, const FaultTransition& b) {
-                  return std::tie(a.time, a.server, a.delta) <
-                         std::tie(b.time, b.server, b.delta);
-                });
-      server_down_depth_.assign(cluster_.num_servers(), 0);
     }
   }
 
@@ -114,13 +93,6 @@ class SchedulingSimulation {
     JobId job = 0;
     int stage = 0;
     Container container;
-  };
-
-  // One edge of a server down interval: +1 enters an outage, -1 leaves one.
-  struct FaultTransition {
-    double time = 0.0;
-    ServerId server = kInvalidServer;
-    int delta = 0;
   };
 
   struct ActiveJob {
@@ -209,8 +181,13 @@ class SchedulingSimulation {
       return;
     }
     defer_curve_slot_ = now_slot;
+    // DeferralDelaySeconds never reads past the horizon, so the curve stops
+    // there; bounded in floating point before narrowing to int.
+    const double slots_to_horizon =
+        std::floor(options_.horizon_seconds / kSlotSeconds) - static_cast<double>(now_slot) + 1.0;
     const int window_slots = std::max(
-        1, static_cast<int>(options_.defer_window_hours * 3600.0 / kSlotSeconds));
+        1, static_cast<int>(std::min(options_.defer_window_hours * 3600.0 / kSlotSeconds,
+                                     slots_to_horizon)));
     defer_curve_.assign(static_cast<size_t>(window_slots) + 1, 0.0);
     const FleetTable& table = rm_.fleet_table();
     const int64_t day_ago = now_slot - static_cast<int64_t>(kSlotsPerDay);
@@ -349,7 +326,7 @@ class SchedulingSimulation {
         // whose whole window is dark at peak -1, which the selector already
         // treats as "no usable history" -- the same graceful fallback as a
         // trace-less class. Clamp mirrors ForecastSampleAt's convention.
-        if (options_.faults != nullptr && options_.forecast_fallback &&
+        if (options_.faults != nullptr &&
             options_.faults->InBlackout(
                 static_cast<double>(std::max<int64_t>(0, start_slot + i)) *
                 kSlotSeconds)) {
@@ -606,25 +583,17 @@ class SchedulingSimulation {
     }
   }
 
-  // Applies every fault transition due by `now` (tick granularity: the
+  // Applies every server transition due by `now` (tick granularity: the
   // coarsened NM-heartbeat cadence at which the RM would observe a lost
   // server in the real system). Containers on a failing server are evicted
   // and returned to their AMs exactly like reserve kills -- same accounting
   // path -- except they are attributed to fault_evictions, not to the
   // pattern / class kill diagnostics the ranking-weight ablation reads.
   void ProcessFaultTransitions(double now) {
-    while (fault_cursor_ < fault_transitions_.size() &&
-           fault_transitions_[fault_cursor_].time <= now) {
-      const FaultTransition& transition = fault_transitions_[fault_cursor_++];
-      const size_t i = static_cast<size_t>(transition.server);
-      const int before = server_down_depth_[i];
-      server_down_depth_[i] = before + transition.delta;
-      const bool was_down = before > 0;
-      const bool is_down = server_down_depth_[i] > 0;
-      if (was_down == is_down) {
-        continue;  // nested interval; the outer one already holds the server
-      }
-      std::vector<Container> evicted = rm_.SetServerDown(transition.server, is_down);
+    const std::vector<FaultTransition>& transitions = options_.faults->server_transitions;
+    while (fault_cursor_ < transitions.size() && transitions[fault_cursor_].time <= now) {
+      const FaultTransition& transition = transitions[fault_cursor_++];
+      std::vector<Container> evicted = rm_.SetServerDown(transition.id, transition.begins);
       for (const Container& container : evicted) {
         auto it = running_.find(container.id);
         if (it == running_.end()) {
@@ -648,15 +617,14 @@ class SchedulingSimulation {
     const double now = queue_.now();
     // Fault transitions land first: a server that died during the elapsed
     // interval is gone before reserves are enforced or retries placed on it.
-    if (!fault_transitions_.empty()) {
+    if (options_.faults != nullptr) {
       ProcessFaultTransitions(now);
     }
     // Telemetry-blackout degradation: when the day-ago window RM-H placement
     // reads (ForecastStartSlot .. +2*kMinForecastWindowSeconds, the long-job
     // horizon) overlaps a blackout, history weighting is suspended and H
     // places on live availability only -- Algorithm 1's graceful fallback.
-    if (options_.faults != nullptr && options_.forecast_fallback &&
-        options_.mode == SchedulerMode::kHistory) {
+    if (options_.faults != nullptr && options_.mode == SchedulerMode::kHistory) {
       const double window_start =
           now - static_cast<double>(kSlotsPerDay) * kSlotSeconds;
       const bool degraded = options_.faults->OverlapsBlackout(
@@ -829,11 +797,8 @@ class SchedulingSimulation {
   int64_t defer_curve_slot_ = std::numeric_limits<int64_t>::min();
   int64_t deferred_jobs_ = 0;
   double deferred_seconds_ = 0.0;
-  // Fault subsystem: server down-interval edges in time order, a per-server
-  // nesting depth (overlapping intervals compose), and the cursor of the
-  // next unapplied edge. Empty in fault-free runs.
-  std::vector<FaultTransition> fault_transitions_;
-  std::vector<int> server_down_depth_;
+  // Fault subsystem: the next unapplied entry of the timeline's
+  // server_transitions.
   size_t fault_cursor_ = 0;
   int64_t fault_evictions_ = 0;
   double forecast_degraded_seconds_ = 0.0;

@@ -20,6 +20,7 @@
 #include "src/jobs/workload.h"
 #include "src/latency/service_model.h"
 #include "src/power/energy_accountant.h"
+#include "src/power/price_curve.h"
 #include "src/scheduler/resource_manager.h"
 #include "src/storage/name_node.h"
 
@@ -63,8 +64,8 @@ struct SchedulingSimOptions {
   // Energy / cost accounting riding the tick cadence. Off by default: no
   // accountant is built and no energy block is reported.
   bool power_accounting = false;
-  // PriceCurve knob text ("" = the default flat:0.10); see price_curve.h.
-  std::string energy_price;
+  // Electricity price curve (default flat:0.10); see price_curve.h.
+  PriceCurve energy_price;
   // Per-DC time-zone shift: this DC's price peak moves later by
   // dc_index * price_phase_hours.
   int dc_index = 0;
@@ -84,13 +85,10 @@ struct SchedulingSimOptions {
   // Compiled fault timeline, or nullptr for a fault-free run (the default:
   // every existing scenario is byte-identical). Not owned; must outlive the
   // simulation. Server down intervals evict containers and zero the server's
-  // availability; telemetry blackouts hide day-ago history windows.
+  // availability. While the day-ago forecast window overlaps a telemetry
+  // blackout, RM-H drops history weighting and places on live availability
+  // only (and class forecasts skip blacked-out samples).
   const FaultTimeline* faults = nullptr;
-  // Graceful degradation: while the day-ago forecast window overlaps a
-  // telemetry blackout, RM-H drops history weighting and places on live
-  // availability only (and class forecasts skip blacked-out samples).
-  // Disable to measure how H behaves when it trusts missing history.
-  bool forecast_fallback = true;
   uint64_t seed = 1;
 };
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <tuple>
+#include <span>
 
 #include "src/util/rng.h"
 
@@ -159,40 +159,17 @@ StorageCosimResult RunStorageCosim(const Cluster& cluster, const StorageTimeline
   }
   const uint64_t live_blocks = static_cast<uint64_t>(name_node.num_blocks());
 
-  // ToR partition edges in time order: +1 enters a partition, -1 leaves it.
-  // A per-rack depth counter composes overlapping intervals.
-  struct RackTransition {
-    double time = 0.0;
-    RackId rack = 0;
-    int delta = 0;
-  };
-  std::vector<RackTransition> partition_edges;
-  std::vector<int> rack_depth;
-  if (options.faults != nullptr && !options.faults->partitions.empty()) {
-    RackId max_rack = 0;
-    for (const RackPartitionInterval& partition : options.faults->partitions) {
-      partition_edges.push_back({partition.start, partition.rack, +1});
-      partition_edges.push_back({partition.end, partition.rack, -1});
-      max_rack = std::max(max_rack, partition.rack);
-    }
-    std::sort(partition_edges.begin(), partition_edges.end(),
-              [](const RackTransition& a, const RackTransition& b) {
-                return std::tie(a.time, a.rack, a.delta) <
-                       std::tie(b.time, b.rack, b.delta);
-              });
-    rack_depth.assign(static_cast<size_t>(max_rack) + 1, 0);
+  // The timeline's merged ToR partition flips, applied as they come due.
+  std::span<const FaultTransition> partition_flips;
+  if (options.faults != nullptr) {
+    partition_flips = options.faults->rack_transitions;
   }
   size_t partition_cursor = 0;
   auto apply_partitions_through = [&](double now) {
-    while (partition_cursor < partition_edges.size() &&
-           partition_edges[partition_cursor].time <= now) {
-      const RackTransition& edge = partition_edges[partition_cursor++];
-      int& depth = rack_depth[static_cast<size_t>(edge.rack)];
-      const bool was = depth > 0;
-      depth += edge.delta;
-      if (was != (depth > 0)) {
-        name_node.SetRackPartitioned(edge.rack, depth > 0, edge.time);
-      }
+    while (partition_cursor < partition_flips.size() &&
+           partition_flips[partition_cursor].time <= now) {
+      const FaultTransition& flip = partition_flips[partition_cursor++];
+      name_node.SetRackPartitioned(flip.id, flip.begins, flip.time);
     }
   };
 

@@ -1,49 +1,17 @@
 #include "src/fault/fault_plan.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string_view>
+#include <tuple>
 
 #include "src/util/edit_distance.h"
+#include "src/util/parse.h"
 #include "src/util/rng.h"
 
 namespace harvest {
 namespace {
-
-bool Fail(std::string* error, std::string message) {
-  if (error != nullptr) {
-    *error = std::move(message);
-  }
-  return false;
-}
-
-bool ParseNumber(std::string_view text, double* out, std::string* error) {
-  std::string buffer(text);
-  char* end = nullptr;
-  errno = 0;
-  double value = std::strtod(buffer.c_str(), &end);
-  if (buffer.empty() || end != buffer.c_str() + buffer.size() || errno == ERANGE ||
-      !std::isfinite(value)) {
-    return Fail(error, "expected a finite number, got '" + buffer + "'");
-  }
-  *out = value;
-  return true;
-}
-
-std::vector<std::string_view> Split(std::string_view text, char sep) {
-  std::vector<std::string_view> items;
-  while (true) {
-    size_t pos = text.find(sep);
-    items.push_back(text.substr(0, pos));
-    if (pos == std::string_view::npos) {
-      return items;
-    }
-    text.remove_prefix(pos + 1);
-  }
-}
 
 // %g keeps canonical forms short and round-trippable here: both sides of any
 // comparison go through parse -> canonical, so formatting precision cancels.
@@ -53,12 +21,44 @@ std::string FormatNumber(double value) {
   return buffer;
 }
 
+// The state flips of a set of [start, end) intervals keyed by `id`: edges
+// sorted by (time, id, leave before enter) and depth-counted per id, keeping
+// only the edges that change an id's state.
+template <typename Interval>
+std::vector<FaultTransition> MergedTransitions(const std::vector<Interval>& intervals,
+                                               int32_t Interval::*id) {
+  struct Edge {
+    double time;
+    int32_t id;
+    int delta;  // +1 enters an interval, -1 leaves one
+  };
+  std::vector<Edge> edges;
+  edges.reserve(intervals.size() * 2);
+  int32_t max_id = -1;
+  for (const Interval& interval : intervals) {
+    edges.push_back({interval.start, interval.*id, +1});
+    edges.push_back({interval.end, interval.*id, -1});
+    max_id = std::max(max_id, interval.*id);
+  }
+  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+    return std::tie(a.time, a.id, a.delta) < std::tie(b.time, b.id, b.delta);
+  });
+  std::vector<int> depth(static_cast<size_t>(max_id + 1), 0);
+  std::vector<FaultTransition> transitions;
+  for (const Edge& edge : edges) {
+    int& count = depth[static_cast<size_t>(edge.id)];
+    const bool was_in = count > 0;
+    count += edge.delta;
+    if (was_in != (count > 0)) {
+      transitions.push_back({edge.time, edge.id, count > 0});
+    }
+  }
+  return transitions;
+}
+
 bool ParseSpec(std::string_view text, FaultSpec* spec, std::string* error) {
-  size_t colon = text.find(':');
+  const size_t colon = text.find(':');
   const std::string_view name = text.substr(0, colon);
-  const std::vector<std::string_view> args =
-      colon == std::string_view::npos ? std::vector<std::string_view>{}
-                                      : Split(text.substr(colon + 1), ',');
 
   const FaultGrammarEntry* entry = nullptr;
   for (const FaultGrammarEntry& candidate : FaultGrammar()) {
@@ -75,80 +75,60 @@ bool ParseSpec(std::string_view text, FaultSpec* spec, std::string* error) {
     return Fail(error, message + " (see harvest_sim --list-faults)");
   }
 
-  auto arg_count_error = [&](size_t want) {
-    return Fail(error, std::string(name) + " takes " + std::to_string(want) +
-                           " args: " + entry->syntax);
-  };
-  auto number = [&](size_t i, double* out) {
-    std::string detail;
-    if (!ParseNumber(args[i], out, &detail)) {
-      return Fail(error, std::string(name) + " arg " + std::to_string(i + 1) + ": " + detail);
-    }
-    return true;
-  };
-
-  double start = 0.0;
-  double duration = 0.0;
+  std::vector<double> args;
+  std::string detail;
+  if (colon != std::string_view::npos &&
+      !ParseDoubleList(text.substr(colon + 1), &args, &detail)) {
+    return Fail(error, std::string(name) + ": " + detail);
+  }
   spec->kind = name == "rack_outage"          ? FaultKind::kRackOutage
                : name == "dc_outage"          ? FaultKind::kDcOutage
                : name == "tor_partition"      ? FaultKind::kTorPartition
                : name == "telemetry_blackout" ? FaultKind::kTelemetryBlackout
                                               : FaultKind::kReimageWave;
+  const size_t want =
+      spec->kind == FaultKind::kDcOutage || spec->kind == FaultKind::kTelemetryBlackout ? 2 : 3;
+  if (args.size() != want) {
+    return Fail(error, std::string(name) + " takes " + std::to_string(want) +
+                           " args: " + entry->syntax);
+  }
+
+  double duration = 0.0;
   switch (spec->kind) {
     case FaultKind::kRackOutage:
     case FaultKind::kTorPartition: {
-      if (args.size() != 3) {
-        return arg_count_error(3);
-      }
-      double rack = 0.0;
-      if (!number(0, &start) || !number(1, &rack) || !number(2, &duration)) {
-        return false;
-      }
       // 2^63 and up does not fit the int64 rack id (the cast would be
       // undefined, and a wrapped negative rack indexes out of bounds).
+      const double rack = args[1];
       if (rack < 0.0 || rack != std::floor(rack) || rack >= 0x1p63) {
         return Fail(error, std::string(name) + ": rack must be a non-negative integer below 2^63");
       }
       spec->rack = static_cast<int64_t>(rack);
+      duration = args[2];
       break;
     }
     case FaultKind::kDcOutage:
-    case FaultKind::kTelemetryBlackout: {
-      if (args.size() != 2) {
-        return arg_count_error(2);
-      }
-      if (!number(0, &start) || !number(1, &duration)) {
-        return false;
-      }
+    case FaultKind::kTelemetryBlackout:
+      duration = args[1];
       break;
-    }
-    case FaultKind::kReimageWave: {
-      if (args.size() != 3) {
-        return arg_count_error(3);
-      }
-      double fraction = 0.0;
-      double spread = 0.0;
-      if (!number(0, &start) || !number(1, &fraction) || !number(2, &spread)) {
-        return false;
-      }
-      if (fraction < 0.0 || fraction > 1.0) {
+    case FaultKind::kReimageWave:
+      if (args[1] < 0.0 || args[1] > 1.0) {
         return Fail(error, "reimage_wave: fraction must be in [0, 1]");
       }
-      if (spread < 0.0) {
+      if (args[2] < 0.0) {
         return Fail(error, "reimage_wave: spread must be >= 0");
       }
-      spec->fraction = fraction;
-      spec->spread_seconds = spread;
+      spec->fraction = args[1];
+      spec->spread_seconds = args[2];
       break;
-    }
   }
-  if (start < 0.0) {
+  if (args[0] < 0.0) {
     return Fail(error, std::string(name) + ": start must be >= 0");
   }
   if (spec->kind != FaultKind::kReimageWave && duration <= 0.0) {
     return Fail(error, std::string(name) + ": duration must be > 0");
   }
-  spec->start_seconds = start;
+  spec->start_seconds = args[0];
   spec->duration_seconds = duration;
   return true;
 }
@@ -192,21 +172,22 @@ const std::vector<FaultGrammarEntry>& FaultGrammar() {
   return *grammar;
 }
 
-bool ParseFaultPlan(const std::string& text, FaultPlan* plan, std::string* error) {
-  plan->specs.clear();
-  if (text.empty() || text == "none") {
-    return true;
-  }
-  for (std::string_view part : Split(text, '+')) {
-    if (part.empty()) {
+bool ParseFaultPlan(std::string_view text, FaultPlan* plan, std::string* error) {
+  FaultPlan parsed;
+  if (!text.empty() && text != "none") {
+    std::vector<std::string_view> parts;
+    if (!SplitList(text, &parts, nullptr, '+')) {
       return Fail(error, "fault plan has an empty spec (stray '+')");
     }
-    FaultSpec spec;
-    if (!ParseSpec(part, &spec, error)) {
-      return false;
+    for (std::string_view part : parts) {
+      FaultSpec spec;
+      if (!ParseSpec(part, &spec, error)) {
+        return false;
+      }
+      parsed.specs.push_back(spec);
     }
-    plan->specs.push_back(spec);
   }
+  *plan = std::move(parsed);
   return true;
 }
 
@@ -245,11 +226,16 @@ std::string CanonicalFaultPlan(const FaultPlan& plan) {
 }
 
 double FaultTimeline::UnavailabilityServerSeconds(double horizon) const {
+  // The integral of the down-server count, so a server inside several
+  // intervals at once counts once.
   double total = 0.0;
-  for (const ServerDownInterval& interval : down) {
-    const double start = std::min(interval.start, horizon);
-    const double end = std::min(interval.end, horizon);
-    total += end - start;
+  double last = 0.0;
+  int64_t servers_down = 0;
+  for (const FaultTransition& transition : server_transitions) {
+    const double time = std::min(transition.time, horizon);
+    total += static_cast<double>(servers_down) * (time - last);
+    last = time;
+    servers_down += transition.begins ? 1 : -1;
   }
   return total;
 }
@@ -270,7 +256,6 @@ FaultTimeline CompileFaultPlan(const FaultPlan& plan, const Cluster& cluster,
   for (const Server& server : cluster.servers()) {
     num_racks = std::max(num_racks, static_cast<int>(server.rack) + 1);
   }
-  timeline.num_racks = num_racks;
 
   // One stream for the whole plan, consumed in spec order: adding a spec
   // shifts later specs' draws but never depends on threading or shards.
@@ -352,6 +337,9 @@ FaultTimeline CompileFaultPlan(const FaultPlan& plan, const Cluster& cluster,
               }
               return a.server < b.server;
             });
+  timeline.server_transitions = MergedTransitions(timeline.down, &ServerDownInterval::server);
+  timeline.rack_transitions =
+      MergedTransitions(timeline.partitions, &RackPartitionInterval::rack);
   return timeline;
 }
 

@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/cluster/cluster.h"
@@ -68,10 +69,11 @@ struct FaultGrammarEntry {
 };
 const std::vector<FaultGrammarEntry>& FaultGrammar();
 
-// Parses "kind:a,b,c+kind:a,b" into a plan. Empty text parses to an empty
-// plan. On failure returns false and fills *error (with a did-you-mean
-// suggestion for a mistyped kind).
-bool ParseFaultPlan(const std::string& text, FaultPlan* plan, std::string* error);
+// Parses "kind:a,b,c+kind:a,b" into a plan, numbers and lists under the
+// rule of src/util/parse.h. Empty text and "none" parse to an empty plan. On
+// failure returns false, fills *error (with a did-you-mean suggestion for a
+// mistyped kind) and leaves *plan untouched.
+bool ParseFaultPlan(std::string_view text, FaultPlan* plan, std::string* error);
 
 // Canonical textual form: parse(CanonicalFaultPlan(p)) == p, and two plans
 // are equivalent iff their canonical forms match (used by the trace-manifest
@@ -111,19 +113,34 @@ struct WaveReimage {
   ServerId server = kInvalidServer;
 };
 
+// One state flip of a server (down / back up) or of a rack's ToR partition
+// (on / off), merged over all of the plan's intervals: an id inside several
+// intervals at once flips once on entering the first and once on leaving the
+// last. Sorted by (time, id), a recovery before a failure at the same
+// instant, so abutting intervals flip up and straight back down.
+struct FaultTransition {
+  double time = 0.0;
+  int32_t id = 0;       // ServerId or RackId
+  bool begins = false;  // goes down / partition starts
+};
+
 struct FaultTimeline {
   std::vector<FaultEvent> events;           // spec order
   std::vector<ServerDownInterval> down;     // sorted by (start, server)
   std::vector<RackPartitionInterval> partitions;
   std::vector<BlackoutInterval> blackouts;
   std::vector<WaveReimage> wave_reimages;   // sorted by (time, server)
-  int num_racks = 0;
+  // The merged flips of `down` and of `partitions`, which the scheduling
+  // simulation and the storage replay apply as they come due.
+  std::vector<FaultTransition> server_transitions;
+  std::vector<FaultTransition> rack_transitions;
 
   bool empty() const {
     return down.empty() && partitions.empty() && blackouts.empty() &&
            wave_reimages.empty();
   }
-  // Total server-seconds of injected unavailability within [0, horizon).
+  // Server-seconds of injected unavailability within [0, horizon), each
+  // server counted once however many intervals hold it.
   double UnavailabilityServerSeconds(double horizon) const;
   // True when [start, end) intersects any blackout interval.
   bool OverlapsBlackout(double start, double end) const;

@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <vector>
+
+#include "src/util/parse.h"
 
 namespace harvest {
 namespace {
@@ -10,23 +12,9 @@ namespace {
 constexpr double kDaySeconds = 24.0 * 3600.0;
 constexpr double kTwoPi = 6.283185307179586476925286766559;
 
-// Strict double parse of one comma/colon field.
-bool ParseField(std::string_view text, double* value) {
-  std::string buffer(text);
-  char* end = nullptr;
-  *value = std::strtod(buffer.c_str(), &end);
-  return end != buffer.c_str() && *end == '\0' && std::isfinite(*value);
-}
-
 }  // namespace
 
 bool PriceCurve::Parse(std::string_view text, PriceCurve* curve, std::string* error) {
-  auto fail = [error](const std::string& message) {
-    if (error != nullptr) {
-      *error = message;
-    }
-    return false;
-  };
   PriceCurve parsed;
   if (text.empty()) {
     *curve = parsed;
@@ -34,38 +22,38 @@ bool PriceCurve::Parse(std::string_view text, PriceCurve* curve, std::string* er
   }
   const size_t colon = text.find(':');
   const std::string_view kind = text.substr(0, colon);
-  const std::string_view rest = colon == std::string_view::npos ? std::string_view() : text.substr(colon + 1);
+  std::vector<double> fields;
+  std::string detail;
+  const bool numbers = colon != std::string_view::npos &&
+                       ParseDoubleList(text.substr(colon + 1), &fields, &detail);
+  const std::string why = detail.empty() ? "" : " (" + detail + ")";
   if (kind == "flat") {
-    double price = 0.0;
-    if (!ParseField(rest, &price) || price <= 0.0) {
-      return fail("energy_price: expected flat:<dollars_per_kwh> with a positive price");
+    if (!numbers || fields.size() != 1 || fields[0] <= 0.0) {
+      return Fail(error,
+                  "energy_price: expected flat:<dollars_per_kwh> with a positive price" + why);
     }
-    parsed.base_ = price;
+    parsed.base_ = fields[0];
     parsed.amplitude_ = 0.0;
   } else if (kind == "diurnal") {
-    const size_t c1 = rest.find(',');
-    const size_t c2 = c1 == std::string_view::npos ? std::string_view::npos : rest.find(',', c1 + 1);
-    double base = 0.0;
-    double amplitude = 0.0;
-    double peak_hour = 0.0;
-    if (c2 == std::string_view::npos || !ParseField(rest.substr(0, c1), &base) ||
-        !ParseField(rest.substr(c1 + 1, c2 - c1 - 1), &amplitude) ||
-        !ParseField(rest.substr(c2 + 1), &peak_hour)) {
-      return fail("energy_price: expected diurnal:<base>,<amplitude>,<peak_hour>");
+    if (!numbers || fields.size() != 3) {
+      return Fail(error, "energy_price: expected diurnal:<base>,<amplitude>,<peak_hour>" + why);
     }
+    const double base = fields[0];
+    const double amplitude = fields[1];
+    const double peak_hour = fields[2];
     if (base <= 0.0 || amplitude < 0.0 || amplitude > base) {
-      return fail("energy_price: need base > 0 and 0 <= amplitude <= base "
-                  "(the spot price must stay positive)");
+      return Fail(error, "energy_price: need base > 0 and 0 <= amplitude <= base "
+                         "(the spot price must stay positive)");
     }
     if (peak_hour < 0.0 || peak_hour >= 24.0) {
-      return fail("energy_price: peak_hour must be in [0, 24)");
+      return Fail(error, "energy_price: peak_hour must be in [0, 24)");
     }
     parsed.base_ = base;
     parsed.amplitude_ = amplitude;
     parsed.peak_seconds_ = peak_hour * 3600.0;
   } else {
-    return fail("energy_price: unknown curve kind '" + std::string(kind) +
-                "' (use flat:... or diurnal:...)");
+    return Fail(error, "energy_price: unknown curve kind '" + std::string(kind) +
+                           "' (use flat:... or diurnal:...)");
   }
   *curve = parsed;
   return true;

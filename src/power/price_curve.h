@@ -26,8 +26,9 @@ class PriceCurve {
   // Defaults to flat:0.10 (the knob's documented default).
   PriceCurve() = default;
 
-  // Parses the knob text. Empty text yields the default flat curve. On
-  // failure returns false and fills `error`; `curve` is untouched.
+  // Parses the knob text, numbers and lists under the rule of
+  // src/util/parse.h. Empty text yields the default flat curve. On failure
+  // returns false and fills `error`; `curve` is untouched.
   static bool Parse(std::string_view text, PriceCurve* curve, std::string* error);
 
   // Moves the peak `seconds` later (per-DC time-zone shift). No-op for flat.

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "src/signal/pattern.h"
+#include "src/util/parse.h"
 
 namespace harvest {
 namespace {
@@ -127,13 +128,6 @@ class Reader {
 // UtilizationTrace clamps samples into [0, 1], but a NaN passes the clamp.
 bool HasNaN(const std::vector<double>& samples) {
   return std::any_of(samples.begin(), samples.end(), [](double u) { return std::isnan(u); });
-}
-
-bool Fail(std::string* error, std::string message) {
-  if (error != nullptr) {
-    *error = std::move(message);
-  }
-  return false;
 }
 
 }  // namespace

@@ -229,6 +229,23 @@ TEST(ScenarioOverrideTest, UnknownKeyAndMalformedValueAreUsageErrors) {
   EXPECT_NE(error.find("cores"), std::string::npos) << error;
   EXPECT_FALSE(ApplyScenarioOverride(config, "server_shapes", "12x4294967296@1", &error));
   EXPECT_NE(error.find("memory"), std::string::npos) << error;
+  // One number rule on every surface: a subnormal underflow is out of range.
+  EXPECT_FALSE(ApplyScenarioOverride(config, "park_threshold", "1e-320", &error));
+  EXPECT_NE(error.find("out of range"), std::string::npos) << error;
+  // One list rule: an empty item anywhere is an error, a trailing one too.
+  EXPECT_FALSE(ApplyScenarioOverride(config, "replications", "3,4,", &error));
+  EXPECT_NE(error.find("empty item"), std::string::npos) << error;
+  EXPECT_FALSE(ApplyScenarioOverride(config, "datacenters", "DC-1,", &error));
+  // A shift of 24 hours or more is a shift of h mod 24, and a huge one
+  // would overflow the shift to infinity (a NaN price).
+  EXPECT_FALSE(ApplyScenarioOverride(config, "price_phase_hours", "24", &error));
+  EXPECT_FALSE(ApplyScenarioOverride(config, "price_phase_hours", "1e305", &error));
+  // A value that fails to parse leaves the config untouched.
+  ASSERT_TRUE(ApplyScenarioOverride(config, "fault_plan", "rack_outage:7200,1,7200", &error))
+      << error;
+  EXPECT_FALSE(
+      ApplyScenarioOverride(config, "fault_plan", "dc_outage:100,50+rack_outage:1,2,", &error));
+  EXPECT_EQ(CanonicalFaultPlan(config.fault_plan), "rack_outage:7200,1,7200");
 }
 
 TEST(ScenarioOverrideTest, UnknownKeyAndBadValueAreDistinctStatuses) {
@@ -627,6 +644,28 @@ TEST(DriverPipelineTest, AccessRateInjectsReadsIntoTheDurabilityTimeline) {
   EXPECT_NE(run.json.find("\"accesses\""), std::string::npos);
 }
 
+// The deferral curve stops at the horizon, so a window reaching past it
+// defers exactly like one that ends there. A window of 1e9 hours is past
+// int range in slots, so the curve must be bounded before the int cast.
+TEST(DriverPipelineTest, DeferralWindowPastTheHorizonMatchesOneEndingThere) {
+  ScenarioRunOptions options;
+  options.seed = 42;
+  options.scale = 0.05;
+  std::string json[2];
+  const char* windows[2] = {"8", "1e9"};  // power_cap's horizon is 8 hours
+  for (int i = 0; i < 2; ++i) {
+    ScenarioConfig config = *FindScenario("power_cap");
+    std::string error;
+    ASSERT_TRUE(ApplyScenarioOverride(config, "defer_window_hours", windows[i], &error))
+        << error;
+    ScenarioRunResult run = RunScenario(config, options);
+    ASSERT_EQ(run.result.datacenters.size(), 1u);
+    EXPECT_GT(run.result.datacenters[0].power.history.deferred_jobs, 0) << windows[i];
+    json[i] = run.json;
+  }
+  EXPECT_EQ(json[0], json[1]);
+}
+
 // --- Trace export / replay ------------------------------------------------
 
 std::string FreshTempDir(const char* tag) {
@@ -737,7 +776,9 @@ TEST(TraceReplayTest, ValidateScenarioRejectsBadReplayConfigs) {
 TEST(TraceReplayTest, ReplayRejectsMismatchedFaultPlan) {
   const std::string dir = FreshTempDir("faultplan");
   ScenarioConfig config = *FindScenario("reimage_storm");
-  config.fault_plan = "telemetry_blackout:100,200";
+  std::string error;
+  ASSERT_TRUE(ApplyScenarioOverride(config, "fault_plan", "telemetry_blackout:100,200", &error))
+      << error;
   ScenarioRunOptions options;
   options.seed = 17;
   options.scale = 0.05;
@@ -756,13 +797,16 @@ TEST(TraceReplayTest, ReplayRejectsMismatchedFaultPlan) {
   replay.trace_dir = dir;
   EXPECT_EQ(ValidateScenario(replay), "");  // same plan: accepted
   // Same plan, different spelling: the comparison is canonical, not textual.
-  replay.fault_plan = "telemetry_blackout:100.0,0200";
+  ASSERT_TRUE(
+      ApplyScenarioOverride(replay, "fault_plan", "telemetry_blackout:100.0,0200", &error))
+      << error;
   EXPECT_EQ(ValidateScenario(replay), "");
-  replay.fault_plan = "telemetry_blackout:100,300";
-  std::string error = ValidateScenario(replay);
+  ASSERT_TRUE(ApplyScenarioOverride(replay, "fault_plan", "telemetry_blackout:100,300", &error))
+      << error;
+  error = ValidateScenario(replay);
   EXPECT_NE(error.find("fault_plan mismatch"), std::string::npos) << error;
   EXPECT_NE(error.find("telemetry_blackout:100,200"), std::string::npos) << error;
-  replay.fault_plan.clear();
+  replay.fault_plan = FaultPlan{};
   error = ValidateScenario(replay);
   EXPECT_NE(error.find("fault_plan mismatch"), std::string::npos) << error;
   std::filesystem::remove_all(dir);
@@ -770,7 +814,7 @@ TEST(TraceReplayTest, ReplayRejectsMismatchedFaultPlan) {
   // Manifests written before the fault subsystem have no fault_plan line;
   // they read as "none", so faulted replays of legacy captures are rejected.
   ScenarioConfig legacy = *FindScenario("replay_regression");
-  legacy.fault_plan = "dc_outage:10,20";
+  ASSERT_TRUE(ApplyScenarioOverride(legacy, "fault_plan", "dc_outage:10,20", &error)) << error;
   error = ValidateScenario(legacy);
   EXPECT_NE(error.find("fault_plan mismatch"), std::string::npos) << error;
 }

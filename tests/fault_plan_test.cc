@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/cluster/datacenter.h"
 #include "src/util/rng.h"
@@ -90,6 +91,9 @@ TEST(FaultPlanTest, RejectsMalformedSpecs) {
       "rack_outage:100,1e30,100",       // rack does not fit int64
       "tor_partition:100,9.3e18,100",   // rack just above int64's range
       "tor_partition:100,9223372036854775808,100",  // rack == 2^63
+      "rack_outage:1e-320,1,100",       // subnormal underflow
+      "rack_outage:7200,1,7200,",       // trailing comma
+      "rack_outage:7200,1,7200+",       // empty spec after '+'
   };
   for (const char* text : bad) {
     FaultPlan plan;
@@ -138,13 +142,75 @@ TEST(FaultPlanTest, RackOutageCompilesToPerServerDownIntervals) {
   }
   ASSERT_EQ(timeline.events.size(), 1u);
   EXPECT_EQ(timeline.events[0].servers_affected, in_rack);
-  EXPECT_EQ(timeline.num_racks, NumRacks(cluster));
   // 1 rack x in_rack servers x 3600 seconds, clipped at a later horizon.
   EXPECT_DOUBLE_EQ(timeline.UnavailabilityServerSeconds(86400.0),
                    static_cast<double>(in_rack) * 3600.0);
   // Clipping: horizon inside the interval counts only the elapsed part.
   EXPECT_DOUBLE_EQ(timeline.UnavailabilityServerSeconds(9000.0),
                    static_cast<double>(in_rack) * 1800.0);
+}
+
+FaultTimeline Compile(const std::string& text, const Cluster& cluster) {
+  FaultPlan plan;
+  std::string error;
+  EXPECT_TRUE(ParseFaultPlan(text, &plan, &error)) << text << ": " << error;
+  return CompileFaultPlan(plan, cluster, 5);
+}
+
+// A server inside several outages at once is down once: its merged
+// transitions flip it once each way, and unavailability counts it once.
+TEST(FaultPlanTest, NestedOutagesCountEachServerOnce) {
+  Cluster cluster = SmallTestbed(1);
+  const size_t fleet = cluster.num_servers();
+
+  // A rack outage inside a DC outage: the whole fleet for 7200 s.
+  const FaultTimeline nested =
+      Compile("dc_outage:3600,7200+rack_outage:7200,1,3600", cluster);
+  EXPECT_DOUBLE_EQ(nested.UnavailabilityServerSeconds(86400.0),
+                   static_cast<double>(fleet) * 7200.0);
+  ASSERT_EQ(nested.server_transitions.size(), 2 * fleet);
+  for (const FaultTransition& transition : nested.server_transitions) {
+    EXPECT_DOUBLE_EQ(transition.time, transition.begins ? 3600.0 : 10800.0);
+  }
+
+  // The same rack outage twice is that outage once.
+  const FaultTimeline once = Compile("rack_outage:7200,1,3600", cluster);
+  const FaultTimeline twice = Compile("rack_outage:7200,1,3600+rack_outage:7200,1,3600", cluster);
+  EXPECT_DOUBLE_EQ(twice.UnavailabilityServerSeconds(86400.0),
+                   once.UnavailabilityServerSeconds(86400.0));
+  ASSERT_EQ(twice.server_transitions.size(), once.server_transitions.size());
+  for (size_t i = 0; i < once.server_transitions.size(); ++i) {
+    EXPECT_EQ(twice.server_transitions[i].id, once.server_transitions[i].id);
+    EXPECT_EQ(twice.server_transitions[i].begins, once.server_transitions[i].begins);
+  }
+
+  // Nested partitions of one rack flip it once each way.
+  const FaultTimeline partitions =
+      Compile("tor_partition:100,2,300+tor_partition:200,2,100", cluster);
+  ASSERT_EQ(partitions.rack_transitions.size(), 2u);
+  EXPECT_TRUE(partitions.rack_transitions[0].begins);
+  EXPECT_DOUBLE_EQ(partitions.rack_transitions[0].time, 100.0);
+  EXPECT_FALSE(partitions.rack_transitions[1].begins);
+  EXPECT_DOUBLE_EQ(partitions.rack_transitions[1].time, 400.0);
+}
+
+// Abutting outages: at the shared instant each server comes back up and goes
+// straight back down, transitions in (time, server) order.
+TEST(FaultPlanTest, AbuttingOutagesRecoverBeforeFailingAgain) {
+  Cluster cluster = SmallTestbed(1);
+  const FaultTimeline timeline =
+      Compile("rack_outage:100,1,100+rack_outage:200,1,100", cluster);
+  const std::vector<FaultTransition>& transitions = timeline.server_transitions;
+  ASSERT_EQ(transitions.size(), 2 * timeline.down.size());
+  for (size_t i = 1; i < transitions.size(); ++i) {
+    const FaultTransition& prev = transitions[i - 1];
+    const FaultTransition& cur = transitions[i];
+    EXPECT_TRUE(prev.time < cur.time || (prev.time == cur.time && prev.id < cur.id) ||
+                (prev.time == cur.time && prev.id == cur.id && !prev.begins && cur.begins))
+        << "transition " << i;
+  }
+  EXPECT_DOUBLE_EQ(timeline.UnavailabilityServerSeconds(86400.0),
+                   static_cast<double>(timeline.down.size()) * 100.0);
 }
 
 TEST(FaultPlanTest, RackIndexWrapsModuloFleetRackCount) {

@@ -51,6 +51,37 @@ PriceCurve DiurnalPrice() {
   return price;
 }
 
+TEST(PriceCurveTest, ParsesBothKindsAndRejectsMalformedText) {
+  for (const char* text : {"flat:0.12", "diurnal:0.08,0.05,18"}) {
+    PriceCurve curve;
+    std::string error;
+    ASSERT_TRUE(PriceCurve::Parse(text, &curve, &error)) << text << ": " << error;
+    EXPECT_EQ(curve.ToString(), text);
+  }
+  const char* bad[] = {
+      "hourly:0.1",              // unknown kind
+      "flat:",                   // no price
+      "flat:0",                  // price not positive
+      "flat:1e-320",             // subnormal underflow
+      "diurnal:0.05,0.08,18",    // amplitude above the base
+      "diurnal:0.08,0.05,24",    // peak hour outside [0, 24)
+      "diurnal:0.08,0.05",       // two fields
+      "diurnal:0.08,0.05,18,3",  // four fields
+      "diurnal:0.08,0.05,18,",   // trailing comma
+  };
+  for (const char* text : bad) {
+    PriceCurve curve;
+    std::string error;
+    EXPECT_FALSE(PriceCurve::Parse(text, &curve, &error)) << text;
+    EXPECT_NE(error.find("energy_price"), std::string::npos) << text << ": " << error;
+    EXPECT_EQ(curve.ToString(), "flat:0.1") << text << " must leave the curve untouched";
+  }
+  PriceCurve curve;
+  std::string error;
+  EXPECT_FALSE(PriceCurve::Parse("flat:1e-320", &curve, &error));
+  EXPECT_NE(error.find("out of range"), std::string::npos) << error;
+}
+
 // The dense reference ledger: per-server reintegration of the same op
 // sequence, accumulating in the same expression order as the accountant so
 // equality is exact, not approximate.
@@ -351,7 +382,7 @@ TEST(PowerOracleTest, SimulationAccountsEnergyAndExercisesPolicies) {
   options.mean_interarrival_seconds = 240.0;
   options.seed = 9;
   options.power_accounting = true;
-  options.energy_price = "diurnal:0.08,0.05,18";
+  ASSERT_TRUE(PriceCurve::Parse("diurnal:0.08,0.05,18", &options.energy_price, nullptr));
   options.dc_index = 1;
   options.price_phase_hours = 8.0;
   options.rightsizing = true;

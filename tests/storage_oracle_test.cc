@@ -374,10 +374,7 @@ TEST(StorageCosimTest, TimelineHorizonCoversEveryEvent) {
   // behind another's, and timed alone (the fault stage's timeline) and
   // merged into the loaded one.
   for (const char* preset : {"rack_outage", "partition_heal_storm"}) {
-    FaultPlan plan;
-    std::string error;
-    ASSERT_TRUE(ParseFaultPlan(FindScenario(preset)->fault_plan, &plan, &error)) << error;
-    for (const FaultSpec& spec : plan.specs) {
+    for (const FaultSpec& spec : FindScenario(preset)->fault_plan.specs) {
       const FaultTimeline faults = CompileFaultPlan(FaultPlan{{spec}}, cluster, 42);
       for (const StorageTimelineOptions& options : {StorageTimelineOptions{}, loaded}) {
         ExpectEventsWithinHorizon(BuildStorageTimeline(cluster, options, &faults),
