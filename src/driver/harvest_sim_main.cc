@@ -187,6 +187,10 @@ int main(int argc, char** argv) {
       }
       options.dump_traces_dir = value;
     } else if (ParseOption(argc, argv, i, "--out", value)) {
+      if (value.empty()) {
+        std::fprintf(stderr, "harvest_sim: --out needs a file path, or '-' for stdout\n");
+        return 2;
+      }
       out_path = value;
     } else {
       std::fprintf(stderr, "harvest_sim: unknown argument '%s'\n\n", argv[i]);

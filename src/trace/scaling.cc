@@ -1,8 +1,10 @@
 #include "src/trace/scaling.h"
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -12,8 +14,8 @@ namespace harvest {
 
 namespace {
 
-// ScaledAverage passes a solve may make: what the 80 rounds of plain
-// bisection whose result it reproduces always spend.
+// Probes a solve may make: the passes that the 80 rounds of plain bisection
+// whose result it reproduces always spend.
 constexpr int kMaxEvaluations = 80;
 
 double ApplyScale(double u, ScalingMethod method, double parameter) {
@@ -78,8 +80,86 @@ UtilizationTrace ScaleTrace(const UtilizationTrace& trace, ScalingMethod method,
   return UtilizationTrace(std::move(scaled));
 }
 
+ScaledSumBounds::ScaledSumBounds(std::span<const UtilizationTrace* const> traces)
+    : counts_(kBins, 0) {
+  for (const UtilizationTrace* trace : traces) {
+    for (double u : trace->samples()) {
+      ++samples_;
+      if (u == 0.0) {
+        continue;  // scales to 0 under both methods, at every parameter
+      }
+      if (!(u > 0.0 && u <= 1.0)) {
+        counts_.clear();  // NaN (or outside [0, 1]): no bound holds
+        return;
+      }
+      // u * kBins is exact, so bin b holds exactly the u in [b, b + 1) / kBins,
+      // with 1 in the last bin.
+      ++counts_[std::min(static_cast<int>(u * kBins), kBins - 1)];
+    }
+  }
+}
+
+std::optional<double> ScaledSumBounds::SettledAverage(ScalingMethod method, double parameter,
+                                                      double target_average) const {
+  if (counts_.empty() || samples_ == 0) {
+    return std::nullopt;
+  }
+  // The widening below assumes plain IEEE double arithmetic, each operation
+  // rounded once to nearest.
+  static_assert(FLT_EVAL_METHOD == 0 && std::numeric_limits<double>::is_iec559);
+  // Scaling is monotone in the sample for both methods, so each sample of bin
+  // b scales to between the scaled edges b / kBins and (b + 1) / kBins, up to
+  // pow's own error. An edge shared by two bins is scaled once.
+  double low_sum = 0.0;
+  double high_sum = 0.0;
+  int cached_edge = -1;
+  double cached_value = 0.0;
+  auto scaled_edge = [&](int edge) {
+    if (edge != cached_edge) {
+      cached_edge = edge;
+      cached_value = ApplyScale(static_cast<double>(edge) / kBins, method, parameter);
+    }
+    return cached_value;
+  };
+  for (int b = 0; b < kBins; ++b) {
+    if (counts_[b] != 0) {
+      const double count = static_cast<double>(counts_[b]);
+      low_sum += count * scaled_edge(b);
+      high_sum += count * scaled_edge(b + 1);
+    }
+  }
+  // Widen both sums by what can separate them from the pass's sum:
+  // - pow's error on a sample's term and on its bin's edges: a few ulps
+  //   relative under any usable libm, and 2^-30 is millions of ulps. Linear
+  //   scaling rounds one product, monotonically, and adds no error.
+  // - rounding: the pass makes N - 1 sequential additions, and a bound sum
+  //   kBins products and kBins - 1 additions, each off by at most 2^-53
+  //   relative; (N + kBins) * 2^-51 is four times their sum. Every term is
+  //   nonnegative, so the sums are off by no more, relative to themselves.
+  // - subnormal results, where pow's error is absolute (2^-1074 on a sample
+  //   and on its edge) and a product rounds by up to 2^-1075:
+  //   (N + kBins) * 2^-1072 is twice that.
+  // A bin is 1/4096 wide, 5e-4 of a sample at 0.5, so the slack costs
+  // nothing.
+  const double n = static_cast<double>(samples_);
+  const double terms = n + kBins;
+  const double relative = 0x1p-30 + terms * 0x1p-51;
+  const double absolute = terms * 0x1p-1072;
+  const double low = low_sum * (1.0 - relative) - absolute;
+  const double high = high_sum * (1.0 + relative) + absolute;
+  // The pass's average is its sum divided by n, and rounding is monotone, so
+  // it is below the target when high / n is and not below it when low / n
+  // is not. The same monotonicity puts the midpoint between low / n and
+  // high / n, on the decided side.
+  if (high / n < target_average || low / n >= target_average) {
+    return 0.5 * (low + high) / n;
+  }
+  return std::nullopt;
+}
+
 double SolveScalingParameter(std::span<const UtilizationTrace* const> traces,
-                             ScalingMethod method, double target_average, int* evaluations) {
+                             ScalingMethod method, double target_average, int* evaluations,
+                             int* passes) {
   HARVEST_CHECK(target_average > 0.0 && target_average < 1.0)
       << "target average must be in (0,1), got " << target_average;
 
@@ -122,12 +202,16 @@ double SolveScalingParameter(std::span<const UtilizationTrace* const> traces,
   // predicate has a single crossing (std::pow is monotone in the power, and
   // a fixed-order floating-point sum is monotone in its terms), so any such
   // search that ends on two adjacent doubles ends on the same pair and
-  // returns the same midpoint. A probe is interpolated only while the passes
+  // returns the same midpoint. A probe is interpolated only while the probes
   // left exceed what bisection needs to reach adjacency. Until the first
   // interpolated probe the search is that bisection step for step, so where
   // 80 halvings cannot reach adjacency it returns the same unfinished
-  // midpoint.
+  // midpoint. A probe the bounds settle has the predicate of the pass it
+  // skips, so it moves lo/hi exactly as that pass would, and it counts
+  // toward the budget like one.
+  const ScaledSumBounds bounds(traces);
   int used = 0;
+  int full_passes = 0;
   while (used < kMaxEvaluations) {
     const double mid = 0.5 * (lo + hi);
     if (mid == lo || mid == hi) {
@@ -144,8 +228,10 @@ double SolveScalingParameter(std::span<const UtilizationTrace* const> traces,
         probe = std::clamp(falsi, std::nextafter(lo, hi), std::nextafter(hi, lo));
       }
     }
-    const double avg = ScaledAverage(traces, method, probe);
+    const std::optional<double> settled = bounds.SettledAverage(method, probe, target_average);
+    const double avg = settled ? *settled : ScaledAverage(traces, method, probe);
     ++used;
+    full_passes += settled ? 0 : 1;
     const double f = residual(avg);
     bool too_low = avg < target_average;
     if (too_low == increasing) {
@@ -172,6 +258,9 @@ double SolveScalingParameter(std::span<const UtilizationTrace* const> traces,
   }
   if (evaluations != nullptr) {
     *evaluations = used;
+  }
+  if (passes != nullptr) {
+    *passes = full_passes;
   }
   return 0.5 * (lo + hi);
 }

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -139,32 +141,37 @@ TEST(ScalingTest, SolveIsMonotoneInTarget) {
 
 // --- Oracle: the interpolating solve against plain bisection ---------------
 
+// The pass a probe stands for: every sample of `traces` scaled and summed in
+// list order, then divided by the sample count.
+double PassAverage(std::span<const UtilizationTrace* const> traces, ScalingMethod method,
+                   double parameter) {
+  double sum = 0.0;
+  size_t count = 0;
+  for (const UtilizationTrace* trace : traces) {
+    for (double u : trace->samples()) {
+      if (method == ScalingMethod::kLinear) {
+        sum += std::min(1.0, parameter * u);
+      } else {
+        sum += u <= 0.0 ? 0.0 : std::pow(u, parameter);
+      }
+      ++count;
+    }
+  }
+  return count == 0 ? 0.0 : sum / static_cast<double>(count);
+}
+
 // The dense reference: 80 rounds of plain bisection on SolveScalingParameter's
 // predicate and start bracket, with the scaled samples summed in the same
 // order.
 double ReferenceSolve(const std::vector<UtilizationTrace>& traces, ScalingMethod method,
                       double target_average) {
-  auto scaled_average = [&](double parameter) {
-    double sum = 0.0;
-    size_t count = 0;
-    for (const auto& trace : traces) {
-      for (double u : trace.samples()) {
-        if (method == ScalingMethod::kLinear) {
-          sum += std::min(1.0, parameter * u);
-        } else {
-          sum += u <= 0.0 ? 0.0 : std::pow(u, parameter);
-        }
-        ++count;
-      }
-    }
-    return count == 0 ? 0.0 : sum / static_cast<double>(count);
-  };
+  const std::vector<const UtilizationTrace*> pointers = Pointers(traces);
   const bool increasing = method == ScalingMethod::kLinear;
   double lo = increasing ? 0.0 : 0.01;
   double hi = increasing ? 200.0 : 50.0;
   for (int iter = 0; iter < 80; ++iter) {
     double mid = 0.5 * (lo + hi);
-    bool too_low = scaled_average(mid) < target_average;
+    bool too_low = PassAverage(pointers, method, mid) < target_average;
     if (too_low == increasing) {
       lo = mid;
     } else {
@@ -309,6 +316,160 @@ TEST(ScalingOracleTest, DegenerateSetsSolveToTheReferenceBitForBit) {
   ExpectReferenceParameters({UtilizationTrace({0.0, 1.0})}, "{0, 1}");
   ExpectReferenceParameters({UtilizationTrace({1e-300, 1.0, 0.999999})},
                             "{1e-300, 1, 0.999999}");
+}
+
+// The samples the bins could misplace: exact bin edges and the doubles next
+// to them, 1 and the double just below it, subnormals, a NaN, and one trace
+// listed 10^4 times.
+TEST(ScalingOracleTest, BinEdgeSetsSolveToTheReferenceBitForBit) {
+  constexpr double kBins = ScaledSumBounds::kBins;
+  std::vector<double> edges;
+  for (int b : {1, 2, 3, 7, 409, 1000, 2048, 3001, 4000, 4094, 4095, 4096}) {
+    const double edge = b / kBins;
+    edges.insert(edges.end(), {edge, std::nextafter(edge, 0.0), std::nextafter(edge, 2.0)});
+  }
+  ExpectReferenceParameters({UtilizationTrace(edges)}, "edges and neighbours");
+  Rng rng(17);
+  for (int set = 0; set < 8; ++set) {
+    std::vector<double> samples(static_cast<size_t>(rng.UniformInt(1, 300)));
+    for (double& u : samples) {
+      const double edge = static_cast<double>(rng.UniformInt(1, 4096)) / kBins;
+      const int64_t side = rng.UniformInt(-1, 1);
+      u = side == 0 ? edge : std::nextafter(edge, side < 0 ? 0.0 : 2.0);
+    }
+    ExpectReferenceParameters({UtilizationTrace(samples)}, "random edges " + std::to_string(set));
+  }
+  ExpectReferenceParameters({UtilizationTrace(std::vector<double>(300, 0.5))}, "300 x 0.5");
+  const double below_one = 1.0 - 0x1p-53;
+  ExpectReferenceParameters({UtilizationTrace(std::vector<double>(50, below_one))},
+                            "all 1 - 2^-53");
+  ExpectReferenceParameters({UtilizationTrace({1.0, below_one, 1.0, below_one, 0.0})},
+                            "{1, 1 - 2^-53, 0}");
+  ExpectReferenceParameters({UtilizationTrace({5e-324, 1e-310, 5e-324, 0.0})}, "subnormals");
+  ExpectReferenceParameters({UtilizationTrace({5e-324, 1e-310, 0.25, 1.0})},
+                            "subnormals and normals");
+  ExpectReferenceParameters(
+      {UtilizationTrace({0.3, std::numeric_limits<double>::quiet_NaN(), 0.7})}, "one NaN");
+  const UtilizationTrace repeated({0.25, 1.0 / kBins, std::nextafter(0.5, 1.0)});
+  const std::vector<const UtilizationTrace*> large(10000, &repeated);
+  ExpectReferenceParameters(large, "one trace listed 10^4 times");
+}
+
+// The bounds settle most far probes. On MakeTraces seeds 1-3, at reachable
+// targets, a solve makes 13 to 26 probes and 5 to 12 full passes; the probes
+// next to the crossing always take one. A root target beyond the bracket
+// puts the crossing on an end, and every probe there is settled.
+TEST(ScalingTest, BoundsSettleFarProbes) {
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    const std::vector<UtilizationTrace> owned = MakeTraces(seed);
+    const std::vector<const UtilizationTrace*> traces = Pointers(owned);
+    for (ScalingMethod method : {ScalingMethod::kLinear, ScalingMethod::kRoot}) {
+      for (double target : {0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95}) {
+        int probes = 0;
+        int passes = 0;
+        SolveScalingParameter(traces, method, target, &probes, &passes);
+        EXPECT_GE(passes, 1) << "seed " << seed << ", " << ScalingMethodName(method) << " "
+                             << target;
+        EXPECT_LE(passes, 12) << "seed " << seed << ", " << ScalingMethodName(method) << " "
+                              << target << ": " << probes << " probes";
+      }
+    }
+    for (double target : {1e-9, 0.999999}) {
+      int probes = 0;
+      int passes = -1;
+      SolveScalingParameter(traces, ScalingMethod::kRoot, target, &probes, &passes);
+      EXPECT_EQ(passes, 0) << "seed " << seed << ", root " << target;
+      EXPECT_GE(probes, 53) << "seed " << seed << ", root " << target;
+    }
+  }
+  // A NaN sample turns the bins off: every probe takes a pass.
+  const std::vector<UtilizationTrace> nan = {
+      UtilizationTrace({0.3, std::numeric_limits<double>::quiet_NaN(), 0.7})};
+  int probes = 0;
+  int passes = 0;
+  SolveScalingParameter(Pointers(nan), ScalingMethod::kRoot, 0.5, &probes, &passes);
+  EXPECT_EQ(passes, probes);
+}
+
+// --- ScaledSumBounds: a settled probe has the pass's predicate -------------
+
+// Checks every probe the bounds of `traces` settle against the pass it
+// stands for: probes at, next to and within 1e-12 to 0.1 (relative) of the
+// crossing of several targets, and targets at, next to and near the pass's
+// average at random probes. Returns the number of probes settled.
+int ExpectSettledProbesAgree(std::span<const UtilizationTrace* const> traces, Rng& rng,
+                             const std::string& label) {
+  const ScaledSumBounds bounds(traces);
+  int settled_probes = 0;
+  auto check = [&](ScalingMethod method, double parameter, double target) {
+    if (!(target > 0.0 && target < 1.0)) {
+      return;
+    }
+    const std::optional<double> settled = bounds.SettledAverage(method, parameter, target);
+    if (!settled) {
+      return;
+    }
+    ++settled_probes;
+    const double average = PassAverage(traces, method, parameter);
+    EXPECT_EQ(*settled < target, average < target)
+        << label << ", " << ScalingMethodName(method) << " parameter " << parameter
+        << " target " << target << ": settled " << *settled << ", pass " << average;
+  };
+  for (ScalingMethod method : {ScalingMethod::kLinear, ScalingMethod::kRoot}) {
+    const double lowest = method == ScalingMethod::kLinear ? 0.0 : 0.01;
+    const double highest = method == ScalingMethod::kLinear ? 200.0 : 50.0;
+    for (double target : {0.05, 0.3, 0.6, 0.9, rng.Uniform(0.001, 0.999)}) {
+      const double crossing = SolveScalingParameter(traces, method, target);
+      for (double offset : {0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3, 0.1, -0.1}) {
+        check(method, crossing * (1.0 + offset), target);
+      }
+      check(method, std::nextafter(crossing, lowest), target);
+      check(method, std::nextafter(crossing, highest), target);
+    }
+    for (int k = 0; k < 8; ++k) {
+      // Log-uniform, so that small factors and powers are probed too.
+      const double parameter = std::exp(rng.Uniform(std::log(1e-3), std::log(highest)));
+      const double average = PassAverage(traces, method, parameter);
+      for (double target : {average, std::nextafter(average, 0.0), std::nextafter(average, 1.0),
+                            average * (1.0 + 1e-12), average * (1.0 - 1e-12),
+                            average * (1.0 + 1e-3), average * (1.0 - 1e-3), rng.NextDouble()}) {
+        check(method, parameter, target);
+      }
+    }
+  }
+  return settled_probes;
+}
+
+TEST(ScaledSumBoundsTest, SettledProbesAgreeWithThePass) {
+  Rng rng(2026);
+  int settled = 0;
+  for (uint64_t seed = 1; seed <= 80; ++seed) {
+    const std::vector<UtilizationTrace> traces = RandomTraceSet(seed);
+    settled += ExpectSettledProbesAgree(Pointers(traces), rng, "seed " + std::to_string(seed));
+  }
+  constexpr double kBins = ScaledSumBounds::kBins;
+  for (int set = 0; set < 20; ++set) {
+    // Samples on bin edges scale to exactly their bound's terms, so only the
+    // slack separates the bound from the pass.
+    std::vector<double> samples(static_cast<size_t>(rng.UniformInt(1, 2000)));
+    const int64_t edges = rng.UniformInt(1, 8);
+    for (double& u : samples) {
+      u = static_cast<double>(rng.UniformInt(1, edges) * rng.UniformInt(1, 4096 / edges)) / kBins;
+    }
+    const std::vector<UtilizationTrace> traces = {UtilizationTrace(samples)};
+    settled += ExpectSettledProbesAgree(Pointers(traces), rng, "edges " + std::to_string(set));
+  }
+  const UtilizationTrace edge({0.5, 1.0 / kBins, 1.0});
+  settled += ExpectSettledProbesAgree(std::vector<const UtilizationTrace*>(10000, &edge), rng,
+                                      "one edge trace listed 10^4 times");
+  const UtilizationTrace subnormal({5e-324, 1e-310, 0.0, 1e-300});
+  settled += ExpectSettledProbesAgree(std::vector<const UtilizationTrace*>(3, &subnormal), rng,
+                                      "subnormals");
+  EXPECT_GT(settled, 5000);  // the bounds do settle probes
+  // A NaN sample settles nothing.
+  const std::vector<UtilizationTrace> nan = {
+      UtilizationTrace({0.3, std::numeric_limits<double>::quiet_NaN(), 0.7})};
+  EXPECT_EQ(ExpectSettledProbesAgree(Pointers(nan), rng, "NaN"), 0);
 }
 
 }  // namespace
