@@ -242,17 +242,20 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::fprintf(stderr, "harvest_sim: scenario=%s seed=%llu scale=%g overrides=%zu\n",
-               config.name.c_str(), static_cast<unsigned long long>(options.seed),
-               options.scale, overrides.size());
-  harvest::ScenarioRunResult result = harvest::RunScenario(config, options);
-
+  // Open the destination before the run, so a path that cannot be written
+  // fails at once instead of after the whole simulation.
   const bool to_stdout = out_path == "-";
   std::FILE* file = to_stdout ? stdout : std::fopen(out_path.c_str(), "wb");
   if (file == nullptr) {
     std::fprintf(stderr, "harvest_sim: cannot open '%s' for writing\n", out_path.c_str());
     return 1;
   }
+
+  std::fprintf(stderr, "harvest_sim: scenario=%s seed=%llu scale=%g overrides=%zu\n",
+               config.name.c_str(), static_cast<unsigned long long>(options.seed),
+               options.scale, overrides.size());
+  harvest::ScenarioRunResult result = harvest::RunScenario(config, options);
+
   if (!WriteAndClose(file, result.json)) {
     const std::string target = to_stdout ? "stdout" : "'" + out_path + "'";
     const std::string reason = std::generic_category().message(errno);

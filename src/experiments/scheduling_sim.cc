@@ -3,14 +3,15 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <map>
+#include <queue>
 #include <set>
 #include <unordered_map>
 
 #include "src/core/utilization_clustering.h"
 #include "src/jobs/app_master.h"
-#include "src/sim/event_queue.h"
 #include "src/util/stats.h"
 
 namespace harvest {
@@ -38,6 +39,33 @@ constexpr double kLatencyWindowSeconds = 60.0;  // latency series (Figs 10/12)
 constexpr double kTickSeconds = kSlotSeconds;
 constexpr int kAccessesPerTask = 2;  // block accesses at each task start
 constexpr int kReplication = 3;      // replicas per co-simulated block
+
+// What an event does when it fires.
+enum class EventKind : uint8_t {
+  kArrival,         // id: the arriving job's query (index into the suite)
+  kDeferredAdmit,   // id: the deferred job's query
+  kTick,            // reserve enforcement, retries, sampling; id unused
+  kLatencyWindow,   // id unused
+  kTaskCompletion,  // id: the finishing container
+};
+
+// Events fire in time order, and events at one instant in the order they
+// were scheduled: `sequence` is stamped from one counter for every kind.
+struct Event {
+  double when;
+  uint64_t sequence;
+  EventKind kind;
+  int64_t id;
+};
+
+struct FiresLater {
+  bool operator()(const Event& a, const Event& b) const {
+    if (a.when != b.when) {
+      return a.when > b.when;
+    }
+    return a.sequence > b.sequence;
+  }
+};
 
 // Everything one simulation run needs, wired together.
 class SchedulingSimulation {
@@ -79,12 +107,33 @@ class SchedulingSimulation {
 
   SchedulingSimResult Run() {
     ScheduleArrivals();
-    queue_.Schedule(kTickSeconds, [this] { Tick(); });
+    Schedule(kTickSeconds, EventKind::kTick);
     if (options_.collect_latency) {
-      queue_.Schedule(kLatencyWindowSeconds, [this] { LatencyWindow(); });
+      Schedule(kLatencyWindowSeconds, EventKind::kLatencyWindow);
     }
     // Utilization sampling every tick is folded into Tick().
-    queue_.RunUntil(options_.horizon_seconds);
+    while (!events_.empty() && events_.top().when <= options_.horizon_seconds) {
+      const Event event = events_.top();
+      events_.pop();
+      now_ = event.when;
+      switch (event.kind) {
+        case EventKind::kArrival:
+          OnJobArrival(static_cast<int>(event.id));
+          break;
+        case EventKind::kDeferredAdmit:
+          AdmitJob(static_cast<int>(event.id), now_);
+          break;
+        case EventKind::kTick:
+          Tick();
+          break;
+        case EventKind::kLatencyWindow:
+          LatencyWindow();
+          break;
+        case EventKind::kTaskCompletion:
+          OnTaskCompletion(event.id);
+          break;
+      }
+    }
     return Finalize();
   }
 
@@ -103,6 +152,12 @@ class SchedulingSimulation {
     bool awaiting_classes = false;     // H mode: selector returned empty
   };
 
+  // Every scheduled time is now_ plus a positive delay, or an arrival
+  // generated before the run starts, so no event lands in the past.
+  void Schedule(double when, EventKind kind, int64_t id = 0) {
+    events_.push(Event{when, next_sequence_++, kind, id});
+  }
+
   void SetupHistoryScheduling() {
     UtilizationClusteringService service(options_.clustering);
     Rng cluster_rng(options_.seed ^ 0x5eedULL);
@@ -118,24 +173,30 @@ class SchedulingSimulation {
     selector_ = std::make_unique<ClassSelector>(&snapshot_);
 
     result_.class_diagnostics.reserve(snapshot_.classes.size());
-    for (size_t c = 0; c < snapshot_.classes.size(); ++c) {
-      const UtilizationClass& cls = snapshot_.classes[c];
+    for (const UtilizationClass& cls : snapshot_.classes) {
       ClassSchedulingDiagnostics diag;
       diag.class_id = cls.id;
       diag.label = cls.label;
       diag.pattern = cls.pattern;
       result_.class_diagnostics.push_back(std::move(diag));
-      class_index_by_id_[cls.id] = c;
     }
   }
 
-  // Diagnostics slot for a class id; nullptr in PT mode or for unknown ids.
+  // Diagnostics slot for a class id (class ids are snapshot indices);
+  // nullptr in PT mode or for unknown ids.
   ClassSchedulingDiagnostics* DiagnosticsForClass(int class_id) {
-    auto it = class_index_by_id_.find(class_id);
-    if (it == class_index_by_id_.end()) {
+    if (class_id < 0 || static_cast<size_t>(class_id) >= result_.class_diagnostics.size()) {
       return nullptr;
     }
-    return &result_.class_diagnostics[it->second];
+    return &result_.class_diagnostics[static_cast<size_t>(class_id)];
+  }
+
+  // Diagnostics slot of the class hosting `server`; nullptr in PT mode.
+  ClassSchedulingDiagnostics* DiagnosticsForServer(ServerId server) {
+    if (server_class_.empty()) {
+      return nullptr;
+    }
+    return DiagnosticsForClass(server_class_[static_cast<size_t>(server)]);
   }
 
   void SetupStorage() {
@@ -164,10 +225,9 @@ class SchedulingSimulation {
     workload.mean_interarrival_seconds = options_.mean_interarrival_seconds;
     workload.horizon_seconds = options_.horizon_seconds;
     Rng arrivals_rng(options_.seed ^ 0xa221ULL);
-    arrivals_ = GenerateArrivals(workload, static_cast<int>(suite_.size()), arrivals_rng);
-    for (const auto& arrival : arrivals_) {
-      queue_.Schedule(arrival.time_seconds,
-                      [this, query = arrival.query] { OnJobArrival(query); });
+    for (const JobArrival& arrival :
+         GenerateArrivals(workload, static_cast<int>(suite_.size()), arrivals_rng)) {
+      Schedule(arrival.time_seconds, EventKind::kArrival, arrival.query);
     }
   }
 
@@ -230,7 +290,7 @@ class SchedulingSimulation {
     if (history_.TypeOf(dag.name()) == JobType::kShort) {
       return 0.0;
     }
-    const double now = queue_.now();
+    const double now = now_;
     const int64_t now_slot = static_cast<int64_t>(std::floor(now / kSlotSeconds));
     RefreshDeferralCurve(now_slot);
     size_t best = 0;
@@ -266,11 +326,10 @@ class SchedulingSimulation {
       // separately (deferred_jobs / deferred_seconds in the energy block),
       // not folded into the H-vs-PT execution delta it would otherwise
       // dominate.
-      queue_.Schedule(queue_.now() + delay,
-                      [this, query] { AdmitJob(query, queue_.now()); });
+      Schedule(now_ + delay, EventKind::kDeferredAdmit, query);
       return;
     }
-    AdmitJob(query, queue_.now());
+    AdmitJob(query, now_);
   }
 
   void AdmitJob(int query, double arrival_time) {
@@ -371,7 +430,7 @@ class SchedulingSimulation {
 
   // Algorithm 1 front-end: picks the class set for a job.
   void SelectClasses(ActiveJob& job, int required_cores) {
-    const double now = queue_.now();
+    const double now = now_;
     RefreshClassForecasts(now);
     std::vector<ClassState> states;
     states.reserve(snapshot_.classes.size());
@@ -420,7 +479,7 @@ class SchedulingSimulation {
         return;  // still nothing anywhere (stays in pending_)
       }
     }
-    const double now = queue_.now();
+    const double now = now_;
     bool allocation_short = false;  // some runnable demand went unplaced
     for (const TaskDemand& demand : job.am->RunnableTasks()) {
       const Stage& stage = job.am->dag().stage(demand.stage);
@@ -462,17 +521,11 @@ class SchedulingSimulation {
         UtilizationPattern pattern =
             cluster_.tenant(cluster_.server(container.server).tenant).true_pattern;
         ++result_.containers_by_pattern[static_cast<size_t>(pattern)];
-        if (!server_class_.empty()) {
-          ClassSchedulingDiagnostics* diag =
-              DiagnosticsForClass(server_class_[static_cast<size_t>(container.server)]);
-          if (diag != nullptr) {
-            ++diag->containers;
-            diag->lease_seconds += stage.task_seconds;
-          }
+        if (ClassSchedulingDiagnostics* diag = DiagnosticsForServer(container.server)) {
+          ++diag->containers;
+          diag->lease_seconds += stage.task_seconds;
         }
-        queue_.Schedule(now + stage.task_seconds, [this, cid = container.id] {
-          OnTaskCompletion(cid);
-        });
+        Schedule(now + stage.task_seconds, EventKind::kTaskCompletion, container.id);
       }
     }
     // A short allocation means the job's allowed classes cannot host its
@@ -530,11 +583,11 @@ class SchedulingSimulation {
     rm_.Release(task.container);
     if (accountant_) {
       accountant_->OnContainerEnd(task.container.resources.cores,
-                                  task.container.start_time, queue_.now());
+                                  task.container.start_time, now_);
     }
 
     ActiveJob& job = jobs_.at(task.job);
-    bool finished = job.am->OnTaskComplete(task.stage, queue_.now());
+    bool finished = job.am->OnTaskComplete(task.stage, now_);
     if (finished) {
       FinishJob(task.job);
     } else {
@@ -583,6 +636,26 @@ class SchedulingSimulation {
     }
   }
 
+  // Returns a killed container's task to its job: the task leaves running_,
+  // its energy interval closes at `now`, the job re-queues it and the kill
+  // counts toward the server's latency window. False when the container is
+  // no longer running.
+  bool ReturnKilledTask(const Container& container, double now) {
+    auto it = running_.find(container.id);
+    if (it == running_.end()) {
+      return false;
+    }
+    const RunningTask task = it->second;
+    running_.erase(it);
+    if (accountant_) {
+      accountant_->OnContainerEnd(container.resources.cores, container.start_time, now);
+    }
+    jobs_.at(task.job).am->OnTaskKilled(task.stage);
+    pending_.insert(task.job);  // the killed task returns to the pending pool
+    ++window_kills_[container.server];
+    return true;
+  }
+
   // Applies every server transition due by `now` (tick granularity: the
   // coarsened NM-heartbeat cadence at which the RM would observe a lost
   // server in the real system). Containers on a failing server are evicted
@@ -593,28 +666,16 @@ class SchedulingSimulation {
     const std::vector<FaultTransition>& transitions = options_.faults->server_transitions;
     while (fault_cursor_ < transitions.size() && transitions[fault_cursor_].time <= now) {
       const FaultTransition& transition = transitions[fault_cursor_++];
-      std::vector<Container> evicted = rm_.SetServerDown(transition.id, transition.begins);
-      for (const Container& container : evicted) {
-        auto it = running_.find(container.id);
-        if (it == running_.end()) {
-          continue;
+      for (const Container& container : rm_.SetServerDown(transition.id, transition.begins)) {
+        if (ReturnKilledTask(container, now)) {
+          ++fault_evictions_;
         }
-        RunningTask task = it->second;
-        running_.erase(it);
-        if (accountant_) {
-          accountant_->OnContainerEnd(container.resources.cores, container.start_time,
-                                      now);
-        }
-        jobs_.at(task.job).am->OnTaskKilled(task.stage);
-        pending_.insert(task.job);
-        ++window_kills_[container.server];
-        ++fault_evictions_;
       }
     }
   }
 
   void Tick() {
-    const double now = queue_.now();
+    const double now = now_;
     // Fault transitions land first: a server that died during the elapsed
     // interval is gone before reserves are enforced or retries placed on it.
     if (options_.faults != nullptr) {
@@ -643,26 +704,12 @@ class SchedulingSimulation {
                                  rm_.group_parked().empty() ? nullptr : &rm_.group_parked());
     }
     // 1. NMs replenish reserves; killed tasks return to their AMs.
-    std::vector<Container> killed = rm_.EnforceReserves(now);
-    for (const Container& container : killed) {
-      auto it = running_.find(container.id);
-      if (it == running_.end()) {
+    for (const Container& container : rm_.EnforceReserves(now)) {
+      if (!ReturnKilledTask(container, now)) {
         continue;
       }
-      RunningTask task = it->second;
-      running_.erase(it);
-      if (accountant_) {
-        accountant_->OnContainerEnd(container.resources.cores, container.start_time, now);
-      }
-      jobs_.at(task.job).am->OnTaskKilled(task.stage);
-      pending_.insert(task.job);  // the killed task returns to the pending pool
-      ++window_kills_[container.server];
-      if (!server_class_.empty()) {
-        ClassSchedulingDiagnostics* diag =
-            DiagnosticsForClass(server_class_[static_cast<size_t>(container.server)]);
-        if (diag != nullptr) {
-          ++diag->kills;
-        }
+      if (ClassSchedulingDiagnostics* diag = DiagnosticsForServer(container.server)) {
+        ++diag->kills;
       }
     }
     // 2. Pending demands retry (resources freed by kills / primary ebb).
@@ -680,12 +727,12 @@ class SchedulingSimulation {
     }
 
     if (now + kTickSeconds <= options_.horizon_seconds) {
-      queue_.Schedule(now + kTickSeconds, [this] { Tick(); });
+      Schedule(now + kTickSeconds, EventKind::kTick);
     }
   }
 
   void LatencyWindow() {
-    const double now = queue_.now();
+    const double now = now_;
     SummaryStats window;
     // Interfering accesses are tracked cluster-wide; attribute them evenly,
     // spreading the integer remainder over the first servers. (Plain
@@ -712,7 +759,7 @@ class SchedulingSimulation {
     window_kills_.clear();
     window_interfering_ = 0;
     if (now + kLatencyWindowSeconds <= options_.horizon_seconds) {
-      queue_.Schedule(now + kLatencyWindowSeconds, [this] { LatencyWindow(); });
+      Schedule(now + kLatencyWindowSeconds, EventKind::kLatencyWindow);
     }
   }
 
@@ -763,12 +810,13 @@ class SchedulingSimulation {
   SchedulingSimOptions options_;
   Rng rng_;
   Rng storage_rng_;
-  EventQueue queue_;
+  std::priority_queue<Event, std::vector<Event>, FiresLater> events_;
+  uint64_t next_sequence_ = 0;
+  double now_ = 0.0;  // time of the event being handled
   ResourceManager rm_;
   JobHistory history_;
   ServiceLatencyModel latency_model_;
   std::vector<JobDag> suite_;
-  std::vector<JobArrival> arrivals_;
   ClusteringSnapshot snapshot_;
   std::vector<int> server_class_;  // H mode: server -> class id
   // Per-class history forecasts (see RefreshClassForecasts), cached per
@@ -776,7 +824,6 @@ class SchedulingSimulation {
   std::vector<double> class_forecast_util_;
   std::vector<double> class_long_forecast_util_;
   int64_t class_forecast_slot_ = std::numeric_limits<int64_t>::min();
-  std::unordered_map<int, size_t> class_index_by_id_;
   std::unique_ptr<ClassSelector> selector_;
   std::unique_ptr<NameNode> name_node_;
   // Live jobs keyed by id. Ids are issued in arrival order, so the ordered

@@ -9,7 +9,6 @@ std::vector<JobArrival> GenerateArrivals(const WorkloadOptions& options, int sui
     return arrivals;
   }
   double t = 0.0;
-  int next_query = 0;
   while (true) {
     t += rng.Exponential(1.0 / options.mean_interarrival_seconds);
     if (t >= options.horizon_seconds) {
@@ -17,12 +16,7 @@ std::vector<JobArrival> GenerateArrivals(const WorkloadOptions& options, int sui
     }
     JobArrival arrival;
     arrival.time_seconds = t;
-    if (options.round_robin) {
-      arrival.query = next_query;
-      next_query = (next_query + 1) % suite_size;
-    } else {
-      arrival.query = static_cast<int>(rng.NextBounded(static_cast<uint64_t>(suite_size)));
-    }
+    arrival.query = static_cast<int>(rng.NextBounded(static_cast<uint64_t>(suite_size)));
     arrivals.push_back(arrival);
   }
   return arrivals;

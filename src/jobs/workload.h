@@ -20,12 +20,10 @@ struct JobArrival {
 struct WorkloadOptions {
   double mean_interarrival_seconds = 300.0;
   double horizon_seconds = 5.0 * 3600.0;
-  // When true, queries are drawn in round-robin order (every query appears
-  // evenly, like the paper's "all jobs in TPC-DS" runs); otherwise uniform.
-  bool round_robin = false;
 };
 
-// Generates the arrival sequence over the horizon.
+// Generates the arrival sequence over the horizon; each arrival's query is
+// a uniform draw from the suite.
 std::vector<JobArrival> GenerateArrivals(const WorkloadOptions& options, int suite_size, Rng& rng);
 
 }  // namespace harvest

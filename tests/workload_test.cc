@@ -34,19 +34,6 @@ TEST(WorkloadTest, PoissonMeanInterarrival) {
   EXPECT_NEAR(mean, 300.0, 15.0);
 }
 
-TEST(WorkloadTest, RoundRobinCyclesQueries) {
-  WorkloadOptions options;
-  options.mean_interarrival_seconds = 10.0;
-  options.horizon_seconds = 1000.0;
-  options.round_robin = true;
-  Rng rng(3);
-  auto arrivals = GenerateArrivals(options, 5, rng);
-  ASSERT_GT(arrivals.size(), 10u);
-  for (size_t i = 0; i < arrivals.size(); ++i) {
-    EXPECT_EQ(arrivals[i].query, static_cast<int>(i % 5));
-  }
-}
-
 TEST(WorkloadTest, UniformDrawCoversSuite) {
   WorkloadOptions options;
   options.mean_interarrival_seconds = 5.0;
