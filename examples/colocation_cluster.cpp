@@ -68,11 +68,14 @@ int main() {
                 100.0 * result.average_total_utilization);
   }
 
+  // No-Harvesting: the same cluster and latency model with no secondary
+  // tenants at all (an empty suite arrives no jobs).
   SchedulingSimOptions reference;
+  reference.mode = SchedulerMode::kPrimaryAware;
   reference.horizon_seconds = 2.0 * 3600.0;
   reference.collect_latency = true;
   reference.seed = 7;
-  SchedulingSimResult no_harvest = RunNoHarvestingBaseline(cluster, reference);
+  SchedulingSimResult no_harvest = RunSchedulingSimulation(cluster, {}, reference);
   std::printf("%-18s %9.0f %9s %8s %9s %9s %7.0f%%\n", "No-Harvesting",
               Summarize(no_harvest.p99_series_ms).mean(), "-", "-", "-", "-",
               100.0 * no_harvest.average_primary_utilization);

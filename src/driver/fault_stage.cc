@@ -20,8 +20,7 @@
 namespace harvest {
 
 FaultStageResult RunFaultStage(const DcContext& ctx, const Cluster& cluster,
-                               const FaultTimeline& faults,
-                               const SchedulingStageResult* scheduling) {
+                               const FaultTimeline& faults) {
   const ScenarioConfig& config = *ctx.config;
   const uint64_t base_seed = ctx.StreamSeed("fault");
 
@@ -81,12 +80,6 @@ FaultStageResult RunFaultStage(const DcContext& ctx, const Cluster& cluster,
           std::max(0.0, run.heal_backlog_cleared_at - first_fault_start);
     }
   });
-
-  if (scheduling != nullptr) {
-    result.history_improvement_percent = scheduling->history_improvement_percent;
-    result.fault_evictions = scheduling->history.fault_evictions;
-    result.forecast_degraded_seconds = scheduling->history.forecast_degraded_seconds;
-  }
   return result;
 }
 

@@ -20,12 +20,14 @@
 namespace harvest {
 namespace {
 
-// Wall-clock seconds of one stage call, recorded in the DC's DcStageTiming.
+// Runs one stage and appends its name and wall-clock seconds to the DC's
+// DcStageTiming.
 template <typename Fn>
-auto Timed(double& seconds_out, Fn&& fn) {
+auto Timed(DcStageTiming& timing, const char* stage, Fn&& fn) {
   auto start = std::chrono::steady_clock::now();
   auto result = fn();
-  seconds_out = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  timing.stages.emplace_back(
+      stage, std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count());
   return result;
 }
 
@@ -86,14 +88,14 @@ void WriteTraceManifest(const std::string& dir, const ScenarioConfig& config,
 }
 
 // Appends " key=value" to a telemetry line.
-void AppendField(std::string& line, const char* key, int64_t value) {
-  line += std::string(" ") + key + "=" + std::to_string(value);
+void AppendField(std::string& line, const std::string& key, int64_t value) {
+  line += " " + key + "=" + std::to_string(value);
 }
 
-void AppendField(std::string& line, const char* key, double value) {
+void AppendField(std::string& line, const std::string& key, double value) {
   char text[32];
   std::snprintf(text, sizeof(text), "%.6g", value);
-  line += std::string(" ") + key + "=" + text;
+  line += " " + key + "=" + text;
 }
 
 }  // namespace
@@ -103,11 +105,10 @@ DatacenterResult RunDatacenterStages(const DcContext& ctx, DcStageTiming& timing
   timing = DcStageTiming{};
   DatacenterResult dc;
   dc.name = ctx.label;
-  FleetBuildOutput fleet =
-      Timed(timing.fleet_build_seconds, [&] { return RunFleetBuildStage(ctx); });
+  FleetBuildOutput fleet = Timed(timing, "fleet_build", [&] { return RunFleetBuildStage(ctx); });
   dc.fleet = fleet.stats;
   dc.clustering =
-      Timed(timing.clustering_seconds, [&] { return RunClusteringStage(ctx, fleet.cluster); });
+      Timed(timing, "clustering", [&] { return RunClusteringStage(ctx, fleet.cluster); });
   // One fault timeline per DC, from its "fault" stream, for the scheduling
   // runs and the fault stage alike.
   const bool has_faults = !ctx.config->fault_plan.empty();
@@ -117,33 +118,24 @@ DatacenterResult RunDatacenterStages(const DcContext& ctx, DcStageTiming& timing
   }
   if (ctx.config->run_scheduling) {
     dc.has_scheduling = true;
-    dc.scheduling = Timed(timing.scheduling_seconds, [&] {
-      return RunSchedulingStage(ctx, fleet.cluster, faults);
-    });
-    if (ctx.config->power_accounting) {
-      dc.has_power = true;
-      dc.power = Timed(timing.power_seconds,
-                       [&] { return RunPowerStage(ctx, dc.scheduling); });
-    }
+    dc.scheduling = Timed(timing, "scheduling",
+                          [&] { return RunSchedulingStage(ctx, fleet.cluster, faults); });
   }
-  dc.placement = Timed(timing.placement_seconds,
-                       [&] { return RunPlacementAuditStage(ctx, fleet.cluster); });
+  dc.placement =
+      Timed(timing, "placement", [&] { return RunPlacementAuditStage(ctx, fleet.cluster); });
   if (ctx.config->run_durability) {
     dc.has_durability = true;
-    dc.durability = Timed(timing.durability_seconds,
-                          [&] { return RunDurabilityStage(ctx, fleet.cluster); });
+    dc.durability =
+        Timed(timing, "durability", [&] { return RunDurabilityStage(ctx, fleet.cluster); });
   }
   if (ctx.config->run_availability) {
     dc.has_availability = true;
-    dc.availability = Timed(timing.availability_seconds,
-                            [&] { return RunAvailabilityStage(ctx, fleet.cluster); });
+    dc.availability =
+        Timed(timing, "availability", [&] { return RunAvailabilityStage(ctx, fleet.cluster); });
   }
   if (has_faults) {
     dc.has_faults = true;
-    dc.faults = Timed(timing.fault_seconds, [&] {
-      return RunFaultStage(ctx, fleet.cluster, faults,
-                           dc.has_scheduling ? &dc.scheduling : nullptr);
-    });
+    dc.faults = Timed(timing, "fault", [&] { return RunFaultStage(ctx, fleet.cluster, faults); });
   }
   timing.total_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - dc_start).count();
@@ -189,26 +181,10 @@ std::string FormatRunTelemetry(const ScenarioRunResult& run) {
   AppendField(text, "total_seconds", telemetry.total_seconds);
   text += "\n";
   for (size_t i = 0; i < telemetry.datacenters.size(); ++i) {
-    const DatacenterResult& dc = run.result.datacenters[i];
     const DcStageTiming& timing = telemetry.datacenters[i];
-    text += "harvest_sim: telemetry name=" + dc.name;
-    AppendField(text, "fleet_build_seconds", timing.fleet_build_seconds);
-    AppendField(text, "clustering_seconds", timing.clustering_seconds);
-    if (dc.has_scheduling) {
-      AppendField(text, "scheduling_seconds", timing.scheduling_seconds);
-    }
-    if (dc.has_power) {
-      AppendField(text, "power_seconds", timing.power_seconds);
-    }
-    AppendField(text, "placement_seconds", timing.placement_seconds);
-    if (dc.has_durability) {
-      AppendField(text, "durability_seconds", timing.durability_seconds);
-    }
-    if (dc.has_availability) {
-      AppendField(text, "availability_seconds", timing.availability_seconds);
-    }
-    if (dc.has_faults) {
-      AppendField(text, "fault_seconds", timing.fault_seconds);
+    text += "harvest_sim: telemetry name=" + run.result.datacenters[i].name;
+    for (const auto& [stage, seconds] : timing.stages) {
+      AppendField(text, stage + "_seconds", seconds);
     }
     AppendField(text, "total_seconds", timing.total_seconds);
     text += "\n";

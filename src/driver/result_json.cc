@@ -82,38 +82,52 @@ void WriteScheduling(JsonWriter& json, const SchedulingStageResult& scheduling) 
   json.EndObject();
 }
 
-void WritePowerRun(JsonWriter& json, const char* key, const PowerRunResult& run,
-                   bool has_cap) {
+void WriteEnergyRun(JsonWriter& json, const char* key, const SchedulingRunResult& run,
+                    bool has_cap) {
+  const EnergyTotals& energy = run.energy;
   json.Key(key).BeginObject();
-  json.Field("fleet_joules", run.fleet_joules);
-  json.Field("container_joules", run.container_joules);
-  json.Field("total_joules", run.total_joules);
-  json.Field("cost_dollars", run.cost_dollars);
-  json.Field("cost_per_container", run.cost_per_container);
-  json.Field("peak_power_watts", run.peak_power_watts);
+  json.Field("fleet_joules", energy.fleet_joules);
+  json.Field("container_joules", energy.container_joules);
+  json.Field("total_joules", energy.TotalJoules());
+  json.Field("cost_dollars", energy.cost_dollars);
+  json.Field("cost_per_container",
+             run.containers > 0 ? energy.cost_dollars / static_cast<double>(run.containers)
+                                : 0.0);
+  json.Field("peak_power_watts", energy.peak_power_watts);
   if (has_cap) {
-    json.Field("slots_over_cap", run.slots_over_cap);
+    json.Field("slots_over_cap", energy.slots_over_cap);
   }
-  json.Field("parked_server_seconds", run.parked_server_seconds);
-  json.Field("park_events", run.park_events);
-  json.Field("unpark_events", run.unpark_events);
-  json.Field("forced_unparks", run.forced_unparks);
-  json.Field("deferred_jobs", run.deferred_jobs);
-  json.Field("deferred_seconds", run.deferred_seconds);
+  json.Field("parked_server_seconds", energy.parked_server_seconds);
+  json.Field("park_events", energy.park_events);
+  json.Field("unpark_events", energy.unpark_events);
+  json.Field("forced_unparks", energy.forced_unparks);
+  json.Field("deferred_jobs", energy.deferred_jobs);
+  json.Field("deferred_seconds", energy.deferred_seconds);
   json.EndObject();
 }
 
-void WriteEnergy(JsonWriter& json, const PowerStageResult& power) {
-  const bool has_cap = power.power_cap_watts > 0.0;
+// Positive = the H policies (right-sizing, deferral) drew / spent less.
+double SavingsPercent(double baseline, double history) {
+  return baseline > 0.0 ? 100.0 * (baseline - history) / baseline : 0.0;
+}
+
+// The scheduling runs' ledgers. Both runs priced under the one tariff their
+// accountants recorded, the DC's phase-shifted curve and the cap.
+void WriteEnergy(JsonWriter& json, const SchedulingStageResult& scheduling) {
+  const EnergyTotals& primary_aware = scheduling.primary_aware.energy;
+  const EnergyTotals& history = scheduling.history.energy;
+  const bool has_cap = primary_aware.power_cap_watts > 0.0;
   json.Key("energy").BeginObject();
-  json.Field("price_curve", power.price_curve);
+  json.Field("price_curve", primary_aware.price_curve);
   if (has_cap) {
-    json.Field("power_cap_watts", power.power_cap_watts);
+    json.Field("power_cap_watts", primary_aware.power_cap_watts);
   }
-  WritePowerRun(json, "primary_aware", power.primary_aware, has_cap);
-  WritePowerRun(json, "history", power.history, has_cap);
-  json.Field("history_energy_savings_percent", power.history_energy_savings_percent);
-  json.Field("history_cost_savings_percent", power.history_cost_savings_percent);
+  WriteEnergyRun(json, "primary_aware", scheduling.primary_aware, has_cap);
+  WriteEnergyRun(json, "history", scheduling.history, has_cap);
+  json.Field("history_energy_savings_percent",
+             SavingsPercent(primary_aware.TotalJoules(), history.TotalJoules()));
+  json.Field("history_cost_savings_percent",
+             SavingsPercent(primary_aware.cost_dollars, history.cost_dollars));
   json.EndObject();
 }
 
@@ -195,7 +209,8 @@ void WriteAvailability(JsonWriter& json, const AvailabilityStageResult& availabi
   json.EndObject();
 }
 
-void WriteFaults(JsonWriter& json, const FaultStageResult& faults) {
+void WriteFaults(JsonWriter& json, const FaultStageResult& faults,
+                 const SchedulingStageResult& scheduling) {
   json.Key("faults").BeginObject();
   json.Field("plan", faults.plan);
   json.Key("events").BeginArray();
@@ -226,9 +241,13 @@ void WriteFaults(JsonWriter& json, const FaultStageResult& faults) {
     json.EndObject();
   }
   json.EndArray();
-  json.Field("history_improvement_percent", faults.history_improvement_percent);
-  json.Field("fault_evictions", faults.fault_evictions);
-  json.Field("forecast_degraded_seconds", faults.forecast_degraded_seconds);
+  // The fault-aware H run's degradation: the H-vs-PT delta under fault,
+  // containers lost to outages, and how long H ran with history weighting
+  // suspended. All 0 without a scheduling stage, whose result then stays
+  // default-constructed.
+  json.Field("history_improvement_percent", scheduling.history_improvement_percent);
+  json.Field("fault_evictions", scheduling.history.fault_evictions);
+  json.Field("forecast_degraded_seconds", scheduling.history.forecast_degraded_seconds);
   json.EndObject();
 }
 
@@ -241,9 +260,9 @@ void WriteDatacenterResult(JsonWriter& json, const DatacenterResult& dc) {
   WriteClustering(json, dc.clustering);
   if (dc.has_scheduling) {
     WriteScheduling(json, dc.scheduling);
-  }
-  if (dc.has_power) {
-    WriteEnergy(json, dc.power);
+    if (dc.scheduling.primary_aware.has_energy) {
+      WriteEnergy(json, dc.scheduling);
+    }
   }
   WritePlacement(json, dc.placement);
   if (dc.has_durability) {
@@ -253,7 +272,7 @@ void WriteDatacenterResult(JsonWriter& json, const DatacenterResult& dc) {
     WriteAvailability(json, dc.availability);
   }
   if (dc.has_faults) {
-    WriteFaults(json, dc.faults);
+    WriteFaults(json, dc.faults, dc.scheduling);
   }
   json.EndObject();
 }

@@ -1,14 +1,16 @@
 // Composable stage API for the harvest_sim driver. The end-to-end pipeline
-// for one datacenter is a fixed sequence of typed stages
+// for one datacenter is a fixed sequence of seven typed stages
 //
-//   FleetBuild -> Clustering -> Scheduling -> Power -> PlacementAudit
+//   FleetBuild -> Clustering -> Scheduling -> PlacementAudit
 //               -> Durability -> Availability -> Fault
 //
 // each a pure function of a DcContext (the scaled scenario config, the
 // datacenter label/index, and an independently derived RNG stream) returning
 // a plain result struct. No stage builds JSON: src/driver/result_json.cc
 // renders the structs, so tests and the CI diff tool consume typed data
-// instead of reparsing strings.
+// instead of reparsing strings. Figures that several stages would share are
+// held once: the energy block and the fault block's scheduling figures are
+// rendered from the scheduling runs' own results.
 //
 // Determinism contract: every random draw a stage makes flows from
 // DcContext::StreamSeed(tag), where the per-DC seed is derived from the
@@ -131,12 +133,12 @@ struct SchedulingRunResult {
   // Containers the run placed (sum over hosting patterns); the
   // cost-per-container denominator.
   int64_t containers = 0;
-  // Energy / cost ledger from the run's accountant (power_accounting only).
+  // Energy / cost ledger from the run's accountant (power_accounting only),
+  // rendered as the "energy" block.
   bool has_energy = false;
   EnergyTotals energy;
-  // Fault-subsystem telemetry (fault_plan scenarios only). Carried here so
-  // the FaultStage can report it; rendered in the "faults" block, not in the
-  // scheduling results.
+  // Fault-subsystem telemetry (fault_plan scenarios only), rendered in the
+  // "faults" block, not in the scheduling results.
   int64_t fault_evictions = 0;
   double forecast_degraded_seconds = 0.0;
 };
@@ -169,41 +171,6 @@ struct SchedulingStageResult {
 // `faults` is the DC's compiled fault timeline (empty without a fault plan).
 SchedulingStageResult RunSchedulingStage(const DcContext& ctx, const Cluster& cluster,
                                          const FaultTimeline& faults);
-
-// --- PowerStage -----------------------------------------------------------
-// Derives the per-DC energy / cost report from the scheduling stage's
-// accountant ledgers (src/power): cost-per-container and the H-vs-PT energy
-// and dollar savings. Pure arithmetic over SchedulingStageResult -- no RNG,
-// no cluster access -- so it rides after scheduling at negligible cost.
-
-struct PowerRunResult {
-  double fleet_joules = 0.0;
-  double container_joules = 0.0;
-  double total_joules = 0.0;
-  double cost_dollars = 0.0;
-  double cost_per_container = 0.0;  // 0 when the run placed no containers
-  double peak_power_watts = 0.0;
-  int64_t slots_over_cap = 0;
-  double parked_server_seconds = 0.0;
-  int64_t park_events = 0;
-  int64_t unpark_events = 0;
-  int64_t forced_unparks = 0;
-  int64_t deferred_jobs = 0;
-  double deferred_seconds = 0.0;
-};
-
-struct PowerStageResult {
-  // Canonical knob text of this DC's curve, after the per-DC phase shift.
-  std::string price_curve;
-  double power_cap_watts = 0.0;
-  PowerRunResult primary_aware;
-  PowerRunResult history;
-  // Positive = the H policies (right-sizing, deferral) drew / spent less.
-  double history_energy_savings_percent = 0.0;
-  double history_cost_savings_percent = 0.0;
-};
-
-PowerStageResult RunPowerStage(const DcContext& ctx, const SchedulingStageResult& scheduling);
 
 // --- PlacementAuditStage --------------------------------------------------
 
@@ -308,32 +275,20 @@ struct FaultStageResult {
   double blackout_seconds = 0.0;
   int replication = 3;
   std::vector<FaultCellResult> cells;  // kStock then kHistory
-  // Degradation telemetry copied from the scheduling stage's fault-aware H
-  // run: the H-vs-PT delta under fault, containers lost to outages, and how
-  // long H ran with history weighting suspended.
-  double history_improvement_percent = 0.0;
-  int64_t fault_evictions = 0;
-  double forecast_degraded_seconds = 0.0;
 };
 
 FaultStageResult RunFaultStage(const DcContext& ctx, const Cluster& cluster,
-                               const FaultTimeline& faults,
-                               const SchedulingStageResult* scheduling);
+                               const FaultTimeline& faults);
 
 // --- Composition ----------------------------------------------------------
 
-// Wall-clock seconds per stage of one datacenter's pipeline. Pure telemetry:
-// nothing downstream reads it and it is never rendered into the result JSON
-// (harvest_sim prints it on stderr), so results are unaffected.
+// Wall-clock seconds of one datacenter's pipeline: each stage that ran, in
+// run order, named as its telemetry key ("scheduling" prints as
+// scheduling_seconds). Pure telemetry: nothing downstream reads it and it is
+// never rendered into the result JSON (harvest_sim prints it on stderr), so
+// results are unaffected.
 struct DcStageTiming {
-  double fleet_build_seconds = 0.0;
-  double clustering_seconds = 0.0;
-  double scheduling_seconds = 0.0;
-  double power_seconds = 0.0;
-  double placement_seconds = 0.0;
-  double durability_seconds = 0.0;
-  double availability_seconds = 0.0;
-  double fault_seconds = 0.0;
+  std::vector<std::pair<std::string, double>> stages;
   double total_seconds = 0.0;
 };
 
@@ -343,8 +298,6 @@ struct DatacenterResult {
   ClusteringStageResult clustering;
   bool has_scheduling = false;
   SchedulingStageResult scheduling;
-  bool has_power = false;
-  PowerStageResult power;
   PlacementAuditStageResult placement;
   bool has_durability = false;
   DurabilityStageResult durability;

@@ -11,6 +11,7 @@
 #include <unordered_map>
 
 #include "src/core/utilization_clustering.h"
+#include "src/experiments/storage_cosim.h"
 #include "src/jobs/app_master.h"
 #include "src/util/stats.h"
 
@@ -203,15 +204,13 @@ class SchedulingSimulation {
     NameNodeOptions nn_options;
     nn_options.replication = kReplication;
     nn_options.primary_aware_access = options_.storage != StorageVariant::kStock;
-    std::unique_ptr<PlacementPolicy> policy;
-    if (options_.storage == StorageVariant::kHistory) {
-      policy = std::make_unique<HistoryPlacement>(&cluster_);
-    } else {
-      policy = std::make_unique<StockPlacement>(&cluster_);
-    }
+    // HDFS-Stock and HDFS-PT place alike; they differ only in access.
+    const PlacementKind placement = options_.storage == StorageVariant::kHistory
+                                        ? PlacementKind::kHistory
+                                        : PlacementKind::kStock;
     storage_rng_ = rng_.Fork();
-    name_node_ = std::make_unique<NameNode>(&cluster_, std::move(policy), nn_options,
-                                            &storage_rng_);
+    name_node_ = std::make_unique<NameNode>(
+        &cluster_, MakePlacementPolicy(placement, &cluster_), nn_options, &storage_rng_);
     // Pre-populate the file system with the jobs' input blocks.
     for (int64_t b = 0; b < options_.storage_blocks; ++b) {
       ServerId writer =
@@ -866,17 +865,6 @@ SchedulingSimResult RunSchedulingSimulation(const Cluster& cluster,
                                             const SchedulingSimOptions& options) {
   SchedulingSimulation simulation(cluster, suite, options);
   return simulation.Run();
-}
-
-SchedulingSimResult RunNoHarvestingBaseline(const Cluster& cluster,
-                                            const SchedulingSimOptions& options) {
-  SchedulingSimOptions no_harvest = options;
-  // An interarrival far beyond the horizon yields zero arrivals.
-  no_harvest.mean_interarrival_seconds = options.horizon_seconds * 1e6;
-  no_harvest.storage = StorageVariant::kNone;
-  no_harvest.mode = SchedulerMode::kPrimaryAware;
-  std::vector<JobDag> empty_suite = {JobDag("noop", {Stage{"noop", 1, 1.0, {1, 128}, {}}})};
-  return RunSchedulingSimulation(cluster, empty_suite, no_harvest);
 }
 
 }  // namespace harvest

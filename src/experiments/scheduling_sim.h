@@ -153,13 +153,10 @@ struct SchedulingSimResult {
   double forecast_degraded_seconds = 0.0;
 };
 
+// An empty `suite` runs no secondary tenants at all: with PT mode and no
+// storage, that is the No-Harvesting baseline of Figs 10/12.
 SchedulingSimResult RunSchedulingSimulation(const Cluster& cluster,
                                             const std::vector<JobDag>& suite,
-                                            const SchedulingSimOptions& options);
-
-// The No-Harvesting baseline of Figs 10/12: the same cluster and latency
-// model with no secondary tenants at all.
-SchedulingSimResult RunNoHarvestingBaseline(const Cluster& cluster,
                                             const SchedulingSimOptions& options);
 
 }  // namespace harvest

@@ -44,14 +44,6 @@ int AppMaster::PendingTasks() const {
   return total;
 }
 
-int AppMaster::RunningTasks() const {
-  int total = 0;
-  for (int count : running_) {
-    total += count;
-  }
-  return total;
-}
-
 void AppMaster::OnTasksScheduled(int stage, int count) {
   HARVEST_CHECK(pending_[static_cast<size_t>(stage)] >= count)
       << "scheduled more tasks than pending for stage " << stage;

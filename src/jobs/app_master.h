@@ -30,8 +30,6 @@ class AppMaster {
   std::vector<TaskDemand> RunnableTasks() const;
   // Total pending tasks across unlocked stages.
   int PendingTasks() const;
-  // Total tasks currently holding containers.
-  int RunningTasks() const;
 
   // The driver placed `count` containers for `stage`.
   void OnTasksScheduled(int stage, int count);

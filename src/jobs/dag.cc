@@ -58,14 +58,6 @@ int JobDag::MaxConcurrentCores() const {
   return best;
 }
 
-double JobDag::TotalWorkSeconds() const {
-  double total = 0.0;
-  for (const auto& stage : stages_) {
-    total += stage.num_tasks * stage.task_seconds;
-  }
-  return total;
-}
-
 double JobDag::CriticalPathSeconds() const {
   std::vector<double> finish(stages_.size(), 0.0);
   double best = 0.0;

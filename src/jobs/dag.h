@@ -43,8 +43,6 @@ class JobDag {
   // Same, in cores.
   int MaxConcurrentCores() const;
 
-  // Sum over stages of num_tasks * task_seconds (total compute demand).
-  double TotalWorkSeconds() const;
   // Lower bound on completion: longest parent chain of stage durations,
   // assuming unlimited containers.
   double CriticalPathSeconds() const;

@@ -8,7 +8,10 @@ namespace harvest {
 
 EnergyAccountant::EnergyAccountant(const FleetTable* table, const PowerModel& model,
                                    PriceCurve price, double power_cap_watts)
-    : table_(table), model_(model), price_(price), power_cap_watts_(power_cap_watts) {}
+    : table_(table), model_(model), price_(price) {
+  totals_.price_curve = price_.ToString();
+  totals_.power_cap_watts = power_cap_watts;
+}
 
 int64_t EnergyAccountant::FleetMilliwatts(double t,
                                           const std::vector<int32_t>* group_parked) const {
@@ -58,7 +61,7 @@ void EnergyAccountant::IntegrateSlot(double t0, double t1,
   const double watts = fleet_watts + static_cast<double>(secondary_mw_) / 1000.0;
   last_power_watts_ = watts;
   totals_.peak_power_watts = std::max(totals_.peak_power_watts, watts);
-  if (power_cap_watts_ > 0.0 && watts > power_cap_watts_) {
+  if (totals_.power_cap_watts > 0.0 && watts > totals_.power_cap_watts) {
     ++totals_.slots_over_cap;
   }
 }

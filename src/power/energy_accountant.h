@@ -32,6 +32,7 @@
 #define HARVEST_SRC_POWER_ENERGY_ACCOUNTANT_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/cluster/fleet_table.h"
@@ -40,10 +41,15 @@
 
 namespace harvest {
 
-// One policy run's energy ledger. The accountant fills the energy / cost /
-// cap fields; the scheduling layer adds its parking and deferral counters
-// so a single struct rides from the simulation to the JSON "energy" block.
+// One policy run's energy ledger. The accountant fills the tariff, energy /
+// cost and cap fields; the scheduling layer adds its parking and deferral
+// counters, so a single struct rides from the simulation to the JSON
+// "energy" block.
 struct EnergyTotals {
+  // The tariff the ledger was priced under: the canonical text of the
+  // (phase-shifted) curve and the cap, 0 when there is none.
+  std::string price_curve;
+  double power_cap_watts = 0.0;
   double fleet_joules = 0.0;      // slot-integrated idle + primary + parked
   double container_joules = 0.0;  // event-driven secondary containers
   double cost_dollars = 0.0;
@@ -84,8 +90,6 @@ class EnergyAccountant {
   // gate's view of "current power").
   double last_power_watts() const { return last_power_watts_; }
 
-  const PriceCurve& price() const { return price_; }
-  double power_cap_watts() const { return power_cap_watts_; }
   EnergyTotals& totals() { return totals_; }
   const EnergyTotals& totals() const { return totals_; }
 
@@ -93,7 +97,6 @@ class EnergyAccountant {
   const FleetTable* table_;
   PowerModel model_;
   PriceCurve price_;
-  double power_cap_watts_ = 0.0;
   int64_t secondary_mw_ = 0;  // running draw of live containers
   double last_power_watts_ = 0.0;
   EnergyTotals totals_;

@@ -59,13 +59,6 @@ bool PriceCurve::Parse(std::string_view text, PriceCurve* curve, std::string* er
   return true;
 }
 
-double PriceCurve::PriceAt(double t) const {
-  if (amplitude_ == 0.0) {
-    return base_;
-  }
-  return base_ + amplitude_ * std::cos(kTwoPi * (t - peak_seconds_) / kDaySeconds);
-}
-
 double PriceCurve::CostDollars(double watts, double t0, double t1) const {
   if (t1 <= t0 || watts <= 0.0) {
     return 0.0;

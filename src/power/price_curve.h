@@ -6,7 +6,7 @@
 //   diurnal:<base>,<amplitude>,<peak_hour> base + amplitude *
 //                                          cos(2*pi*(t - peak)/24h), $/kWh
 //
-// Per-DC phase: the driver shifts each DC's peak by
+// Per-DC phase: the scheduling simulation shifts each DC's peak by
 // dc_index * price_phase_hours, modeling fleets spread across time zones /
 // regional markets. Cost over an interval of constant power uses the
 // closed-form cosine integral -- no per-slot price sampling -- so container
@@ -33,9 +33,6 @@ class PriceCurve {
 
   // Moves the peak `seconds` later (per-DC time-zone shift). No-op for flat.
   void ShiftPhase(double seconds) { peak_seconds_ += seconds; }
-
-  // Spot price in $/kWh at simulation time `t` (seconds).
-  double PriceAt(double t) const;
 
   // Dollars charged for drawing a constant `watts` over [t0, t1).
   double CostDollars(double watts, double t0, double t1) const;

@@ -34,10 +34,6 @@ class NodeManager {
   //   PT / History: capacity - reserve - primary usage - secondary allocations
   Resources AvailableForSecondary(double t) const;
 
-  bool CanHost(const Resources& request, double t) const {
-    return AvailableForSecondary(t).Fits(request);
-  }
-
   // RM-H's history-based availability (goal G3): predicts the primary
   // tenant's peak usage over the next `window_seconds` from the same
   // time-of-day window one day earlier -- an honest forecast that is sharp

@@ -154,15 +154,6 @@ class Rng {
     return count;
   }
 
-  // Pareto with scale x_m and shape alpha (heavy-tailed burst lengths).
-  double Pareto(double scale, double alpha) {
-    double u = NextDouble();
-    if (u <= 0.0) {
-      u = std::numeric_limits<double>::min();
-    }
-    return scale / std::pow(u, 1.0 / alpha);
-  }
-
   // Samples an index in [0, weights.size()) with probability proportional to
   // weights[i]. Zero or negative weights are never selected. Returns -1 when
   // all weights are non-positive.

@@ -37,9 +37,8 @@ TEST(DagTest, MaxConcurrentCoresScalesWithShape) {
   EXPECT_EQ(dag.MaxConcurrentCores(), 20);
 }
 
-TEST(DagTest, TotalWorkAndCriticalPath) {
+TEST(DagTest, CriticalPathOfAChain) {
   JobDag dag("work", {MakeStage("a", 2, 100, {}), MakeStage("b", 4, 50, {0})});
-  EXPECT_DOUBLE_EQ(dag.TotalWorkSeconds(), 2 * 100.0 + 4 * 50.0);
   EXPECT_DOUBLE_EQ(dag.CriticalPathSeconds(), 150.0);
 }
 

@@ -10,6 +10,7 @@
 #include <limits>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/driver/json_writer.h"
 #include "src/driver/registry.h"
@@ -525,43 +526,42 @@ TEST(DriverPipelineTest, TelemetryIsPopulatedButNeverRendered) {
   ASSERT_EQ(run.telemetry.datacenters.size(), 1u);
   const DcStageTiming& timing = run.telemetry.datacenters[0];
   EXPECT_GT(timing.total_seconds, 0.0);
+  // Each stage that ran, in run order: reimage_storm schedules nothing.
+  std::vector<std::string> stages;
+  double stage_seconds = 0.0;
+  for (const auto& [stage, seconds] : timing.stages) {
+    stages.push_back(stage);
+    stage_seconds += seconds;
+  }
+  EXPECT_EQ(stages,
+            (std::vector<std::string>{"fleet_build", "clustering", "placement", "durability"}));
   // Stage times are disjoint slices of the DC's own wall time (the slack
   // only absorbs rounding in the per-stage double conversions).
-  EXPECT_LE(timing.fleet_build_seconds + timing.clustering_seconds +
-                timing.scheduling_seconds + timing.power_seconds +
-                timing.placement_seconds + timing.durability_seconds +
-                timing.availability_seconds + timing.fault_seconds,
-            timing.total_seconds + 1e-9);
+  EXPECT_LE(stage_seconds, timing.total_seconds + 1e-9);
 }
 
-// harvest_sim prints FormatRunTelemetry on stderr; every telemetry field must
-// appear there, each stage field only for a stage that ran.
+// harvest_sim prints FormatRunTelemetry on stderr: the run's fields, then
+// per DC one field for each stage that ran, in run order.
 TEST(DriverPipelineTest, TelemetryLinesCarryEveryField) {
   ScenarioRunResult run;
   run.telemetry.threads = 3;
   run.telemetry.peak_rss_bytes = 1048576;
   run.telemetry.total_seconds = 9.5;
-  DatacenterResult dc;
-  dc.name = "DC-0";
-  dc.has_scheduling = dc.has_power = dc.has_durability = true;
-  dc.has_availability = dc.has_faults = true;
   DcStageTiming timing;
-  timing.fleet_build_seconds = 0.5;
-  timing.clustering_seconds = 0.25;
-  timing.scheduling_seconds = 3.0;
-  timing.power_seconds = 0.125;
-  timing.placement_seconds = 0.0625;
-  timing.durability_seconds = 1.5;
-  timing.availability_seconds = 2.0;
-  timing.fault_seconds = 1.0;
+  timing.stages = {{"fleet_build", 0.5}, {"clustering", 0.25}, {"scheduling", 3.0},
+                   {"placement", 0.0625}, {"durability", 1.5}, {"availability", 2.0},
+                   {"fault", 1.0}};
   timing.total_seconds = 9.0;
-  run.result.datacenters = {dc, DatacenterResult{}};
+  DcStageTiming unscheduled;
+  unscheduled.stages = {{"fleet_build", 0.0}, {"clustering", 0.0}, {"placement", 0.0}};
+  run.result.datacenters.resize(2);
+  run.result.datacenters[0].name = "DC-0";
   run.result.datacenters[1].name = "DC-1";
-  run.telemetry.datacenters = {timing, DcStageTiming{}};
+  run.telemetry.datacenters = {timing, unscheduled};
   EXPECT_EQ(FormatRunTelemetry(run),
             "harvest_sim: telemetry threads=3 peak_rss_bytes=1048576 total_seconds=9.5\n"
             "harvest_sim: telemetry name=DC-0 fleet_build_seconds=0.5 clustering_seconds=0.25 "
-            "scheduling_seconds=3 power_seconds=0.125 placement_seconds=0.0625 "
+            "scheduling_seconds=3 placement_seconds=0.0625 "
             "durability_seconds=1.5 availability_seconds=2 fault_seconds=1 total_seconds=9\n"
             "harvest_sim: telemetry name=DC-1 fleet_build_seconds=0 "
             "clustering_seconds=0 placement_seconds=0 total_seconds=0\n");
@@ -660,10 +660,38 @@ TEST(DriverPipelineTest, DeferralWindowPastTheHorizonMatchesOneEndingThere) {
         << error;
     ScenarioRunResult run = RunScenario(config, options);
     ASSERT_EQ(run.result.datacenters.size(), 1u);
-    EXPECT_GT(run.result.datacenters[0].power.history.deferred_jobs, 0) << windows[i];
+    EXPECT_GT(run.result.datacenters[0].scheduling.history.energy.deferred_jobs, 0)
+        << windows[i];
     json[i] = run.json;
   }
   EXPECT_EQ(json[0], json[1]);
+}
+
+// No golden runs the fault or power presets without the scheduling stage.
+// The faults block then renders the H run's three figures as 0, and no
+// energy block renders: only the scheduling runs carry a ledger.
+TEST(DriverPipelineTest, FaultAndPowerPresetsWithoutSchedulingRenderNoRunFigures) {
+  ScenarioRunOptions options;
+  options.seed = 42;
+  options.scale = 0.05;
+  std::string fault_json;
+  for (const char* name : {"rack_outage", "power_cap"}) {
+    ScenarioConfig config = *FindScenario(name);
+    std::string error;
+    ASSERT_TRUE(ApplyScenarioOverride(config, "run_scheduling", "false", &error)) << error;
+    const ScenarioRunResult run = RunScenario(config, options);
+    ASSERT_EQ(run.result.datacenters.size(), 1u) << name;
+    EXPECT_FALSE(run.result.datacenters[0].has_scheduling) << name;
+    EXPECT_EQ(run.json.find("\"energy\""), std::string::npos) << name;
+    if (run.result.datacenters[0].has_faults) {
+      fault_json = run.json.substr(run.json.find("\"faults\""));
+    }
+  }
+  ASSERT_FALSE(fault_json.empty()) << "rack_outage renders a faults block";
+  for (const char* line : {"\"history_improvement_percent\": 0,\n",
+                           "\"fault_evictions\": 0,\n", "\"forecast_degraded_seconds\": 0\n"}) {
+    EXPECT_NE(fault_json.find(line), std::string::npos) << line;
+  }
 }
 
 // --- Trace export / replay ------------------------------------------------

@@ -55,8 +55,8 @@ TEST(NodeManagerTest, AllocationsReduceAvailability) {
   NodeManager nm(&server, kDefaultReserve, SchedulerMode::kPrimaryAware);
   nm.AddContainer(MakeContainer(1, {2, 4096}, 0.0));
   EXPECT_EQ(nm.AvailableForSecondary(0.0).cores, 3);
-  EXPECT_TRUE(nm.CanHost({3, 1024}, 0.0));
-  EXPECT_FALSE(nm.CanHost({4, 1024}, 0.0));
+  EXPECT_TRUE(nm.AvailableForSecondary(0.0).Fits({3, 1024}));
+  EXPECT_FALSE(nm.AvailableForSecondary(0.0).Fits({4, 1024}));
 }
 
 TEST(NodeManagerTest, RemoveContainerRestoresAvailability) {

@@ -173,13 +173,6 @@ TEST(RngTest, ShuffleIsPermutation) {
   EXPECT_EQ(v, original);
 }
 
-TEST(RngTest, ParetoAboveScale) {
-  Rng rng(43);
-  for (int i = 0; i < 10000; ++i) {
-    EXPECT_GE(rng.Pareto(2.0, 1.5), 2.0);
-  }
-}
-
 TEST(RngTest, StableHashIsStableAndSpreads) {
   EXPECT_EQ(StableHash("DC-0"), StableHash("DC-0"));
   EXPECT_NE(StableHash("DC-0"), StableHash("DC-1"));

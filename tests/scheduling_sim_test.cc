@@ -87,11 +87,12 @@ TEST(SchedulingSimTest, LatencySeriesCollectedWhenRequested) {
   }
 }
 
+// No-Harvesting (Figs 10/12): an empty suite in PT mode with no storage.
 TEST(SchedulingSimTest, NoHarvestingBaselineRunsCleanly) {
   Cluster cluster = FastTestbed(6);
   SchedulingSimOptions options = FastOptions(SchedulerMode::kPrimaryAware);
   options.collect_latency = true;
-  SchedulingSimResult result = RunNoHarvestingBaseline(cluster, options);
+  SchedulingSimResult result = RunSchedulingSimulation(cluster, {}, options);
   EXPECT_EQ(result.jobs_arrived, 0);
   EXPECT_EQ(result.total_kills, 0);
   EXPECT_FALSE(result.p99_series_ms.empty());
