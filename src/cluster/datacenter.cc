@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "src/util/logging.h"
 
@@ -108,8 +109,10 @@ const DatacenterProfile& DatacenterByName(const std::string& name) {
 
 Cluster BuildCluster(const DatacenterProfile& profile, const BuildOptions& options, Rng& rng) {
   Cluster cluster;
-  const int num_tenants =
-      std::max(3, static_cast<int>(std::lround(profile.num_tenants * options.scale)));
+  const double tenants = profile.num_tenants * options.scale;
+  HARVEST_CHECK(tenants < std::numeric_limits<int>::max() + 0.5)  // or the floor hides a wrap
+      << profile.name << " at scale " << options.scale << " would have " << tenants << " tenants";
+  const int num_tenants = std::max(3, static_cast<int>(std::lround(tenants)));
 
   std::vector<double> shape_weights;
   shape_weights.reserve(options.server_shapes.size());

@@ -1,6 +1,5 @@
 #include "src/cluster/fleet_table.h"
 
-#include <algorithm>
 #include <map>
 #include <unordered_map>
 
@@ -56,11 +55,6 @@ std::vector<std::pair<std::string, int64_t>> FleetTable::ShapeCounts() const {
                      count);
   }
   return out;
-}
-
-int FleetTable::AutoShardCount(size_t servers) {
-  const size_t shards = servers / 4096;
-  return static_cast<int>(std::min<size_t>(16, std::max<size_t>(1, shards)));
 }
 
 }  // namespace harvest

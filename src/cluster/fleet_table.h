@@ -66,13 +66,6 @@ class FleetTable {
   // (cores, memory). Feeds the self-describing trace MANIFEST.
   std::vector<std::pair<std::string, int64_t>> ShapeCounts() const;
 
-  // One per 4096 servers, clamped to [1, 16]. Two readers: the NameNode's
-  // heal-lane group count (a model parameter, so it changes results) and
-  // the cap on the RM's per-slot refresh workers (execution layout, so it
-  // changes no byte), which keeps fleets under 8,192 servers from starting
-  // a thread per slot.
-  static int AutoShardCount(size_t servers);
-
  private:
   std::vector<int> capacity_cores_;
   std::vector<int> capacity_memory_mb_;

@@ -43,9 +43,9 @@ void PrintUsage(std::FILE* stream) {
                "  --scenario=NAME  registered scenario preset (see --list-scenarios)\n"
                "  --seed=N         RNG seed; same seed => identical JSON (default 42)\n"
                "  --scale=F        size multiplier on fleets/blocks/accesses (default 1.0)\n"
-               "  --threads=N      worker threads for the per-datacenter loop\n"
-               "                   (default: hardware concurrency; output is byte-identical\n"
-               "                   for any value)\n"
+               "  --threads=N      worker threads for the per-datacenter loop and each\n"
+               "                   datacenter's independent runs (default: hardware\n"
+               "                   concurrency; output is byte-identical for any value)\n"
                "  --set KEY=VALUE  override one scenario knob (repeatable; see --list-knobs)\n"
                "  --dump-traces=DIR  export every datacenter's materialized fleet to\n"
                "                   DIR/<DC>.trace for exact replay via --set trace_dir=DIR\n"
@@ -236,7 +236,7 @@ int main(int argc, char** argv) {
     }
   }
   options.overrides = overrides;
-  std::string config_error = harvest::ValidateScenario(config);
+  std::string config_error = harvest::ValidateScenario(config, options.scale);
   if (!config_error.empty()) {
     std::fprintf(stderr, "harvest_sim: %s\n", config_error.c_str());
     return 2;

@@ -196,8 +196,9 @@ ScenarioRunResult RunScenario(const ScenarioConfig& base_config,
                               const ScenarioRunOptions& options) {
   // harvest_sim surfaces this as a usage error before calling; library
   // callers who assemble configs by hand fail loudly instead of silently
-  // dropping knobs (e.g. server_shapes on a testbed) or running zero DCs.
-  const std::string config_error = ValidateScenario(base_config);
+  // dropping knobs (e.g. server_shapes on a testbed), running zero DCs or
+  // shrinking a fleet whose scaled size overflows.
+  const std::string config_error = ValidateScenario(base_config, options.scale);
   HARVEST_CHECK(config_error.empty()) << config_error;
   const ScenarioConfig config = ScaledScenario(base_config, options.scale);
 

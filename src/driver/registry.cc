@@ -1,9 +1,11 @@
 #include "src/driver/registry.h"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <limits>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/cluster/datacenter.h"
@@ -172,14 +174,18 @@ Apply StringKnob(std::string ScenarioConfig::* field) {
   };
 }
 
+// The largest value a positive-int knob of field type Int accepts: what the
+// field holds (and a generous absolute bound for the 64-bit count fields), so
+// values never truncate or wrap silently.
+template <typename Int>
+constexpr int64_t PositiveIntMax() {
+  return sizeof(Int) < 8 ? static_cast<int64_t>(std::numeric_limits<Int>::max())
+                         : int64_t{1} << 40;
+}
+
 template <typename Int>
 Apply PositiveIntKnob(Int ScenarioConfig::* field) {
-  // Cap at what the target field type holds (and a generous absolute bound
-  // for the 64-bit count fields) so values never truncate or wrap silently.
-  constexpr int64_t kCountCap = int64_t{1} << 40;
-  constexpr int64_t kMax = sizeof(Int) < 8
-                               ? static_cast<int64_t>(std::numeric_limits<Int>::max())
-                               : kCountCap;
+  constexpr int64_t kMax = PositiveIntMax<Int>();
   return [field](ScenarioConfig& config, std::string_view value, std::string* error) {
     int64_t parsed = 0;
     if (!ParsePositiveInt(value, kMax, &parsed, error)) {
@@ -451,6 +457,54 @@ std::vector<ScenarioKnob> MakeKnobs() {
   return knobs;
 }
 
+// ScaledScenario rounds each size times the scale into its field, and
+// BuildCluster each profile's tenant count times fleet_scale into an int.
+// An out-of-range product rounds to the minimum, which the size floors then
+// hide (a 1e300 scale ran a 42-server testbed), so each must stay in range.
+std::string CheckScaledSizes(const ScenarioConfig& config, double scale) {
+  const std::string by = scale == 1.0 ? "" : " scaled by --scale=" + FormatNumber(scale);
+  // (what, unscaled value, largest accepted), the fleet first: a testbed's
+  // server count or each profile DC's tenant count (a replay keeps its
+  // recorded fleet). The floors only raise a count, so only the top of its
+  // range can break.
+  std::vector<std::tuple<std::string, double, int64_t>> counts;
+  const bool replay = MakeTraceSource(config).is_replay();
+  if (config.use_testbed && !replay) {
+    counts.emplace_back("testbed_servers", config.testbed_servers, PositiveIntMax<int>());
+  } else if (!replay) {
+    for (const DatacenterProfile& profile : AllDatacenterProfiles()) {
+      if (std::find(config.datacenters.begin(), config.datacenters.end(), profile.name) !=
+          config.datacenters.end()) {
+        counts.emplace_back(
+            profile.name + "'s tenant count at fleet_scale=" + FormatNumber(config.fleet_scale),
+            profile.num_tenants * config.fleet_scale, PositiveIntMax<int>());
+      }
+    }
+  }
+  counts.emplace_back("storage_blocks", config.storage_blocks, PositiveIntMax<int64_t>());
+  counts.emplace_back("availability_blocks", config.availability_blocks,
+                      PositiveIntMax<int64_t>());
+  counts.emplace_back("availability_accesses", config.availability_accesses,
+                      PositiveIntMax<int64_t>());
+  counts.emplace_back("placement_sample_blocks", config.placement_sample_blocks,
+                      PositiveIntMax<int>());
+  for (const auto& [what, value, max] : counts) {
+    if (!(value * scale < static_cast<double>(max) + 0.5)) {
+      return what + by + " is " + FormatNumber(value * scale) + ", above its limit " +
+             std::to_string(max);
+    }
+  }
+  const std::pair<const char*, double> reals[] = {{"fleet_scale", config.fleet_scale},
+                                                  {"access_rate", config.access_rate},
+                                                  {"power_cap_watts", config.power_cap_watts}};
+  for (const auto& [knob, value] : reals) {
+    if (!std::isfinite(value * scale)) {
+      return knob + by + " is not finite";
+    }
+  }
+  return "";
+}
+
 }  // namespace
 
 const std::vector<ScenarioKnob>& ScenarioKnobs() {
@@ -495,7 +549,10 @@ bool ApplyScenarioOverride(ScenarioConfig& config, std::string_view key,
   return ApplyScenarioOverrideStatus(config, key, value, error) == OverrideStatus::kOk;
 }
 
-std::string ValidateScenario(const ScenarioConfig& config) {
+std::string ValidateScenario(const ScenarioConfig& config, double scale) {
+  if (const std::string error = CheckScaledSizes(config, scale); !error.empty()) {
+    return error;
+  }
   if (config.use_testbed && !config.server_shapes.empty()) {
     return "server_shapes has no effect with use_testbed=true (the paper's 102-server "
            "testbed is homogeneous); set use_testbed=false and pick datacenters instead";

@@ -63,10 +63,12 @@ bool ApplyScenarioOverride(ScenarioConfig& config, std::string_view key,
 
 // Cross-knob consistency checks, run after all overrides are applied (a
 // single knob can't see the final config). Returns an empty string when the
-// config is runnable, else a usage-error message — e.g. server_shapes on a
-// testbed scenario (the paper's testbed is homogeneous by construction, so
-// the knob would be silently ignored) or an empty datacenter list.
-std::string ValidateScenario(const ScenarioConfig& config);
+// config is runnable at `scale` (the --scale flag), else a usage-error
+// message — e.g. server_shapes on a testbed scenario (the paper's testbed is
+// homogeneous by construction, so the knob would be silently ignored), an
+// empty datacenter list, a size that `scale` pushes out of the range its
+// knob accepts, or a datacenter whose tenant count does not fit an int.
+std::string ValidateScenario(const ScenarioConfig& config, double scale = 1.0);
 
 }  // namespace harvest
 

@@ -457,6 +457,8 @@ ScenarioConfig ScaledScenario(const ScenarioConfig& config, double scale) {
   if (scale == 1.0) {
     return scaled;
   }
+  // ValidateScenario (registry.cc) range-checks every size scaled here;
+  // a size added here goes on its list too.
   auto scale_count = [scale](int64_t value, int64_t floor_value) {
     return std::max(floor_value,
                     static_cast<int64_t>(std::llround(static_cast<double>(value) * scale)));

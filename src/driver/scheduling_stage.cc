@@ -77,9 +77,6 @@ SchedulingStageResult RunSchedulingStage(const DcContext& ctx, const Cluster& cl
   if (!faults.empty()) {
     options.faults = &faults;
   }
-  // Whatever headroom remains after the PT / H task split feeds the RM's
-  // per-slot refresh (the simulation caps it by fleet size).
-  options.slot_threads = std::max(1, ctx.task_threads / 2);
 
   // The PT and H co-simulations are independent: each builds its own RNG
   // from the same stream seed, reads the (const) cluster and suite, and

@@ -58,11 +58,12 @@ struct DcContext {
   // runs the same 52 queries). Null when scheduling is disabled.
   const std::vector<JobDag>* suite = nullptr;
   // Worker threads this DC's stages may use for *intra*-DC task parallelism
-  // (the independent PT and H scheduling co-simulations). The driver divides
-  // its --threads budget across the DCs in flight; 1 = run stage tasks
-  // serially. Purely an execution-layout knob: results are byte-identical
-  // for any value, because the parallel tasks draw from separate RNGs and
-  // write separate result slots.
+  // (the independent PT and H scheduling co-simulations, the fault stage's
+  // two storage runs and the storage grid's cells; each run is itself one
+  // thread). The driver divides its --threads budget across the DCs in
+  // flight; 1 = run stage tasks serially. Purely an execution-layout knob:
+  // results are byte-identical for any value, because the parallel tasks
+  // draw from separate RNGs and write separate result slots.
   int task_threads = 1;
   // When non-empty, the fleet-build stage writes this DC's materialized
   // fleet to `<dump_traces_dir>/<label>.trace` (src/trace/trace_io) right

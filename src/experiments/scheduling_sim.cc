@@ -76,8 +76,7 @@ class SchedulingSimulation {
       : cluster_(cluster),
         options_(options),
         rng_(options.seed),
-        rm_(&cluster, options.mode, kDefaultReserve,
-            std::min(options.slot_threads, FleetTable::AutoShardCount(cluster.num_servers()))),
+        rm_(&cluster, options.mode, kDefaultReserve),
         history_(options.thresholds),
         latency_model_() {
     // Scale the suite once.

@@ -55,10 +55,7 @@ struct SchedulingSimOptions {
   int rm_shards = 0;
   // Unread; goes with the benchmark change that stops perfbench/probe.cc assigning it.
   int nn_shards = 0;
-  // Worker cap for the RM's per-slot refresh. The simulation lowers it to
-  // FleetTable::AutoShardCount(servers), so fleets under 8,192 servers
-  // refresh on the calling thread. Execution layout only: results are
-  // byte-identical for every value.
+  // Unread; goes with the benchmark change that stops perfbench/probe.cc assigning it.
   int slot_threads = 1;
   // --- Power subsystem (src/power) ----------------------------------------
   // Energy / cost accounting riding the tick cadence. Off by default: no

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <string_view>
 #include <tuple>
 
@@ -12,14 +11,6 @@
 
 namespace harvest {
 namespace {
-
-// %g keeps canonical forms short and round-trippable here: both sides of any
-// comparison go through parse -> canonical, so formatting precision cancels.
-std::string FormatNumber(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%g", value);
-  return buffer;
-}
 
 // The state flips of a set of [start, end) intervals keyed by `id`: edges
 // sorted by (time, id, leave before enter) and depth-counted per id, keeping

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/util/executor.h"
 #include "src/util/logging.h"
 
 namespace harvest {
@@ -40,9 +39,8 @@ const char* SchedulerModeName(SchedulerMode mode) {
   return "unknown";
 }
 
-ResourceManager::ResourceManager(const Cluster* cluster, SchedulerMode mode, Resources reserve,
-                                 int workers)
-    : cluster_(cluster), mode_(mode), table_(*cluster), workers_(std::max(1, workers)) {
+ResourceManager::ResourceManager(const Cluster* cluster, SchedulerMode mode, Resources reserve)
+    : cluster_(cluster), mode_(mode), table_(*cluster) {
   nodes_.reserve(cluster->num_servers());
   for (const auto& server : cluster->servers()) {
     nodes_.emplace_back(&server, reserve, mode);
@@ -79,10 +77,6 @@ void ResourceManager::SetServerClasses(std::vector<int> server_class) {
   node_avail_.assign(nodes_.size(), Resources{0, 0});
   node_weight_.assign(nodes_.size(), 0);
   class_pickers_.assign(static_cast<size_t>(num_classes_), WeightedPicker());
-  class_cols_.resize(static_cast<size_t>(num_classes_));
-  for (int c = 0; c < num_classes_; ++c) {
-    class_cols_[static_cast<size_t>(c)].resize(class_servers_[static_cast<size_t>(c)].size());
-  }
   class_avail_cores_.assign(static_cast<size_t>(num_classes_), 0);
   class_util_slot_.assign(static_cast<size_t>(num_classes_), kNoSlot);
   class_util_value_.assign(static_cast<size_t>(num_classes_), 1.0);
@@ -148,39 +142,31 @@ void ResourceManager::RefreshForecasts() const {
   }
   // A window-size change, a backward jump, or a jump past the whole window
   // rebuilds from scratch (one naive-cost pass); the common slot-to-slot
-  // advance slides each deque in amortized O(1) per trace. Windows are
-  // independent, so the slides fan out across workers.
+  // advance slides each deque in amortized O(1) per trace.
   const bool rebuild = samples != forecast_samples_ || forecast_start_slot_ == kNoSlot ||
                        start_slot < forecast_start_slot_ ||
                        start_slot - forecast_start_slot_ >= samples;
-  ForEachRange(trace_windows_.size(), [&](size_t begin, size_t end) {
-    for (size_t w = begin; w < end; ++w) {
-      AdvanceTraceWindow(trace_windows_[w], start_slot, samples, rebuild, forecast_start_slot_,
-                         /*wrap=*/false);
-    }
-  });
+  for (TraceWindow& window : trace_windows_) {
+    AdvanceTraceWindow(window, start_slot, samples, rebuild, forecast_start_slot_,
+                       /*wrap=*/false);
+  }
   forecast_start_slot_ = start_slot;
   forecast_samples_ = samples;
   // Broadcast window peaks to per-server forecast cores, once per telemetry
   // group (the rounded forecast depends only on the trace and the capacity,
-  // both group-constant). A group cut by a range boundary is evaluated once
-  // on each side, to the same value.
-  const std::vector<int32_t>& trace_of = table_.trace_index();
-  const std::vector<int>& cores_of = table_.capacity_cores();
-  ForEachRange(nodes_.size(), [&](size_t begin, size_t end) {
-    size_t s = begin;
-    while (s < end) {
-      const size_t group_end = std::min(end, table_.group_end(table_.group()[s]));
-      const int trace = trace_of[s];
-      const int cores =
-          trace < 0 ? 0
-                    : NodeManager::ForecastCoresFromPeak(
-                          trace_windows_[static_cast<size_t>(trace)].peak, cores_of[s]);
-      for (; s < group_end; ++s) {
-        node_forecast_cores_[s] = cores;
-      }
+  // both group-constant).
+  for (int g = 0; g < table_.num_groups(); ++g) {
+    const size_t begin = table_.group_begin(g);
+    const int trace = table_.trace_index()[begin];
+    const int cores =
+        trace < 0 ? 0
+                  : NodeManager::ForecastCoresFromPeak(
+                        trace_windows_[static_cast<size_t>(trace)].peak,
+                        table_.capacity_cores()[begin]);
+    for (size_t s = begin; s < table_.group_end(g); ++s) {
+      node_forecast_cores_[s] = cores;
     }
-  });
+  }
 }
 
 int64_t ResourceManager::NodeWeight(ServerId s) const {
@@ -202,56 +188,40 @@ int64_t ResourceManager::NodeWeight(ServerId s) const {
   return weight;
 }
 
-void ResourceManager::ForEachRange(size_t count,
-                                   const std::function<void(size_t, size_t)>& fn) const {
-  const size_t ranges = static_cast<size_t>(workers_);
-  ParallelForIndex(workers_, workers_, [&](int k) {
-    const size_t i = static_cast<size_t>(k);
-    fn(count * i / ranges, count * (i + 1) / ranges);
-  });
-}
-
 void ResourceManager::RebuildAvailabilityAndWeights() const {
-  ForEachRange(nodes_.size(), [&](size_t begin, size_t end) {
-    // Live primary cores, once per telemetry group (pure function of the
-    // trace and the capacity; identical to the per-server call).
-    size_t s = begin;
-    while (s < end) {
-      const size_t group_end = std::min(end, table_.group_end(table_.group()[s]));
-      const int cores = nodes_[s].PrimaryCores(cache_time_);
-      for (; s < group_end; ++s) {
-        node_primary_cores_[s] = cores;
-      }
+  // Live primary cores, once per telemetry group (pure function of the
+  // trace and the capacity; identical to the per-server call).
+  for (int g = 0; g < table_.num_groups(); ++g) {
+    const size_t begin = table_.group_begin(g);
+    const int cores = nodes_[begin].PrimaryCores(cache_time_);
+    for (size_t s = begin; s < table_.group_end(g); ++s) {
+      node_primary_cores_[s] = cores;
     }
-    for (s = begin; s < end; ++s) {
-      // A parked or down server reports no room at all: weight 0 in every
-      // sampler (Resources{0,0} fits no shape) and nothing in the class
-      // aggregates.
-      node_avail_[s] = IsUnavailable(static_cast<ServerId>(s))
-                           ? Resources{0, 0}
-                           : nodes_[s].AvailableForSecondaryGiven(node_primary_cores_[s]);
-      node_weight_[s] = profile_.valid ? NodeWeight(static_cast<ServerId>(s)) : 0;
-    }
-  });
-  // Task 0 rebuilds the all-servers sampler, task c + 1 class c's sampler
-  // and available-core sum (an exact integer sum in class-list order).
-  ParallelForIndex(workers_, num_classes_ + 1, [&](int task) {
-    if (task == 0) {
-      all_servers_picker_.Build(node_weight_.data(), node_weight_.size());
-      return;
-    }
-    const size_t c = static_cast<size_t>(task - 1);
+  }
+  for (size_t s = 0; s < nodes_.size(); ++s) {
+    // A parked or down server reports no room at all: weight 0 in every
+    // sampler (Resources{0,0} fits no shape) and nothing in the class
+    // aggregates.
+    node_avail_[s] = IsUnavailable(static_cast<ServerId>(s))
+                         ? Resources{0, 0}
+                         : nodes_[s].AvailableForSecondaryGiven(node_primary_cores_[s]);
+    node_weight_[s] = profile_.valid ? NodeWeight(static_cast<ServerId>(s)) : 0;
+  }
+  all_servers_picker_.Build(node_weight_.data(), node_weight_.size());
+  // Each class's sampler from its weights gathered in class-list order, and
+  // its available-core sum (an exact integer sum).
+  for (size_t c = 0; c < class_servers_.size(); ++c) {
     const std::vector<ServerId>& servers = class_servers_[c];
-    std::vector<int64_t>& column = class_cols_[c];
+    class_col_.resize(servers.size());
     int64_t cores = 0;
     for (size_t pos = 0; pos < servers.size(); ++pos) {
       const size_t s = static_cast<size_t>(servers[pos]);
-      column[pos] = node_weight_[s];
+      class_col_[pos] = node_weight_[s];
       cores += node_avail_[s].cores;
     }
     class_avail_cores_[c] = cores;
-    class_pickers_[c].Build(column.data(), column.size());
-  });
+    class_pickers_[c].Build(class_col_.data(), class_col_.size());
+  }
 }
 
 void ResourceManager::EnsureProfile(const ContainerRequest& request) {
@@ -460,12 +430,9 @@ void ResourceManager::UpdateParking(double t) {
   if (start_slot != park_start_slot_) {
     const bool rebuild = park_start_slot_ == kNoSlot || start_slot < park_start_slot_ ||
                          start_slot - park_start_slot_ >= samples;
-    ForEachRange(park_windows_.size(), [&](size_t begin, size_t end) {
-      for (size_t w = begin; w < end; ++w) {
-        AdvanceTraceWindow(park_windows_[w], start_slot, samples, rebuild, park_start_slot_,
-                           /*wrap=*/true);
-      }
-    });
+    for (TraceWindow& window : park_windows_) {
+      AdvanceTraceWindow(window, start_slot, samples, rebuild, park_start_slot_, /*wrap=*/true);
+    }
     park_start_slot_ = start_slot;
   }
   // Parkability per pooled trace: a threshold on the utilization FRACTION
@@ -571,8 +538,8 @@ double ResourceManager::AverageTotalUtilization(double t) const {
     return 0.0;
   }
   // Deliberately the dense per-server sum: this is a float accumulation in
-  // ServerId order, and regrouping it (per range, per group) would change
-  // the rounding -- and therefore emitted bytes.
+  // ServerId order, and regrouping it (per group, say) would change the
+  // rounding -- and therefore emitted bytes.
   double sum = 0.0;
   for (const auto& node : nodes_) {
     sum += node.TotalUtilization(t);

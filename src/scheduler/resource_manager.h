@@ -16,22 +16,14 @@
 // the exactness argument, and tests/rm_oracle_test.cc for the oracle that
 // checks every cached quantity against a naive full rescan).
 //
-// Parallel refresh (100k-server DCs): the per-slot refresh runs on up to
-// `workers` threads. Per-server caches are filled over contiguous ServerId
-// ranges, one per worker; then the all-servers sampler and each class
-// sampler (with that class's available-core sum) are rebuilt as independent
-// tasks. Trace-dependent per-slot values (live primary cores, forecast
-// cores) are computed once per telemetry group and broadcast, so slot work
-// is O(groups + active servers) in the shared-trace fleets the paper
-// models; EnforceReserves walks an ordered active-node set instead of the
-// whole fleet. The worker count is execution layout: no task's result
-// depends on how the work is split, so it may not change any emitted byte
-// (tests/rm_oracle_test.cc runs its oracle at several worker counts).
+// Per-slot refresh: trace-dependent per-slot values (live primary cores,
+// forecast cores) are computed once per telemetry group and broadcast, so
+// slot work is O(groups + active servers) in the shared-trace fleets the
+// paper models; EnforceReserves walks an ordered active-node set instead of
+// the whole fleet.
 //
-// Not thread-safe: one RM belongs to one simulation thread (the slot
-// refresh may *internally* fan out to its workers, but all externally
-// visible state is settled before any call returns). Callers must not
-// mutate NodeManagers behind the RM's back (use Allocate / Release /
+// Not thread-safe: one RM belongs to one simulation thread. Callers must
+// not mutate NodeManagers behind the RM's back (use Allocate / Release /
 // EnforceReserves), or the caches desynchronize.
 
 #ifndef HARVEST_SRC_SCHEDULER_RESOURCE_MANAGER_H_
@@ -39,7 +31,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <limits>
 #include <set>
 #include <string>
@@ -65,10 +56,8 @@ inline constexpr double kMinForecastWindowSeconds = 3.0 * 3600.0;
 class ResourceManager {
  public:
   // Builds one NodeManager per server of `cluster`. The cluster must outlive
-  // the RM. `workers` caps the threads the per-slot refresh fans out to;
-  // it is execution layout: results are byte-identical for every value.
-  ResourceManager(const Cluster* cluster, SchedulerMode mode, Resources reserve,
-                  int workers = 1);
+  // the RM.
+  ResourceManager(const Cluster* cluster, SchedulerMode mode, Resources reserve);
 
   void SetServerClasses(std::vector<int> server_class);
 
@@ -216,8 +205,7 @@ class ResourceManager {
   // (amortized O(1) per trace per slot) instead of rescanning the whole
   // O(window) sample set per server -- the ROADMAP-flagged H-mode refresh
   // fix. Exactly equivalent to the naive per-node scan by construction
-  // (same integer slot walk; rm_oracle_test audits it). Window slides and
-  // the per-group broadcast both fan out to the RM's workers, by range.
+  // (same integer slot walk; rm_oracle_test audits it).
   void RefreshForecasts() const;
   // Slides (or rebuilds) one trace window to [start_slot, start_slot+samples).
   // `prev_start_slot` is the window's previous start (a slide resumes
@@ -234,15 +222,9 @@ class ResourceManager {
   // currently-parkable group parks immediately.
   void MaybeParkOnDrain(ServerId s);
   // Recomputes per-node primary cores (once per telemetry group),
-  // availability and (when a profile is cached) weights over one server
-  // range per worker, then every Fenwick tree and class aggregate as one
-  // task per sampler.
+  // availability and (when a profile is cached) weights, then every
+  // Fenwick tree and class aggregate.
   void RebuildAvailabilityAndWeights() const;
-  // Runs fn(begin, end) on workers_ contiguous, disjoint ranges that
-  // together cover [0, count), one range per worker. Whole ranges, not one
-  // task per index: the per-index work (a window slide, a server's cache
-  // line) is too small to pay for a shared work counter.
-  void ForEachRange(size_t count, const std::function<void(size_t, size_t)>& fn) const;
   // Placement weight of server `s` from its cached inputs and live
   // allocations. Zero when the profile's shape does not fit.
   int64_t NodeWeight(ServerId s) const;
@@ -257,7 +239,6 @@ class ResourceManager {
   SchedulerMode mode_;
   // SoA columns + trace pool + telemetry groups derived from the cluster.
   FleetTable table_;
-  int workers_ = 1;
   std::vector<NodeManager> nodes_;
   std::vector<int> server_class_;
   std::vector<std::vector<ServerId>> class_servers_;
@@ -304,8 +285,8 @@ class ResourceManager {
   mutable std::vector<Resources> node_avail_;
   mutable std::vector<int64_t> node_weight_;
   // Placement samplers: all servers in ServerId order (label-free requests)
-  // and one per class in class-list order (labeled requests), each rebuilt
-  // by its own task every slot.
+  // and one per class in class-list order (labeled requests), rebuilt every
+  // slot.
   mutable WeightedPicker all_servers_picker_;
   mutable std::vector<WeightedPicker> class_pickers_;
   // Running aggregate: sum of cached available cores per class.
@@ -313,9 +294,9 @@ class ResourceManager {
   // Per-class mean primary utilization, computed once per slot on demand.
   mutable std::vector<int64_t> class_util_slot_;
   mutable std::vector<double> class_util_value_;
-  // Per-slot rebuild scratch: one position-indexed weight column per class,
-  // sized by SetServerClasses and written only by that class's task.
-  mutable std::vector<std::vector<int64_t>> class_cols_;
+  // Per-slot rebuild scratch: one class's weight column in class-list
+  // order, reused class after class.
+  mutable std::vector<int64_t> class_col_;
 };
 
 }  // namespace harvest

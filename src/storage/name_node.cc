@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/cluster/fleet_table.h"
 #include "src/util/logging.h"
 
 namespace harvest {
@@ -19,8 +18,10 @@ NameNode::NameNode(const Cluster* cluster, std::unique_ptr<PlacementPolicy> poli
   }
   num_racks_ = static_cast<int>(num_racks);
   if (options_.max_inflight_heals_per_shard > 0) {
-    // The lane grouping is a model parameter, derived from the fleet alone.
-    const int heal_shards = FleetTable::AutoShardCount(cluster->num_servers());
+    // One lane group per 4,096 servers, 1 to 16: a model parameter,
+    // derived from the fleet alone.
+    const int heal_shards =
+        static_cast<int>(std::clamp<size_t>(cluster->num_servers() / 4096, 1, 16));
     server_heal_shard_.reserve(cluster->num_servers());
     for (const auto& server : cluster->servers()) {
       server_heal_shard_.push_back(static_cast<int32_t>(

@@ -56,7 +56,7 @@ struct NameNodeOptions {
   // --- Heal-storm backpressure (src/fault graceful degradation) -----------
   // Bounded in-flight heal budget per lane group: when > 0, a queued heal
   // also waits for the earliest of this many "lanes" of its source's group
-  // (contiguous rack ranges, FleetTable::AutoShardCount groups), so a
+  // (contiguous rack ranges; one group per 4,096 servers, 1 to 16), so a
   // mass-loss event produces a drain curve bounded by groups x budget x
   // throttle instead of an unbounded burst. 0 = unlimited (legacy).
   int max_inflight_heals_per_shard = 0;
@@ -209,7 +209,7 @@ class NameNode {
   int64_t partitioned_racks_ = 0;
   // Bounded heal lanes (earliest-free completion times); empty when
   // max_inflight_heals_per_shard == 0. Lanes are grouped by contiguous rack
-  // ranges whose count the fleet alone sets (AutoShardCount).
+  // ranges whose count the fleet alone sets (see the constructor).
   std::vector<int32_t> server_heal_shard_;
   std::vector<std::vector<double>> heal_lanes_;
   // Queued heals now / high-water / last time the queue hit zero.

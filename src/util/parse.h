@@ -18,6 +18,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <string_view>
@@ -64,6 +65,15 @@ inline bool ParseInt64(std::string_view text, int64_t* out, std::string* error) 
   }
   *out = static_cast<int64_t>(value);
   return true;
+}
+
+// A number's short %g text, for messages and canonical echoes. Round trips
+// need no more digits: both sides of any comparison go through parse ->
+// canonical, so formatting precision cancels.
+inline std::string FormatNumber(double value) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%g", value);
+  return buffer;
 }
 
 // Splits `text` at every `separator`. The views point into `text`.

@@ -41,8 +41,8 @@ class WeightedPicker {
   int64_t Total() const { return total_; }
 
   // Re-initializes to `weights[0] .. weights[count - 1]` in O(n) (in-place
-  // prefix doubling). Writes only this picker, so the RM's per-slot rebuild
-  // builds its samplers concurrently, one task each.
+  // prefix doubling). The weights are copied, so the RM's per-slot rebuild
+  // gathers every class's column into one reused buffer.
   void Build(const int64_t* weights, size_t count) {
     size_ = count;
     tree_.assign(size_ + 1, 0);

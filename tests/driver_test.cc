@@ -259,8 +259,8 @@ TEST(ScenarioOverrideTest, UnknownKeyAndBadValueAreDistinctStatuses) {
   EXPECT_EQ(ApplyScenarioOverrideStatus(config, "fleet_scael", "0.5", &error),
             OverrideStatus::kUnknownKey);
   EXPECT_NE(error.find("did you mean"), std::string::npos);
-  // The RM's refresh workers follow --threads and the fleet size; there is
-  // no layout knob to set.
+  // Each co-simulation runs on one thread and --threads is the only layout
+  // input; there is no shard knob to set.
   EXPECT_EQ(ApplyScenarioOverrideStatus(config, "rm_shards", "1", &error),
             OverrideStatus::kUnknownKey);
   EXPECT_EQ(ApplyScenarioOverrideStatus(config, "nn_shards", "1", &error),
@@ -311,6 +311,34 @@ TEST(ScenarioOverrideTest, ValidateScenarioCatchesCrossKnobConflicts) {
   no_dcs.datacenters.clear();
   EXPECT_NE(ValidateScenario(no_dcs).find("datacenters"), std::string::npos);
   EXPECT_EQ(ValidateScenario(*FindScenario("hetero_shapes")), "");
+}
+
+TEST(ScenarioOverrideTest, ValidateScenarioRejectsScaledSizesThatOverflow) {
+  // An overflowing product would round to the minimum and a size floor would
+  // hide it; the message names the knob and the scale.
+  const ScenarioConfig testbed = *FindScenario("dc9_testbed");
+  EXPECT_EQ(ValidateScenario(testbed, 0.05), "");
+  EXPECT_EQ(ValidateScenario(testbed, 1e6), "");  // large, but every size still fits
+  for (double scale : {3e7, 1e300}) {
+    const std::string error = ValidateScenario(testbed, scale);
+    EXPECT_NE(error.find("testbed_servers"), std::string::npos) << error;
+    EXPECT_NE(error.find("--scale="), std::string::npos) << error;
+  }
+  ScenarioConfig fleet = *FindScenario("fleet_sweep");
+  fleet.fleet_scale = 1e300;
+  std::string error = ValidateScenario(fleet);
+  EXPECT_NE(error.find("fleet_scale"), std::string::npos) << error;
+  EXPECT_NE(error.find("tenant count"), std::string::npos) << error;
+  EXPECT_EQ(error.find("--scale"), std::string::npos) << error;
+  // Past every size's range: the fleet is named first.
+  error = ValidateScenario(*FindScenario("reimage_storm"), 1e300);
+  EXPECT_NE(error.find("fleet_scale"), std::string::npos) << error;
+  // A rate the scale pushes to infinity.
+  ScenarioConfig rate = testbed;
+  rate.access_rate = std::numeric_limits<double>::max();
+  error = ValidateScenario(rate, 2.0);
+  EXPECT_NE(error.find("access_rate scaled by --scale=2 is not finite"), std::string::npos)
+      << error;
 }
 
 TEST(ScenarioOverrideTest, ClusteringKnobsReachTheSchedulingSimulation) {

@@ -1,7 +1,10 @@
 #include "src/storage/name_node.h"
 
 #include <gtest/gtest.h>
+
+#include <memory>
 #include <set>
+#include <vector>
 
 namespace harvest {
 namespace {
@@ -222,6 +225,85 @@ TEST(NameNodeTest, StatsAccumulateAcrossOperations) {
   EXPECT_EQ(nn.stats().blocks_created, 20);
   EXPECT_EQ(nn.stats().accesses, 50);
   EXPECT_DOUBLE_EQ(nn.stats().LossFraction(), 0.0);
+}
+
+// `servers` idle servers sharing one trace, 1,024 to a rack.
+Cluster RackedCluster(int servers) {
+  Cluster cluster;
+  PrimaryTenant tenant;
+  tenant.name = "idle";
+  tenant.average_utilization = UtilizationTrace(std::vector<double>(4, 0.0));
+  TenantId id = cluster.AddTenant(std::move(tenant));
+  auto trace = std::make_shared<const UtilizationTrace>(cluster.tenant(id).average_utilization);
+  for (int s = 0; s < servers; ++s) {
+    Server server;
+    server.tenant = id;
+    server.rack = s / 1024;
+    server.utilization = trace;
+    server.harvestable_blocks = 10;
+    cluster.AddServer(std::move(server));
+  }
+  return cluster;
+}
+
+// Places the i-th created block on blocks[i] and every heal on `spare`.
+class ScriptedPlacement : public PlacementPolicy {
+ public:
+  ScriptedPlacement(std::vector<std::vector<ServerId>> blocks, ServerId spare)
+      : blocks_(std::move(blocks)), spare_(spare) {}
+  std::vector<ServerId> Place(ServerId, int, const ServerSpaceFilter&, Rng&) const override {
+    return blocks_[next_++];
+  }
+  ServerId PlaceAdditional(const std::vector<ServerId>&, const ServerSpaceFilter& has_space,
+                           Rng&) const override {
+    return has_space(spare_) ? spare_ : kInvalidServer;
+  }
+  const char* name() const override { return "scripted"; }
+
+ private:
+  std::vector<std::vector<ServerId>> blocks_;
+  ServerId spare_;
+  mutable size_t next_ = 0;
+};
+
+// Heal lanes are grouped by contiguous rack ranges, one group per 4,096
+// servers: 8,192 servers on 8 racks make two groups, racks 0-3 (servers
+// 0-4095) and racks 4-7. With one lane per group, two heals sourced in
+// different groups run side by side, and two sourced in one group (on
+// different servers, so the per-source throttle does not order them) queue
+// one behind the other.
+TEST(NameNodeTest, HealLanesThrottleEachGroupOfRacks) {
+  const Cluster cluster = RackedCluster(8192);
+  const double interval = 3600.0 / 30.0;    // one copy at 30 blocks/hour
+  const double first_done = 300.0 + interval;  // detection delay, then one copy
+  for (ServerId second_source : {ServerId{5000}, ServerId{20}}) {
+    const bool same_group = second_source < 4096;
+    SCOPED_TRACE(same_group ? "one group" : "two groups");
+    Rng rng(11);
+    NameNodeOptions options;
+    options.replication = 2;
+    options.max_inflight_heals_per_shard = 1;
+    // Both blocks have a replica on server 0; the wipe leaves servers 10
+    // and `second_source` as the only sources.
+    NameNode nn(&cluster,
+                std::make_unique<ScriptedPlacement>(
+                    std::vector<std::vector<ServerId>>{{0, 10}, {0, second_source}}, 8191),
+                options, &rng);
+    const BlockId a = nn.CreateBlock(0, 0.0);
+    const BlockId b = nn.CreateBlock(0, 0.0);
+    nn.OnReimage(0, 0.0);
+    auto healed = [&] {
+      return (nn.LiveReplicas(a) == 2 ? 1 : 0) + (nn.LiveReplicas(b) == 2 ? 1 : 0);
+    };
+    nn.ProcessRereplication(first_done - 1.0);
+    EXPECT_EQ(healed(), 0);
+    nn.ProcessRereplication(first_done);
+    EXPECT_EQ(healed(), same_group ? 1 : 2);
+    nn.ProcessRereplication(first_done + interval - 1.0);
+    EXPECT_EQ(healed(), same_group ? 1 : 2);
+    nn.ProcessRereplication(first_done + interval);
+    EXPECT_EQ(healed(), 2);
+  }
 }
 
 }  // namespace

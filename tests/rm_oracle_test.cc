@@ -10,8 +10,7 @@
 //     decrements) run on a copy of the RNG -- including that both consume
 //     the RNG stream identically.
 //
-// Runs >= 1000 operations in each of PT and H modes, on two fleets and at
-// several refresh worker counts.
+// Runs >= 1000 operations in each of PT and H modes, on two fleets.
 
 #include "src/scheduler/resource_manager.h"
 
@@ -113,8 +112,8 @@ void ExpectClassAggregatesMatchNaive(const ResourceManager& rm, double t) {
 
 // The oracle's two fleets. The testbed's per-server traces make every
 // telemetry group a single server. The DC-scale fleet shares one trace per
-// tenant, so its groups span many servers and the refresh's per-worker
-// server ranges cut through them.
+// tenant, so its groups span many servers and the refresh's once-per-group
+// evaluation is broadcast across each of them.
 enum class Fleet { kTestbed, kSharedTraces };
 
 Cluster BuildOracleFleet(Fleet fleet, uint64_t seed) {
@@ -134,14 +133,12 @@ Cluster BuildOracleFleet(Fleet fleet, uint64_t seed) {
   return cluster;
 }
 
-void RunOracle(SchedulerMode mode, uint64_t seed, Fleet fleet, int workers) {
-  SCOPED_TRACE(testing::Message() << (fleet == Fleet::kTestbed ? "testbed" : "shared traces")
-                                  << ", " << workers << " workers");
+void RunOracle(SchedulerMode mode, uint64_t seed, Fleet fleet) {
+  SCOPED_TRACE(fleet == Fleet::kTestbed ? "testbed" : "shared traces");
   Cluster cluster = BuildOracleFleet(fleet, seed);
-  // The worker count is execution layout: every placement, aggregate, and
-  // RNG draw below must be identical to the dense serial reference no
-  // matter how the refresh is split.
-  ResourceManager rm(&cluster, mode, kDefaultReserve, workers);
+  // Every placement, aggregate, and RNG draw below must be identical to the
+  // dense reference.
+  ResourceManager rm(&cluster, mode, kDefaultReserve);
   if (mode == SchedulerMode::kHistory) {
     // Deterministic 4-class striping: enough classes to exercise labeled
     // segments without depending on the clustering service.
@@ -227,7 +224,7 @@ void RunOracle(SchedulerMode mode, uint64_t seed, Fleet fleet, int workers) {
 TEST(RmOracleTest, SlidingWindowForecastMatchesNaiveScanAcrossJumpsAndWindows) {
   Rng build_rng(7);
   Cluster cluster = BuildTestbedCluster(24, kSlotsPerDay, build_rng);
-  ResourceManager rm(&cluster, SchedulerMode::kHistory, kDefaultReserve, /*workers=*/3);
+  ResourceManager rm(&cluster, SchedulerMode::kHistory, kDefaultReserve);
   Rng rng(99);
   const double steps[] = {30.0,    120.0,   360.0,  5000.0, 45000.0,
                           130000.0, 50.0,   240.0,  11.0,   86400.0};
@@ -248,14 +245,11 @@ TEST(RmOracleTest, SlidingWindowForecastMatchesNaiveScanAcrossJumpsAndWindows) {
   }
 }
 
-// Each mode runs the full oracle on both fleets at 1, 3 and 8 refresh
-// workers: the dense reference is serial, so any byte of divergence in
-// placements, aggregates, or RNG stream position pins a bug in the split.
+// Each mode runs the full oracle on both fleets: any byte of divergence in
+// placements, aggregates, or RNG stream position pins a cache bug.
 void RunOracleEverywhere(SchedulerMode mode, uint64_t seed) {
   for (Fleet fleet : {Fleet::kTestbed, Fleet::kSharedTraces}) {
-    for (int workers : {1, 3, 8}) {
-      RunOracle(mode, seed, fleet, workers);
-    }
+    RunOracle(mode, seed, fleet);
   }
 }
 

@@ -39,9 +39,8 @@ constexpr RuleInfo kRules[] = {
      "key on a stable id (ServerId, pooled index, name) instead of an address, or use an "
      "unordered lookup-only map; annotate '// detlint: addr-ok(<reason>)' if never iterated"},
     {"R5-float-accum", "exact-sum",
-     "accumulate in int64 fixed point, whose sums are exact under any work split (the RM's "
-     "per-class available-core sums), or annotate '// detlint: exact-sum(<reason>)' if the sum "
-     "cannot reach results"},
+     "accumulate in int64 fixed point, whose sums are exact under any work split, or annotate "
+     "'// detlint: exact-sum(<reason>)' if the sum cannot reach results"},
     {"R6-raw-thread", "thread-ok",
      "route parallelism through harvest::ParallelForIndex (src/util/executor.h), which pins "
      "the deterministic work-handout contract"},
