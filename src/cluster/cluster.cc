@@ -36,6 +36,31 @@ void Cluster::SetReimageTimes(ServerId id, const double* times, size_t count) {
   reimage_pool_.insert(reimage_pool_.end(), times, times + count);
 }
 
+void Cluster::SetTenantReimageEvents(TenantId id, const std::vector<ReimageEvent>& events) {
+  const std::vector<ServerId>& servers = tenants_[static_cast<size_t>(id)].servers;
+  // Counting sort by server index, stable in event order, into one flat
+  // buffer that holds each server's times contiguously.
+  std::vector<size_t> offset(servers.size() + 1, 0);
+  for (const ReimageEvent& event : events) {
+    HARVEST_CHECK(event.server_index >= 0 &&
+                  static_cast<size_t>(event.server_index) < servers.size())
+        << "reimage event for server " << event.server_index << " of a tenant with "
+        << servers.size();
+    ++offset[static_cast<size_t>(event.server_index) + 1];
+  }
+  for (size_t i = 1; i < offset.size(); ++i) {
+    offset[i] += offset[i - 1];
+  }
+  std::vector<double> times(events.size());
+  std::vector<size_t> cursor(offset.begin(), offset.end() - 1);
+  for (const ReimageEvent& event : events) {
+    times[cursor[static_cast<size_t>(event.server_index)]++] = event.time_seconds;
+  }
+  for (size_t s = 0; s < servers.size(); ++s) {
+    SetReimageTimes(servers[s], times.data() + offset[s], offset[s + 1] - offset[s]);
+  }
+}
+
 double Cluster::AverageUtilizationAt(double seconds) const {
   if (servers_.empty()) {
     return 0.0;

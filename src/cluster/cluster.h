@@ -98,6 +98,11 @@ class Cluster {
   // call this at most once per server (re-setting leaks pool slots until
   // the Cluster is dropped; no builder re-sets).
   void SetReimageTimes(ServerId id, const double* times, size_t count);
+  // Installs a tenant's generated schedule: each event lands on the tenant's
+  // `server_index`-th server, in event order, and the tenant's servers take
+  // their spans in that order. Call once per tenant, after adding all of
+  // its servers.
+  void SetTenantReimageEvents(TenantId id, const std::vector<ReimageEvent>& events);
   // Total events across the fleet (the driver's provenance stat).
   int64_t TotalReimageEvents() const {
     return static_cast<int64_t>(reimage_pool_.size());

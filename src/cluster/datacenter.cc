@@ -153,24 +153,6 @@ Cluster BuildCluster(const DatacenterProfile& profile, const BuildOptions& optio
 
     TenantId tenant_id = cluster.AddTenant(std::move(tenant));
 
-    // Scatter the tenant's reimage events into one flat buffer laid out
-    // per server (counting sort by server index, stable in event order):
-    // the Cluster pools the schedules, so the builder hands it one
-    // contiguous span per server instead of materializing a heap vector
-    // for every server of a fleet_scale=25 run.
-    std::vector<size_t> reimage_offset(static_cast<size_t>(servers) + 1, 0);
-    for (const auto& event : events) {
-      ++reimage_offset[static_cast<size_t>(event.server_index) + 1];
-    }
-    for (size_t i = 1; i < reimage_offset.size(); ++i) {
-      reimage_offset[i] += reimage_offset[i - 1];
-    }
-    std::vector<double> reimage_times(events.size());
-    std::vector<size_t> reimage_cursor(reimage_offset.begin(), reimage_offset.end() - 1);
-    for (const auto& event : events) {
-      reimage_times[reimage_cursor[static_cast<size_t>(event.server_index)]++] =
-          event.time_seconds;
-    }
     auto shared_trace =
         std::make_shared<const UtilizationTrace>(cluster.tenant(tenant_id).average_utilization);
     for (int s = 0; s < servers; ++s) {
@@ -193,11 +175,9 @@ Cluster BuildCluster(const DatacenterProfile& profile, const BuildOptions& optio
       }
       server.harvestable_blocks =
           rng.UniformInt(profile.min_blocks_per_server, profile.max_blocks_per_server);
-      const ServerId id = cluster.AddServer(std::move(server));
-      const size_t begin = reimage_offset[static_cast<size_t>(s)];
-      cluster.SetReimageTimes(id, reimage_times.data() + begin,
-                              reimage_offset[static_cast<size_t>(s) + 1] - begin);
+      cluster.AddServer(std::move(server));
     }
+    cluster.SetTenantReimageEvents(tenant_id, events);
     next_rack += (servers + profile.servers_per_rack - 1) / profile.servers_per_rack;
   }
   return cluster;

@@ -44,7 +44,6 @@ class FleetTable {
 
   // SoA columns, indexed by ServerId.
   const std::vector<int>& capacity_cores() const { return capacity_cores_; }
-  const std::vector<int>& capacity_memory_mb() const { return capacity_memory_mb_; }
   // Pooled trace id per server (-1 = no / empty trace).
   const std::vector<int32_t>& trace_index() const { return trace_index_; }
   // Telemetry group (run) id per server.

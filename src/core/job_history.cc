@@ -1,66 +1,6 @@
 #include "src/core/job_history.h"
 
-#include <algorithm>
-#include <array>
-#include <numeric>
-
 namespace harvest {
-
-const char* JobTypeName(JobType type) {
-  switch (type) {
-    case JobType::kShort:
-      return "short";
-    case JobType::kMedium:
-      return "medium";
-    case JobType::kLong:
-      return "long";
-  }
-  return "unknown";
-}
-
-JobTypeThresholds DeriveThresholds(std::vector<double> historical_durations,
-                                   const std::array<double, 3>& capacity_share) {
-  JobTypeThresholds thresholds;
-  if (historical_durations.empty()) {
-    return thresholds;
-  }
-  std::sort(historical_durations.begin(), historical_durations.end());
-
-  // Total computation of a job scales with its duration, so we place the two
-  // cut points where the cumulative duration mass matches the capacity share
-  // of the short-preferred and medium-preferred patterns.
-  double total = std::accumulate(historical_durations.begin(), historical_durations.end(), 0.0);
-  double share_sum = capacity_share[0] + capacity_share[1] + capacity_share[2];
-  if (total <= 0.0 || share_sum <= 0.0) {
-    return thresholds;
-  }
-  double short_mass = total * capacity_share[0] / share_sum;
-  double medium_mass = total * (capacity_share[0] + capacity_share[1]) / share_sum;
-
-  double cumulative = 0.0;
-  bool short_set = false;
-  bool long_set = false;
-  for (double d : historical_durations) {
-    cumulative += d;
-    if (!short_set && cumulative >= short_mass) {
-      thresholds.short_below = d;
-      short_set = true;
-    }
-    if (!long_set && cumulative >= medium_mass) {
-      thresholds.long_above = d;
-      long_set = true;
-      break;
-    }
-  }
-  if (!short_set) {
-    thresholds.short_below = historical_durations.back();
-  }
-  if (!long_set) {
-    thresholds.long_above = historical_durations.back();
-  }
-  thresholds.long_above = std::max(thresholds.long_above, thresholds.short_below);
-  return thresholds;
-}
 
 void JobHistory::RecordRun(const std::string& job_name, double duration_seconds) {
   last_duration_[job_name] = duration_seconds;
@@ -73,11 +13,6 @@ JobType JobHistory::TypeOf(const std::string& job_name) const {
     return JobType::kMedium;
   }
   return thresholds_.Categorize(it->second);
-}
-
-double JobHistory::LastDuration(const std::string& job_name) const {
-  auto it = last_duration_.find(job_name);
-  return it == last_duration_.end() ? -1.0 : it->second;
 }
 
 }  // namespace harvest

@@ -3,22 +3,20 @@
 // The paper stresses that this need not be an accurate runtime estimate --
 // only a rough three-way bucketing -- and that a job consistently falls into
 // the same type after the first guess. Jobs never seen before default to
-// medium.
+// medium. The thresholds are the testbed's fixed 173 s / 433 s (§6.1), which
+// the scheduling stage stretches by `job_duration_factor`; §4.1's derivation
+// of thresholds from a duration history is not modeled.
 
 #ifndef HARVEST_SRC_CORE_JOB_HISTORY_H_
 #define HARVEST_SRC_CORE_JOB_HISTORY_H_
 
-#include <array>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 namespace harvest {
 
 enum class JobType { kShort = 0, kMedium = 1, kLong = 2 };
 inline constexpr int kNumJobTypes = 3;
-
-const char* JobTypeName(JobType type);
 
 // Testbed thresholds from paper §6.1 (seconds).
 struct JobTypeThresholds {
@@ -36,14 +34,6 @@ struct JobTypeThresholds {
   }
 };
 
-// Derives thresholds from a historical distribution of job lengths so that
-// the total computation demanded by each type is roughly proportional to the
-// capacity of its preferred class pattern (paper §4.1). `capacity_share`
-// holds the fraction of harvestable capacity in the pattern preferred by
-// short, medium, and long jobs respectively; shares must sum to ~1.
-JobTypeThresholds DeriveThresholds(std::vector<double> historical_durations,
-                                   const std::array<double, 3>& capacity_share);
-
 // Per-job-name history store.
 class JobHistory {
  public:
@@ -55,12 +45,6 @@ class JobHistory {
   // Type for the next run: from the last recorded duration, or medium when
   // the job has never run.
   JobType TypeOf(const std::string& job_name) const;
-
-  // Last recorded duration; negative when unknown.
-  double LastDuration(const std::string& job_name) const;
-
-  const JobTypeThresholds& thresholds() const { return thresholds_; }
-  void set_thresholds(JobTypeThresholds thresholds) { thresholds_ = thresholds; }
 
  private:
   JobTypeThresholds thresholds_;

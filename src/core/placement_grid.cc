@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "src/util/logging.h"
-
 namespace harvest {
 
 namespace {

@@ -4,8 +4,6 @@
 #include <array>
 #include <numeric>
 
-#include "src/util/logging.h"
-
 namespace harvest {
 
 namespace {
@@ -142,38 +140,12 @@ std::vector<ServerId> ReplicaPlacer::Place(ServerId writer, int replication,
   // Replicas 2..R (lines 8-18).
   int since_reset = static_cast<int>(replicas.size());
   while (static_cast<int>(replicas.size()) < replication) {
-    // Pass 1: cells whose row and column are unused this round. Pass 2: any
-    // cell -- the row/column rule is a diversity heuristic and degrades
-    // before failing the block (small fleets cannot always honor it), while
-    // the environment constraint stays hard.
-    ServerId chosen = kInvalidServer;
-    for (int pass = 0; pass < 2 && chosen == kInvalidServer; ++pass) {
-      std::array<std::pair<int, int>, kGridDim * kGridDim> cells;
-      size_t num_cells = 0;
-      for (int r = 0; r < kGridDim; ++r) {
-        for (int c = 0; c < kGridDim; ++c) {
-          bool diverse = !used_rows[static_cast<size_t>(r)] &&
-                         !used_cols[static_cast<size_t>(c)];
-          if ((pass == 0 ? diverse : true) && !grid_->cell(r, c).tenants.empty()) {
-            cells[num_cells++] = {r, c};
-          }
-        }
-      }
-      LazyShuffle<std::pair<int, int>> order(cells.data(), num_cells);
-      while (!order.Done()) {
-        auto [r, c] = order.Next(rng);
-        TenantId tenant = PickTenant(grid_->cell(r, c), used_environments, has_space, rng);
-        if (tenant == kInvalidTenant) {
-          continue;
-        }
-        chosen = PickServer(tenant, has_space, rng);
-        if (chosen != kInvalidServer) {
-          used_rows[static_cast<size_t>(r)] = true;
-          used_cols[static_cast<size_t>(c)] = true;
-          used_environments.push_back(cluster_->tenant(tenant).environment);
-          break;
-        }
-      }
+    const CellPick pick = PickInCells(used_rows, used_cols, used_environments, has_space, rng);
+    ServerId chosen = pick.server;
+    if (chosen != kInvalidServer) {
+      used_rows[static_cast<size_t>(pick.row)] = true;
+      used_cols[static_cast<size_t>(pick.col)] = true;
+      used_environments.push_back(cluster_->tenant(pick.tenant).environment);
     }
 
     if (chosen == kInvalidServer && options_.soft_constraints) {
@@ -219,9 +191,19 @@ ServerId ReplicaPlacer::PlaceAdditional(const std::vector<ServerId>& existing,
     }
   }
 
-  // Pass 1: cells disjoint in both row and column from every existing
-  // replica. Pass 2: any cell, environment constraint only (mirrors the
-  // round reset of Algorithm 2 when existing replicas already span 3 cells).
+  // When the existing replicas already span 3 cells, pass 1 finds none and
+  // pass 2 mirrors Algorithm 2's round reset.
+  return PickInCells(used_rows, used_cols, used_environments, has_space, rng).server;
+}
+
+ReplicaPlacer::CellPick ReplicaPlacer::PickInCells(
+    const std::array<bool, kGridDim>& used_rows, const std::array<bool, kGridDim>& used_cols,
+    const std::vector<EnvironmentId>& used_environments, const ServerFilter& has_space,
+    Rng& rng) const {
+  // Pass 1: cells whose row and column are unused. Pass 2: any cell -- the
+  // row/column rule is a diversity heuristic and degrades before failing
+  // the block (small fleets cannot always honor it), while the environment
+  // constraint stays hard.
   for (int pass = 0; pass < 2; ++pass) {
     std::array<std::pair<int, int>, kGridDim * kGridDim> cells;
     size_t num_cells = 0;
@@ -242,11 +224,11 @@ ServerId ReplicaPlacer::PlaceAdditional(const std::vector<ServerId>& existing,
       }
       ServerId server = PickServer(tenant, has_space, rng);
       if (server != kInvalidServer) {
-        return server;
+        return {server, tenant, r, c};
       }
     }
   }
-  return kInvalidServer;
+  return {};
 }
 
 std::vector<ServerId> ReplicaPlacer::PlaceGreedy(ServerId writer, int replication,

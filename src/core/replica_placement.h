@@ -17,6 +17,7 @@
 #ifndef HARVEST_SRC_CORE_REPLICA_PLACEMENT_H_
 #define HARVEST_SRC_CORE_REPLICA_PLACEMENT_H_
 
+#include <array>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -63,9 +64,24 @@ class ReplicaPlacer {
   ServerId PlaceAdditional(const std::vector<ServerId>& existing, const ServerFilter& has_space,
                            Rng& rng) const;
 
-  const PlacementGrid& grid() const { return *grid_; }
-
  private:
+  // A destination server, with the tenant and grid cell it was drawn from.
+  struct CellPick {
+    ServerId server = kInvalidServer;
+    TenantId tenant = kInvalidTenant;
+    int row = -1;
+    int col = -1;
+  };
+
+  // Algorithm 2's cell search: a random cell whose row and column are both
+  // unused, then any cell; in it, a random tenant of an unused environment
+  // (PickTenant) and a random server of that tenant with space (PickServer).
+  // Returns an empty pick (kInvalidServer) when no cell yields a server.
+  CellPick PickInCells(const std::array<bool, kGridDim>& used_rows,
+                       const std::array<bool, kGridDim>& used_cols,
+                       const std::vector<EnvironmentId>& used_environments,
+                       const ServerFilter& has_space, Rng& rng) const;
+
   // Picks a random tenant of `cell` not in `used_environments` that has at
   // least one server passing `has_space`; returns kInvalidTenant when none.
   TenantId PickTenant(const GridCell& cell, const std::vector<EnvironmentId>& used_environments,

@@ -4,7 +4,6 @@
 #include <cstddef>
 
 #include "src/signal/spectrum.h"
-#include "src/util/logging.h"
 #include "src/util/stats.h"
 
 namespace harvest {
@@ -26,8 +25,11 @@ std::vector<int> ClusteringSnapshot::ServerCountPerPattern(const Cluster& cluste
   return counts;
 }
 
-ClusteringSnapshot UtilizationClusteringService::Run(const Cluster& cluster, size_t first_slot,
-                                                     size_t window_slots, Rng& rng) const {
+ClusteringSnapshot UtilizationClusteringService::Run(const Cluster& cluster, Rng& rng) const {
+  size_t slots = 0;
+  for (const auto& tenant : cluster.tenants()) {
+    slots = std::max(slots, tenant.average_utilization.size());
+  }
   ClusteringSnapshot snapshot;
   const size_t num_tenants = cluster.num_tenants();
   snapshot.tenant_class.assign(num_tenants, -1);
@@ -42,9 +44,9 @@ ClusteringSnapshot UtilizationClusteringService::Run(const Cluster& cluster, siz
   std::vector<std::vector<TenantId>> by_pattern(kNumPatterns);
   for (const auto& tenant : cluster.tenants()) {
     std::vector<double> window;
-    window.reserve(window_slots);
-    for (size_t i = 0; i < window_slots; ++i) {
-      window.push_back(tenant.average_utilization.AtSlot(first_slot + i));
+    window.reserve(slots);
+    for (size_t i = 0; i < slots; ++i) {
+      window.push_back(tenant.average_utilization.AtSlot(i));
     }
     FrequencyProfile profile = ComputeFrequencyProfile(window);
     UtilizationPattern pattern = classifier.Classify(profile);
@@ -101,20 +103,20 @@ ClusteringSnapshot UtilizationClusteringService::Run(const Cluster& cluster, siz
     SummaryStats averages;
     for (TenantId t : cls.tenants) {
       const auto& tenant = cluster.tenant(t);
-      averages.Add(tenant.average_utilization.WindowAverage(first_slot, window_slots));
+      averages.Add(tenant.average_utilization.WindowAverage(0, slots));
       for (ServerId s : tenant.servers) {
         cls.servers.push_back(s);
         cls.total_cores += cluster.server(s).capacity.cores;
       }
     }
     double peak = 0.0;
-    if (!cls.tenants.empty() && window_slots > 0) {
+    if (!cls.tenants.empty() && slots > 0) {
       aggregate.clear();
-      aggregate.reserve(window_slots);
-      for (size_t i = 0; i < window_slots; ++i) {
+      aggregate.reserve(slots);
+      for (size_t i = 0; i < slots; ++i) {
         double slot_sum = 0.0;
         for (TenantId t : cls.tenants) {
-          slot_sum += cluster.tenant(t).average_utilization.AtSlot(first_slot + i);
+          slot_sum += cluster.tenant(t).average_utilization.AtSlot(i);
         }
         aggregate.push_back(slot_sum / static_cast<double>(cls.tenants.size()));
       }
@@ -128,14 +130,6 @@ ClusteringSnapshot UtilizationClusteringService::Run(const Cluster& cluster, siz
     cls.peak_utilization = peak;
   }
   return snapshot;
-}
-
-ClusteringSnapshot UtilizationClusteringService::Run(const Cluster& cluster, Rng& rng) const {
-  size_t slots = 0;
-  for (const auto& tenant : cluster.tenants()) {
-    slots = std::max(slots, tenant.average_utilization.size());
-  }
-  return Run(cluster, 0, slots, rng);
 }
 
 }  // namespace harvest

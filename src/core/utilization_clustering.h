@@ -63,11 +63,8 @@ class UtilizationClusteringService {
   explicit UtilizationClusteringService(ClusteringOptions options = {}) : options_(options) {}
 
   // Clusters all tenants of `cluster` using their average-server traces over
-  // the window [first_slot, first_slot + window_slots).
-  ClusteringSnapshot Run(const Cluster& cluster, size_t first_slot, size_t window_slots,
-                         Rng& rng) const;
-
-  // Convenience over the full trace horizon.
+  // the full horizon: the longest tenant trace's slots, shorter traces
+  // wrapping.
   ClusteringSnapshot Run(const Cluster& cluster, Rng& rng) const;
 
  private:

@@ -35,26 +35,7 @@ void AttachReimageSchedules(Cluster& cluster, const ReimageModelParams& params, 
     }
     TenantReimageProcess process(params, num_servers, rng);
     tenant.reimage_rate = process.base_rate();
-    // Counting-sort scatter into one flat buffer, then hand each server its
-    // contiguous span: the Cluster pools the schedules (see cluster.h).
-    const std::vector<ReimageEvent> events = process.GenerateEvents(months, rng);
-    std::vector<size_t> offset(static_cast<size_t>(num_servers) + 1, 0);
-    for (const ReimageEvent& event : events) {
-      ++offset[static_cast<size_t>(event.server_index) + 1];
-    }
-    for (size_t i = 1; i < offset.size(); ++i) {
-      offset[i] += offset[i - 1];
-    }
-    std::vector<double> times(events.size());
-    std::vector<size_t> cursor(offset.begin(), offset.end() - 1);
-    for (const ReimageEvent& event : events) {
-      times[cursor[static_cast<size_t>(event.server_index)]++] = event.time_seconds;
-    }
-    for (int s = 0; s < num_servers; ++s) {
-      const size_t begin = offset[static_cast<size_t>(s)];
-      cluster.SetReimageTimes(tenant.servers[static_cast<size_t>(s)], times.data() + begin,
-                              offset[static_cast<size_t>(s) + 1] - begin);
-    }
+    cluster.SetTenantReimageEvents(static_cast<TenantId>(t), process.GenerateEvents(months, rng));
   }
 }
 

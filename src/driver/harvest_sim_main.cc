@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <system_error>
 #include <vector>
@@ -249,6 +250,16 @@ int main(int argc, char** argv) {
   if (file == nullptr) {
     std::fprintf(stderr, "harvest_sim: cannot open '%s' for writing\n", out_path.c_str());
     return 1;
+  }
+  // Likewise the trace export directory (RunScenario would abort on it).
+  if (!options.dump_traces_dir.empty()) {
+    std::error_code ec;
+    std::filesystem::create_directories(options.dump_traces_dir, ec);
+    if (ec) {
+      std::fprintf(stderr, "harvest_sim: cannot create trace export directory '%s': %s\n",
+                   options.dump_traces_dir.c_str(), ec.message().c_str());
+      return 1;
+    }
   }
 
   std::fprintf(stderr, "harvest_sim: scenario=%s seed=%llu scale=%g overrides=%zu\n",

@@ -1,7 +1,7 @@
 // PlacementAuditStage: sample Algorithm-2 replica placements over the
 // fleet's 3x3 placement grid and score their quality.
 
-#include <algorithm>
+#include <vector>
 
 #include "src/core/placement_grid.h"
 #include "src/core/replica_placement.h"
@@ -19,29 +19,18 @@ PlacementAuditStageResult RunPlacementAuditStage(const DcContext& ctx, const Clu
 
   const int replication = config.replications.empty() ? 3 : config.replications.front();
   const auto always_space = [](ServerId) { return true; };
-  int64_t placed = 0;
   int64_t partial = 0;
-  int64_t environment_violations = 0;
-  double score_sum = 0.0;
-  double min_score = 1.0;
+  std::vector<std::vector<ServerId>> replica_sets;
+  replica_sets.reserve(static_cast<size_t>(config.placement_sample_blocks));
   for (int i = 0; i < config.placement_sample_blocks; ++i) {
     ServerId writer =
         static_cast<ServerId>(rng.NextBounded(static_cast<uint64_t>(cluster.num_servers())));
-    std::vector<ServerId> replicas = placer.Place(writer, replication, always_space, rng);
-    if (static_cast<int>(replicas.size()) < replication) {
+    replica_sets.push_back(placer.Place(writer, replication, always_space, rng));
+    if (static_cast<int>(replica_sets.back().size()) < replication) {
       ++partial;
     }
-    if (replicas.empty()) {
-      continue;
-    }
-    ++placed;
-    BlockPlacementQuality quality = monitor.ScoreBlock(replicas);
-    score_sum += quality.Score();
-    min_score = std::min(min_score, quality.Score());
-    if (quality.environment_diversity < 1.0) {
-      ++environment_violations;
-    }
   }
+  const PlacementQualityReport quality = monitor.Summarize(replica_sets);
 
   PlacementAuditStageResult result;
   result.replication = replication;
@@ -49,11 +38,9 @@ PlacementAuditStageResult RunPlacementAuditStage(const DcContext& ctx, const Clu
   result.grid_balance_ratio = grid.BalanceRatio();
   result.grid_total_blocks = grid.total_blocks();
   result.partial_placements = partial;
-  result.mean_quality_score = placed > 0 ? score_sum / static_cast<double>(placed) : 0.0;
-  result.min_quality_score = placed > 0 ? min_score : 0.0;
-  result.environment_violation_fraction =
-      placed > 0 ? static_cast<double>(environment_violations) / static_cast<double>(placed)
-                 : 0.0;
+  result.mean_quality_score = quality.mean_score;
+  result.min_quality_score = quality.min_score;
+  result.environment_violation_fraction = quality.environment_violations;
   return result;
 }
 

@@ -86,14 +86,4 @@ DatacenterCharacterization CharacterizeDatacenter(const DatacenterProfile& profi
   return result;
 }
 
-std::vector<DatacenterCharacterization> CharacterizeAllDatacenters(
-    const CharacterizationOptions& options) {
-  std::vector<DatacenterCharacterization> all;
-  all.reserve(AllDatacenterProfiles().size());
-  for (const auto& profile : AllDatacenterProfiles()) {
-    all.push_back(CharacterizeDatacenter(profile, options));
-  }
-  return all;
-}
-
 }  // namespace harvest

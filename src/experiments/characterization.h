@@ -45,10 +45,6 @@ struct CharacterizationOptions {
 DatacenterCharacterization CharacterizeDatacenter(const DatacenterProfile& profile,
                                                   const CharacterizationOptions& options);
 
-// All ten datacenters.
-std::vector<DatacenterCharacterization> CharacterizeAllDatacenters(
-    const CharacterizationOptions& options);
-
 }  // namespace harvest
 
 #endif  // HARVEST_SRC_EXPERIMENTS_CHARACTERIZATION_H_

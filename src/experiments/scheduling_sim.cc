@@ -33,7 +33,6 @@ const char* StorageVariantName(StorageVariant variant) {
 
 namespace {
 
-constexpr double kJobWidthFactor = 1.0;         // only job lengths scale
 constexpr double kLatencyWindowSeconds = 60.0;  // latency series (Figs 10/12)
 // Reserve-enforcement / retry tick: the NM heartbeat cadence coarsened to
 // telemetry granularity.
@@ -82,7 +81,7 @@ class SchedulingSimulation {
     // Scale the suite once.
     suite_.reserve(suite.size());
     for (const auto& dag : suite) {
-      suite_.push_back(dag.Scaled(options.job_duration_factor, kJobWidthFactor));
+      suite_.push_back(dag.Scaled(options.job_duration_factor));
     }
     if (options.mode == SchedulerMode::kHistory) {
       SetupHistoryScheduling();

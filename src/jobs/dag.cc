@@ -1,7 +1,6 @@
 #include "src/jobs/dag.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "src/util/logging.h"
 
@@ -72,12 +71,10 @@ double JobDag::CriticalPathSeconds() const {
   return best;
 }
 
-JobDag JobDag::Scaled(double duration_factor, double width_factor) const {
+JobDag JobDag::Scaled(double duration_factor) const {
   std::vector<Stage> scaled = stages_;
   for (auto& stage : scaled) {
     stage.task_seconds *= duration_factor;
-    stage.num_tasks = std::max(
-        1, static_cast<int>(std::ceil(stage.num_tasks * width_factor - 1e-9)));
   }
   return JobDag(name_, std::move(scaled));
 }

@@ -47,9 +47,9 @@ class JobDag {
   // assuming unlimited containers.
   double CriticalPathSeconds() const;
 
-  // Multiplies all task durations and counts (the simulator's job scaling,
-  // paper §6.1). Counts are scaled geometrically and rounded up.
-  JobDag Scaled(double duration_factor, double width_factor) const;
+  // Multiplies all task durations (the simulator's job scaling, paper
+  // §6.1); task counts stay as they are.
+  JobDag Scaled(double duration_factor) const;
 
   // Validates parent indices and acyclicity (topological order exists).
   bool Validate() const;

@@ -24,8 +24,6 @@ enum class SchedulerMode {
   kHistory = 2,
 };
 
-const char* SchedulerModeName(SchedulerMode mode);
-
 struct ContainerRequest {
   JobId job = 0;
   // Shape of each container.

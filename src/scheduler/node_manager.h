@@ -105,7 +105,6 @@ class NodeManager {
   // capped at 1; the paper reports the testbed moving from 33% to 54%.
   double TotalUtilization(double t) const;
 
-  const std::vector<Container>& containers() const { return containers_; }
   Resources allocated() const { return allocated_; }
   bool idle() const { return containers_.empty(); }
 

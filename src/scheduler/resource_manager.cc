@@ -27,18 +27,6 @@ constexpr int64_t kTypeRoomBonus = 50;
 
 }  // namespace
 
-const char* SchedulerModeName(SchedulerMode mode) {
-  switch (mode) {
-    case SchedulerMode::kStock:
-      return "Stock";
-    case SchedulerMode::kPrimaryAware:
-      return "PT";
-    case SchedulerMode::kHistory:
-      return "H";
-  }
-  return "unknown";
-}
-
 ResourceManager::ResourceManager(const Cluster* cluster, SchedulerMode mode, Resources reserve)
     : cluster_(cluster), mode_(mode), table_(*cluster) {
   nodes_.reserve(cluster->num_servers());

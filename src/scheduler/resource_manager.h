@@ -90,7 +90,6 @@ class ResourceManager {
   NodeManager& node(ServerId id) { return nodes_[static_cast<size_t>(id)]; }
   const NodeManager& node(ServerId id) const { return nodes_[static_cast<size_t>(id)]; }
   size_t num_nodes() const { return nodes_.size(); }
-  SchedulerMode mode() const { return mode_; }
 
   // Cluster-wide average total (primary + secondary) utilization at `t`.
   double AverageTotalUtilization(double t) const;
@@ -148,13 +147,11 @@ class ResourceManager {
   bool IsDown(ServerId s) const {
     return !down_.empty() && down_[static_cast<size_t>(s)] != 0;
   }
-  int64_t down_count() const { return down_count_; }
 
   // Telemetry-blackout degradation: while degraded, the history placement
   // bonus is suppressed (H places on live availability instead of chasing a
   // missing day-ago window). Toggling invalidates the slot caches.
   void SetForecastDegraded(bool degraded);
-  bool forecast_degraded() const { return forecast_degraded_; }
   // Per-telemetry-group parked counts for the energy accountant's per-group
   // slot integration (empty until ConfigureRightSizing).
   const std::vector<int32_t>& group_parked() const { return group_parked_; }

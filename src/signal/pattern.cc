@@ -25,8 +25,4 @@ UtilizationPattern PatternClassifier::Classify(const FrequencyProfile& profile) 
   return UtilizationPattern::kUnpredictable;
 }
 
-UtilizationPattern PatternClassifier::ClassifySeries(const std::vector<double>& series) const {
-  return Classify(ComputeFrequencyProfile(series));
-}
-
 }  // namespace harvest

@@ -44,7 +44,6 @@ class PatternClassifier {
   explicit PatternClassifier(PatternClassifierOptions options = {}) : options_(options) {}
 
   UtilizationPattern Classify(const FrequencyProfile& profile) const;
-  UtilizationPattern ClassifySeries(const std::vector<double>& series) const;
 
  private:
   PatternClassifierOptions options_;

@@ -122,10 +122,9 @@ class NameNode {
     return partitioned_racks_ > 0 && rack_partitioned_[static_cast<size_t>(rack)] != 0;
   }
 
-  // Heal-backlog telemetry (the fault stage's drain curve): pending heals
-  // right now, the high-water mark, and the ready_time at which the backlog
-  // last drained to zero.
-  int64_t heal_backlog() const { return heal_backlog_; }
+  // Heal-backlog telemetry (the fault stage's drain curve): the high-water
+  // mark of pending heals, and the ready_time at which the backlog last
+  // drained to zero.
   int64_t heal_backlog_peak() const { return heal_backlog_peak_; }
   double heal_backlog_cleared_at() const { return heal_backlog_cleared_at_; }
 
@@ -142,7 +141,6 @@ class NameNode {
   const StorageStats& stats() const { return stats_; }
   // Live blocks currently below their target replication (a running count).
   int64_t UnderReplicatedBlocks() const { return under_replicated_; }
-  const PlacementPolicy& policy() const { return *policy_; }
   DataNode& data_node(ServerId id) { return data_nodes_[static_cast<size_t>(id)]; }
   int64_t num_blocks() const { return static_cast<int64_t>(blocks_.size()); }
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/util/logging.h"
-
 namespace harvest {
 
 namespace {

@@ -37,7 +37,6 @@ class PlacementPolicy {
   // and take the first server not already holding a replica.
   virtual ServerId PlaceAdditional(const std::vector<ServerId>& existing,
                                    const ServerSpaceFilter& has_space, Rng& rng) const;
-  virtual const char* name() const = 0;
 };
 
 class StockPlacement : public PlacementPolicy {
@@ -45,7 +44,6 @@ class StockPlacement : public PlacementPolicy {
   explicit StockPlacement(const Cluster* cluster);
   std::vector<ServerId> Place(ServerId writer, int replication,
                               const ServerSpaceFilter& has_space, Rng& rng) const override;
-  const char* name() const override { return "HDFS-Stock"; }
 
  private:
   const Cluster* cluster_;
@@ -61,7 +59,6 @@ class RandomPlacement : public PlacementPolicy {
   explicit RandomPlacement(const Cluster* cluster);
   std::vector<ServerId> Place(ServerId writer, int replication,
                               const ServerSpaceFilter& has_space, Rng& rng) const override;
-  const char* name() const override { return "HDFS-Random"; }
 
  private:
   const Cluster* cluster_;
@@ -78,7 +75,6 @@ class HistoryPlacement : public PlacementPolicy {
   // surviving replicas (environment + row/column constraints).
   ServerId PlaceAdditional(const std::vector<ServerId>& existing,
                            const ServerSpaceFilter& has_space, Rng& rng) const override;
-  const char* name() const override { return "HDFS-H"; }
 
   const PlacementGrid& grid() const { return grid_; }
 

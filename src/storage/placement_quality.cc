@@ -32,35 +32,29 @@ BlockPlacementQuality PlacementQualityMonitor::ScoreBlock(
   return quality;
 }
 
-PlacementQualityReport PlacementQualityMonitor::Audit(const NameNode& name_node) const {
+PlacementQualityReport PlacementQualityMonitor::Summarize(
+    const std::vector<std::vector<ServerId>>& replica_sets) const {
   PlacementQualityReport report;
   double score_sum = 0.0;
+  double min_score = 1.0;
   int64_t violations = 0;
-  int64_t low_quality = 0;
-  for (BlockId b = 0; b < name_node.num_blocks(); ++b) {
-    if (name_node.Lost(b) || name_node.LiveReplicas(b) == 0) {
+  for (const std::vector<ServerId>& replicas : replica_sets) {
+    if (replicas.empty()) {
       continue;
     }
-    BlockPlacementQuality quality = ScoreBlock(name_node.ReplicaServers(b));
+    BlockPlacementQuality quality = ScoreBlock(replicas);
     ++report.blocks;
-    double score = quality.Score();
-    score_sum += score;
-    report.min_score = std::min(report.min_score, score);
+    score_sum += quality.Score();
+    min_score = std::min(min_score, quality.Score());
     if (quality.environment_diversity < 1.0) {
       ++violations;
     }
-    if (score < options_.quality_threshold) {
-      ++low_quality;
-    }
   }
   if (report.blocks > 0) {
-    report.mean_score = score_sum / static_cast<double>(report.blocks);
-    report.environment_violations =
-        static_cast<double>(violations) / static_cast<double>(report.blocks);
-    report.low_quality_fraction =
-        static_cast<double>(low_quality) / static_cast<double>(report.blocks);
-  } else {
-    report.min_score = 0.0;
+    const double blocks = static_cast<double>(report.blocks);
+    report.mean_score = score_sum / blocks;
+    report.min_score = min_score;
+    report.environment_violations = static_cast<double>(violations) / blocks;
   }
   return report;
 }

@@ -63,15 +63,6 @@ std::vector<ReimageEvent> TenantReimageProcess::GenerateEvents(int months, Rng& 
   return events;
 }
 
-double TenantReimageProcess::RealizedRate(const std::vector<ReimageEvent>& events,
-                                          int num_servers, int months) {
-  if (num_servers <= 0 || months <= 0) {
-    return 0.0;
-  }
-  return static_cast<double>(events.size()) /
-         (static_cast<double>(num_servers) * static_cast<double>(months));
-}
-
 std::vector<ReimageGroup> SplitIntoGroups(const std::vector<double>& rates) {
   const size_t n = rates.size();
   std::vector<size_t> order(n);

@@ -64,10 +64,6 @@ class TenantReimageProcess {
   // Generates all events over `months` months. Events are sorted by time.
   std::vector<ReimageEvent> GenerateEvents(int months, Rng& rng) const;
 
-  // Average realized per-server monthly rate over a generated horizon.
-  static double RealizedRate(const std::vector<ReimageEvent>& events, int num_servers,
-                             int months);
-
  private:
   ReimageModelParams params_;
   int num_servers_;

@@ -61,16 +61,6 @@ double AndersonBjorckWeight(double f_new, double f_old) {
 
 }  // namespace
 
-const char* ScalingMethodName(ScalingMethod method) {
-  switch (method) {
-    case ScalingMethod::kLinear:
-      return "linear";
-    case ScalingMethod::kRoot:
-      return "root";
-  }
-  return "unknown";
-}
-
 UtilizationTrace ScaleTrace(const UtilizationTrace& trace, ScalingMethod method,
                             double parameter) {
   std::vector<double> scaled(trace.size());

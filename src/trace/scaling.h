@@ -20,8 +20,6 @@ enum class ScalingMethod {
   kRoot = 1,    // u' = u^p  (p < 1 raises utilization, p > 1 lowers it)
 };
 
-const char* ScalingMethodName(ScalingMethod method);
-
 // Scales a single trace with a fixed factor/power.
 UtilizationTrace ScaleTrace(const UtilizationTrace& trace, ScalingMethod method, double parameter);
 

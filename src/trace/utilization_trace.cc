@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/util/logging.h"
-
 namespace harvest {
 
 UtilizationTrace::UtilizationTrace(std::vector<double> samples) : samples_(std::move(samples)) {
@@ -57,26 +55,6 @@ double UtilizationTrace::WindowAverage(size_t first, size_t count) const {
     sum += AtSlot(first + i);
   }
   return sum / static_cast<double>(count);
-}
-
-UtilizationTrace UtilizationTrace::AverageOf(const std::vector<UtilizationTrace>& traces) {
-  if (traces.empty()) {
-    return UtilizationTrace();
-  }
-  size_t length = 0;
-  for (const auto& t : traces) {
-    length = std::max(length, t.size());
-  }
-  std::vector<double> mean(length, 0.0);
-  for (const auto& t : traces) {
-    for (size_t i = 0; i < length; ++i) {
-      mean[i] += t.AtSlot(i);
-    }
-  }
-  for (double& v : mean) {
-    v /= static_cast<double>(traces.size());
-  }
-  return UtilizationTrace(std::move(mean));
 }
 
 }  // namespace harvest

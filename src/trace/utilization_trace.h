@@ -37,10 +37,6 @@ class UtilizationTrace {
   // Average over a window of slots [first, first + count), wrapping.
   double WindowAverage(size_t first, size_t count) const;
 
-  // Element-wise mean of several traces; the paper represents each tenant by
-  // the "average server" across the tenant's machines.
-  static UtilizationTrace AverageOf(const std::vector<UtilizationTrace>& traces);
-
  private:
   std::vector<double> samples_;
 };

@@ -1,5 +1,7 @@
-// Minimal leveled logging to stderr. Kept header-only and dependency-free so
-// substrates can log without pulling in anything heavier.
+// Fatal invariant checks. HARVEST_CHECK(cond) << "context" always evaluates
+// `cond`; when it is false it prints "[E file:line] Check failed: cond context"
+// to stderr and aborts. Header-only and dependency-free so every layer can
+// check without pulling in anything heavier.
 
 #ifndef HARVEST_SRC_UTIL_LOGGING_H_
 #define HARVEST_SRC_UTIL_LOGGING_H_
@@ -11,49 +13,23 @@
 
 namespace harvest {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3, kOff = 4 };
-
-// Process-wide minimum level; experiments lower it for verbose runs.
-LogLevel& GlobalLogLevel();
-
 namespace internal {
 
-class LogMessage {
+// Collects one failed check's message; the destructor prints it and aborts.
+class CheckFailure {
  public:
-  LogMessage(LogLevel level, const char* file, int line) : level_(level) {
-    stream_ << "[" << Tag(level) << " " << Basename(file) << ":" << line << "] ";
+  CheckFailure(const char* file, int line) {
+    stream_ << "[E " << Basename(file) << ":" << line << "] ";
   }
 
-  ~LogMessage() {
-    if (level_ >= GlobalLogLevel()) {
-      std::fprintf(stderr, "%s\n", stream_.str().c_str());
-    }
-    if (level_ == LogLevel::kError && abort_on_error_) {
-      std::abort();
-    }
+  ~CheckFailure() {
+    std::fprintf(stderr, "%s\n", stream_.str().c_str());
+    std::abort();
   }
 
   std::ostringstream& stream() { return stream_; }
 
-  LogMessage& set_abort(bool abort_on_error) {
-    abort_on_error_ = abort_on_error;
-    return *this;
-  }
-
  private:
-  static const char* Tag(LogLevel level) {
-    switch (level) {
-      case LogLevel::kDebug:
-        return "D";
-      case LogLevel::kInfo:
-        return "I";
-      case LogLevel::kWarning:
-        return "W";
-      default:
-        return "E";
-    }
-  }
-
   static const char* Basename(const char* path) {
     const char* base = path;
     for (const char* p = path; *p != '\0'; ++p) {
@@ -64,22 +40,14 @@ class LogMessage {
     return base;
   }
 
-  LogLevel level_;
-  bool abort_on_error_ = false;
   std::ostringstream stream_;
 };
 
 }  // namespace internal
 
-#define HARVEST_LOG(level) \
-  ::harvest::internal::LogMessage(::harvest::LogLevel::k##level, __FILE__, __LINE__).stream()
-
-// Fatal check used for internal invariants; always evaluates `cond`.
-#define HARVEST_CHECK(cond)                                                             \
-  if (!(cond))                                                                          \
-  ::harvest::internal::LogMessage(::harvest::LogLevel::kError, __FILE__, __LINE__)      \
-      .set_abort(true)                                                                  \
-      .stream()                                                                         \
+#define HARVEST_CHECK(cond)                                           \
+  if (!(cond))                                                        \
+  ::harvest::internal::CheckFailure(__FILE__, __LINE__).stream()      \
       << "Check failed: " #cond " "
 
 }  // namespace harvest

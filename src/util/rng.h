@@ -49,8 +49,6 @@ inline uint64_t DerivedStreamSeed(uint64_t seed, std::string_view tag) {
 // xoshiro256++ generator with convenience distributions.
 class Rng {
  public:
-  using result_type = uint64_t;
-
   explicit Rng(uint64_t seed = 0x853c49e6748fea9bULL) { Seed(seed); }
 
   // Re-seeds the full 256-bit state from a 64-bit seed via SplitMix64.
@@ -60,11 +58,6 @@ class Rng {
       word = SplitMix64(s);
     }
   }
-
-  static constexpr result_type min() { return 0; }
-  static constexpr result_type max() { return std::numeric_limits<uint64_t>::max(); }
-
-  result_type operator()() { return Next(); }
 
   uint64_t Next() {
     const uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];

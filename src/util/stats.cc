@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace harvest {
 
@@ -21,28 +20,6 @@ void SummaryStats::Add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void SummaryStats::Merge(const SummaryStats& other) {
-  if (other.count_ == 0) {
-    return;
-  }
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  double delta = other.mean_ - mean_;
-  size_t total = count_ + other.count_;
-  double nt = static_cast<double>(total);
-  m2_ += other.m2_ + delta * delta * static_cast<double>(count_) *
-                         static_cast<double>(other.count_) / nt;
-  mean_ = (mean_ * static_cast<double>(count_) +
-           other.mean_ * static_cast<double>(other.count_)) /
-          nt;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  sum_ += other.sum_;
-  count_ = total;
-}
-
 double SummaryStats::variance() const {
   if (count_ == 0) {
     return 0.0;
@@ -51,36 +28,6 @@ double SummaryStats::variance() const {
 }
 
 double SummaryStats::stddev() const { return std::sqrt(variance()); }
-
-double SummaryStats::cv() const {
-  if (count_ == 0 || mean_ == 0.0) {
-    return 0.0;
-  }
-  return stddev() / mean_;
-}
-
-double Percentile(std::vector<double> samples, double p) {
-  if (samples.empty()) {
-    return 0.0;
-  }
-  std::sort(samples.begin(), samples.end());
-  return PercentileSorted(samples, p);
-}
-
-double PercentileSorted(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) {
-    return 0.0;
-  }
-  if (sorted.size() == 1) {
-    return sorted[0];
-  }
-  double clamped = std::clamp(p, 0.0, 100.0);
-  double rank = clamped / 100.0 * static_cast<double>(sorted.size() - 1);
-  size_t lo = static_cast<size_t>(rank);
-  size_t hi = std::min(lo + 1, sorted.size() - 1);
-  double frac = rank - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
 
 Cdf::Cdf(std::vector<double> samples) : sorted_(std::move(samples)) {
   std::sort(sorted_.begin(), sorted_.end());
@@ -105,39 +52,6 @@ double Cdf::Quantile(double q) const {
   }
   idx = std::min(idx, sorted_.size() - 1);
   return sorted_[idx];
-}
-
-std::vector<std::pair<double, double>> Cdf::Series(double lo, double hi, int points) const {
-  std::vector<std::pair<double, double>> series;
-  if (points < 2 || hi <= lo) {
-    return series;
-  }
-  series.reserve(static_cast<size_t>(points));
-  for (int i = 0; i < points; ++i) {
-    double x = lo + (hi - lo) * static_cast<double>(i) / static_cast<double>(points - 1);
-    series.emplace_back(x, At(x));
-  }
-  return series;
-}
-
-Histogram::Histogram(double lo, double hi, int buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / buckets), counts_(static_cast<size_t>(buckets), 0) {}
-
-void Histogram::Add(double x) {
-  int idx = static_cast<int>((x - lo_) / width_);
-  idx = std::clamp(idx, 0, num_buckets() - 1);
-  ++counts_[static_cast<size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bucket_low(int i) const { return lo_ + width_ * i; }
-
-double Histogram::bucket_high(int i) const { return lo_ + width_ * (i + 1); }
-
-std::string FormatDouble(double value, int decimals) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.*f", decimals, value);
-  return buffer;
 }
 
 }  // namespace harvest

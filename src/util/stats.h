@@ -1,11 +1,11 @@
-// Descriptive statistics, percentiles, CDFs and histograms used throughout the
-// characterization study and the experiment harnesses.
+// Descriptive statistics and empirical CDFs: the spectrum's moments, the
+// co-simulation's per-window latency and job means, and the characterization
+// study's reimage-rate distributions.
 
 #ifndef HARVEST_SRC_UTIL_STATS_H_
 #define HARVEST_SRC_UTIL_STATS_H_
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace harvest {
@@ -14,7 +14,6 @@ namespace harvest {
 class SummaryStats {
  public:
   void Add(double x);
-  void Merge(const SummaryStats& other);
 
   size_t count() const { return count_; }
   double mean() const { return count_ == 0 ? 0.0 : mean_; }
@@ -24,8 +23,6 @@ class SummaryStats {
   // Population variance / standard deviation.
   double variance() const;
   double stddev() const;
-  // Coefficient of variation (stddev / mean); 0 when the mean is 0.
-  double cv() const;
 
  private:
   size_t count_ = 0;
@@ -36,14 +33,7 @@ class SummaryStats {
   double sum_ = 0.0;
 };
 
-// Percentile of a sample set with linear interpolation between order
-// statistics. `p` is in [0, 100]. The input does not need to be sorted.
-double Percentile(std::vector<double> samples, double p);
-
-// Percentile of an already-sorted sample set (no copy).
-double PercentileSorted(const std::vector<double>& sorted, double p);
-
-// Empirical CDF over a sample set. Point(x) returns P[X <= x].
+// Empirical CDF over a sample set.
 class Cdf {
  public:
   explicit Cdf(std::vector<double> samples);
@@ -52,40 +42,10 @@ class Cdf {
   double At(double x) const;
   // Inverse CDF: smallest sample value v with P[X <= v] >= q (q in [0,1]).
   double Quantile(double q) const;
-  size_t count() const { return sorted_.size(); }
-  const std::vector<double>& sorted_samples() const { return sorted_; }
-
-  // Evaluates the CDF at `points` evenly spaced x values across
-  // [lo, hi]; convenient for printing figure series.
-  std::vector<std::pair<double, double>> Series(double lo, double hi, int points) const;
 
  private:
   std::vector<double> sorted_;
 };
-
-// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-// first/last bucket.
-class Histogram {
- public:
-  Histogram(double lo, double hi, int buckets);
-
-  void Add(double x);
-  int64_t bucket_count(int i) const { return counts_[static_cast<size_t>(i)]; }
-  int num_buckets() const { return static_cast<int>(counts_.size()); }
-  double bucket_low(int i) const;
-  double bucket_high(int i) const;
-  int64_t total() const { return total_; }
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<int64_t> counts_;
-  int64_t total_ = 0;
-};
-
-// Renders `value` with `decimals` digits; small convenience for table output.
-std::string FormatDouble(double value, int decimals);
 
 }  // namespace harvest
 

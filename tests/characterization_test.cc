@@ -110,9 +110,9 @@ TEST(CharacterizationTest, AllTenDatacentersCharacterize) {
   CharacterizationOptions options = FastOptions();
   options.months = 3;          // keep the full sweep fast
   options.cluster_scale = 0.15;
-  auto all = CharacterizeAllDatacenters(options);
-  ASSERT_EQ(all.size(), static_cast<size_t>(kNumDatacenters));
-  for (const auto& dc : all) {
+  ASSERT_EQ(AllDatacenterProfiles().size(), static_cast<size_t>(kNumDatacenters));
+  for (const DatacenterProfile& profile : AllDatacenterProfiles()) {
+    const DatacenterCharacterization dc = CharacterizeDatacenter(profile, options);
     EXPECT_GT(dc.num_tenants, 0);
     EXPECT_GT(dc.num_servers, dc.num_tenants);
     EXPECT_EQ(dc.server_reimage_rates.size(), static_cast<size_t>(dc.num_servers));

@@ -48,15 +48,12 @@ TEST(DagTest, CriticalPathPicksLongestChain) {
   EXPECT_DOUBLE_EQ(dag.CriticalPathSeconds(), 120.0);
 }
 
-TEST(DagTest, ScaledMultipliesDurationsAndWidths) {
+TEST(DagTest, ScaledMultipliesDurations) {
   JobDag dag("base", {MakeStage("a", 10, 60, {}), MakeStage("b", 1, 30, {0})});
-  JobDag scaled = dag.Scaled(2.0, 3.0);
+  JobDag scaled = dag.Scaled(2.0);
   EXPECT_DOUBLE_EQ(scaled.stage(0).task_seconds, 120.0);
-  EXPECT_EQ(scaled.stage(0).num_tasks, 30);
-  EXPECT_EQ(scaled.stage(1).num_tasks, 3);
-  // Width scaling below 1 never drops a stage to zero tasks.
-  JobDag narrow = dag.Scaled(1.0, 0.01);
-  EXPECT_EQ(narrow.stage(1).num_tasks, 1);
+  EXPECT_DOUBLE_EQ(scaled.stage(1).task_seconds, 60.0);
+  EXPECT_EQ(scaled.stage(0).num_tasks, 10);
 }
 
 TEST(DagTest, ValidateRejectsBadParents) {

@@ -15,6 +15,33 @@ static_assert(Resources{1, 2} != Resources{1, 3});
 static_assert(Resources{1, 2} != Resources{2, 2});
 static_assert(kDefaultServerCapacity == Resources{12, 32 * 1024});
 
+// Events arrive out of server order; each lands on its own tenant's
+// `server_index`-th server, in event order (not sorted by time).
+TEST(ClusterTest, TenantReimageEventsLandOnTheirServers) {
+  Cluster cluster;
+  const TenantId a = cluster.AddTenant(PrimaryTenant{});
+  const TenantId b = cluster.AddTenant(PrimaryTenant{});
+  for (TenantId owner : {a, b, a, b, a}) {  // a owns servers 0, 2, 4; b owns 1, 3
+    Server server;
+    server.tenant = owner;
+    cluster.AddServer(std::move(server));
+  }
+  cluster.SetTenantReimageEvents(a, {{5.0, 2, false}, {1.0, 0, false}, {3.0, 2, true},
+                                     {2.0, 0, false}});
+  cluster.SetTenantReimageEvents(b, {{7.0, 1, false}});
+  using Times = std::vector<double>;
+  auto times = [&](ServerId id) {
+    const std::span<const double> span = cluster.ReimageTimes(id);
+    return Times(span.begin(), span.end());
+  };
+  EXPECT_EQ(times(0), (Times{1.0, 2.0}));
+  EXPECT_EQ(times(1), Times{});
+  EXPECT_EQ(times(2), Times{});
+  EXPECT_EQ(times(3), (Times{7.0}));
+  EXPECT_EQ(times(4), (Times{5.0, 3.0}));
+  EXPECT_EQ(cluster.TotalReimageEvents(), 5);
+}
+
 TEST(DatacenterTest, TenProfilesExist) {
   const auto& profiles = AllDatacenterProfiles();
   ASSERT_EQ(profiles.size(), static_cast<size_t>(kNumDatacenters));

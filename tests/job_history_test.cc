@@ -5,12 +5,6 @@
 namespace harvest {
 namespace {
 
-TEST(JobHistoryTest, TypeNames) {
-  EXPECT_STREQ(JobTypeName(JobType::kShort), "short");
-  EXPECT_STREQ(JobTypeName(JobType::kMedium), "medium");
-  EXPECT_STREQ(JobTypeName(JobType::kLong), "long");
-}
-
 TEST(JobHistoryTest, PaperThresholdsCategorize) {
   // Paper §6.1: jobs shorter than 173 s are short, longer than 433 s long.
   JobTypeThresholds thresholds;
@@ -26,7 +20,6 @@ TEST(JobHistoryTest, PaperThresholdsCategorize) {
 TEST(JobHistoryTest, UnknownJobDefaultsToMedium) {
   JobHistory history;
   EXPECT_EQ(history.TypeOf("never-seen"), JobType::kMedium);
-  EXPECT_LT(history.LastDuration("never-seen"), 0.0);
 }
 
 TEST(JobHistoryTest, LastRunDrivesType) {
@@ -35,7 +28,6 @@ TEST(JobHistoryTest, LastRunDrivesType) {
   EXPECT_EQ(history.TypeOf("q1"), JobType::kShort);
   history.RecordRun("q1", 500.0);
   EXPECT_EQ(history.TypeOf("q1"), JobType::kLong);
-  EXPECT_DOUBLE_EQ(history.LastDuration("q1"), 500.0);
 }
 
 TEST(JobHistoryTest, JobsTrackedIndependently) {
@@ -46,53 +38,12 @@ TEST(JobHistoryTest, JobsTrackedIndependently) {
   EXPECT_EQ(history.TypeOf("b"), JobType::kLong);
 }
 
-TEST(DeriveThresholdsTest, EqualSharesSplitDurationMass) {
-  // 100 jobs of linearly growing duration; equal capacity shares place the
-  // cuts so each type carries ~1/3 of total duration (not count).
-  std::vector<double> durations;
-  for (int i = 1; i <= 100; ++i) {
-    durations.push_back(static_cast<double>(i));
-  }
-  JobTypeThresholds thresholds = DeriveThresholds(durations, {1.0, 1.0, 1.0});
-  // Total mass = 5050; the first cut is near sqrt(5050/3 * 2) ~ 58,
-  // the second near 82 (cumulative sums of integers).
-  EXPECT_GT(thresholds.short_below, 50.0);
-  EXPECT_LT(thresholds.short_below, 65.0);
-  EXPECT_GT(thresholds.long_above, 77.0);
-  EXPECT_LT(thresholds.long_above, 90.0);
-  EXPECT_LT(thresholds.short_below, thresholds.long_above);
-}
-
-TEST(DeriveThresholdsTest, SkewedSharesMoveCuts) {
-  std::vector<double> durations;
-  for (int i = 1; i <= 100; ++i) {
-    durations.push_back(static_cast<double>(i));
-  }
-  // Short-preferred capacity dominates: the short bucket absorbs more mass.
-  JobTypeThresholds wide_short = DeriveThresholds(durations, {8.0, 1.0, 1.0});
-  JobTypeThresholds narrow_short = DeriveThresholds(durations, {1.0, 1.0, 8.0});
-  EXPECT_GT(wide_short.short_below, narrow_short.short_below);
-}
-
-TEST(DeriveThresholdsTest, EmptyAndDegenerateInputs) {
-  JobTypeThresholds defaults;
-  JobTypeThresholds empty = DeriveThresholds({}, {1.0, 1.0, 1.0});
-  EXPECT_DOUBLE_EQ(empty.short_below, defaults.short_below);
-  JobTypeThresholds zero_share = DeriveThresholds({1.0, 2.0}, {0.0, 0.0, 0.0});
-  EXPECT_DOUBLE_EQ(zero_share.short_below, defaults.short_below);
-  JobTypeThresholds single = DeriveThresholds({10.0}, {1.0, 1.0, 1.0});
-  EXPECT_LE(single.short_below, 10.0);
-  EXPECT_LE(single.short_below, single.long_above);
-}
-
-TEST(JobHistoryTest, ThresholdsCanBeReplaced) {
-  JobHistory history;
-  history.RecordRun("q", 300.0);
-  EXPECT_EQ(history.TypeOf("q"), JobType::kMedium);
+TEST(JobHistoryTest, ConstructorThresholdsApply) {
   JobTypeThresholds tight;
   tight.short_below = 400.0;
   tight.long_above = 500.0;
-  history.set_thresholds(tight);
+  JobHistory history(tight);
+  history.RecordRun("q", 300.0);
   EXPECT_EQ(history.TypeOf("q"), JobType::kShort);
 }
 

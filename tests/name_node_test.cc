@@ -258,7 +258,6 @@ class ScriptedPlacement : public PlacementPolicy {
                            Rng&) const override {
     return has_space(spare_) ? spare_ : kInvalidServer;
   }
-  const char* name() const override { return "scripted"; }
 
  private:
   std::vector<std::vector<ServerId>> blocks_;

@@ -17,7 +17,7 @@ TEST(PatternTest, NamesAreStable) {
 TEST(PatternTest, FlatSeriesIsConstant) {
   PatternClassifier classifier;
   std::vector<double> series(kSlotsPerDay * 7, 0.3);
-  EXPECT_EQ(classifier.ClassifySeries(series), UtilizationPattern::kConstant);
+  EXPECT_EQ(classifier.Classify(ComputeFrequencyProfile(series)), UtilizationPattern::kConstant);
 }
 
 TEST(PatternTest, DiurnalSeriesIsPeriodic) {
@@ -26,7 +26,7 @@ TEST(PatternTest, DiurnalSeriesIsPeriodic) {
   for (size_t i = 0; i < series.size(); ++i) {
     series[i] = 0.4 + 0.2 * std::sin(2.0 * M_PI * static_cast<double>(i) / kSlotsPerDay);
   }
-  EXPECT_EQ(classifier.ClassifySeries(series), UtilizationPattern::kPeriodic);
+  EXPECT_EQ(classifier.Classify(ComputeFrequencyProfile(series)), UtilizationPattern::kPeriodic);
 }
 
 TEST(PatternTest, RandomWalkIsUnpredictable) {
@@ -36,7 +36,8 @@ TEST(PatternTest, RandomWalkIsUnpredictable) {
   params.walk_stddev = 0.03;
   params.burst_rate_per_day = 2.0;
   UtilizationTrace trace = GenerateUnpredictableTrace(params, kSlotsPerMonth, rng);
-  EXPECT_EQ(classifier.ClassifySeries(trace.samples()), UtilizationPattern::kUnpredictable);
+  EXPECT_EQ(classifier.Classify(ComputeFrequencyProfile(trace.samples())),
+            UtilizationPattern::kUnpredictable);
 }
 
 // Calibration property: the classifier recovers the generator's ground truth
@@ -49,7 +50,8 @@ TEST_P(PatternRecoveryTest, RecoversPeriodicGenerator) {
   params.daily_amplitude = 0.18;
   UtilizationTrace trace = GeneratePeriodicTrace(params, kSlotsPerMonth, rng);
   PatternClassifier classifier;
-  EXPECT_EQ(classifier.ClassifySeries(trace.samples()), UtilizationPattern::kPeriodic);
+  EXPECT_EQ(classifier.Classify(ComputeFrequencyProfile(trace.samples())),
+            UtilizationPattern::kPeriodic);
 }
 
 TEST_P(PatternRecoveryTest, RecoversConstantGenerator) {
@@ -57,7 +59,8 @@ TEST_P(PatternRecoveryTest, RecoversConstantGenerator) {
   ConstantTraceParams params;
   UtilizationTrace trace = GenerateConstantTrace(params, kSlotsPerMonth, rng);
   PatternClassifier classifier;
-  EXPECT_EQ(classifier.ClassifySeries(trace.samples()), UtilizationPattern::kConstant);
+  EXPECT_EQ(classifier.Classify(ComputeFrequencyProfile(trace.samples())),
+            UtilizationPattern::kConstant);
 }
 
 TEST_P(PatternRecoveryTest, RecoversUnpredictableGenerator) {
@@ -68,7 +71,8 @@ TEST_P(PatternRecoveryTest, RecoversUnpredictableGenerator) {
   params.burst_height = 0.5;
   UtilizationTrace trace = GenerateUnpredictableTrace(params, kSlotsPerMonth, rng);
   PatternClassifier classifier;
-  EXPECT_EQ(classifier.ClassifySeries(trace.samples()), UtilizationPattern::kUnpredictable);
+  EXPECT_EQ(classifier.Classify(ComputeFrequencyProfile(trace.samples())),
+            UtilizationPattern::kUnpredictable);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PatternRecoveryTest,
@@ -85,9 +89,10 @@ TEST(PatternTest, ThresholdsAreHonored) {
   strict.constant_stddev_threshold = 0.005;
   PatternClassifierOptions loose;
   loose.constant_stddev_threshold = 0.10;
-  EXPECT_EQ(PatternClassifier(strict).ClassifySeries(series),
+  EXPECT_EQ(PatternClassifier(strict).Classify(ComputeFrequencyProfile(series)),
             UtilizationPattern::kUnpredictable);
-  EXPECT_EQ(PatternClassifier(loose).ClassifySeries(series), UtilizationPattern::kConstant);
+  EXPECT_EQ(PatternClassifier(loose).Classify(ComputeFrequencyProfile(series)),
+            UtilizationPattern::kConstant);
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 #include <memory>
+#include <set>
 
 #include "src/cluster/datacenter.h"
+#include "src/storage/name_node.h"
 
 namespace harvest {
 namespace {
@@ -16,6 +18,15 @@ Cluster SmallDc(uint64_t seed) {
   options.scale = 0.2;
   options.per_server_traces = false;
   return BuildCluster(DatacenterByName("DC-9"), options, rng);
+}
+
+// Every block's live replica set, lost blocks as empty sets.
+std::vector<std::vector<ServerId>> ReplicaSets(const NameNode& nn) {
+  std::vector<std::vector<ServerId>> sets;
+  for (BlockId b = 0; b < nn.num_blocks(); ++b) {
+    sets.push_back(nn.ReplicaServers(b));
+  }
+  return sets;
 }
 
 TEST(PlacementQualityTest, FullyDiverseBlockScoresOne) {
@@ -67,6 +78,38 @@ TEST(PlacementQualityTest, EmptyReplicaSetIsZero) {
   EXPECT_DOUBLE_EQ(quality.Score(), 0.0);
 }
 
+TEST(PlacementQualityTest, SummaryOfNothingPlacedIsZero) {
+  Cluster cluster = SmallDc(3);
+  PlacementGrid grid = PlacementGrid::Build(CollectPlacementStats(cluster));
+  PlacementQualityMonitor monitor(&cluster, &grid);
+  for (const std::vector<std::vector<ServerId>>& sets :
+       {std::vector<std::vector<ServerId>>{}, std::vector<std::vector<ServerId>>{{}, {}}}) {
+    PlacementQualityReport report = monitor.Summarize(sets);
+    EXPECT_EQ(report.blocks, 0);
+    EXPECT_DOUBLE_EQ(report.mean_score, 0.0);
+    EXPECT_DOUBLE_EQ(report.min_score, 0.0);
+    EXPECT_DOUBLE_EQ(report.environment_violations, 0.0);
+  }
+}
+
+TEST(PlacementQualityTest, SummarySkipsEmptySets) {
+  Cluster cluster = SmallDc(2);
+  PlacementGrid grid = PlacementGrid::Build(CollectPlacementStats(cluster));
+  PlacementQualityMonitor monitor(&cluster, &grid);
+  const auto& tenant = cluster.tenants()[0];
+  ASSERT_GE(tenant.servers.size(), 3u);
+  const std::vector<ServerId> same_tenant(tenant.servers.begin(), tenant.servers.begin() + 3);
+  const std::vector<ServerId> single = {tenant.servers[0]};
+  const double low = monitor.ScoreBlock(same_tenant).Score();
+  ASSERT_LT(low, 1.0);
+  ASSERT_DOUBLE_EQ(monitor.ScoreBlock(single).Score(), 1.0);
+  PlacementQualityReport report = monitor.Summarize({{}, same_tenant, {}, single, {}});
+  EXPECT_EQ(report.blocks, 2);
+  EXPECT_DOUBLE_EQ(report.mean_score, (low + 1.0) / 2.0);
+  EXPECT_DOUBLE_EQ(report.min_score, low);
+  EXPECT_DOUBLE_EQ(report.environment_violations, 0.5);
+}
+
 TEST(PlacementQualityTest, HistoryPlacementAuditsClean) {
   Cluster cluster = SmallDc(4);
   Rng rng(5);
@@ -78,11 +121,10 @@ TEST(PlacementQualityTest, HistoryPlacementAuditsClean) {
   }
   PlacementGrid grid = PlacementGrid::Build(CollectPlacementStats(cluster));
   PlacementQualityMonitor monitor(&cluster, &grid);
-  PlacementQualityReport report = monitor.Audit(nn);
+  PlacementQualityReport report = monitor.Summarize(ReplicaSets(nn));
   EXPECT_EQ(report.blocks, 300);
   EXPECT_DOUBLE_EQ(report.environment_violations, 0.0);
   EXPECT_GT(report.mean_score, 0.85);
-  EXPECT_FALSE(monitor.ShouldStopConsumingSpace(report));
 }
 
 TEST(PlacementQualityTest, StockPlacementAuditsWorseThanHistory) {
@@ -97,14 +139,13 @@ TEST(PlacementQualityTest, StockPlacementAuditsWorseThanHistory) {
     for (int b = 0; b < 300; ++b) {
       nn.CreateBlock(static_cast<ServerId>(rng.NextBounded(cluster.num_servers())), 0.0);
     }
-    return monitor.Audit(nn);
+    return monitor.Summarize(ReplicaSets(nn));
   };
   PlacementQualityReport stock = audit(std::make_unique<StockPlacement>(&cluster));
   PlacementQualityReport history = audit(std::make_unique<HistoryPlacement>(&cluster));
   EXPECT_GT(history.mean_score, stock.mean_score);
   // Stock's rack locality correlates with environments: violations abound.
   EXPECT_GT(stock.environment_violations, 0.3);
-  EXPECT_TRUE(monitor.ShouldStopConsumingSpace(stock));
 }
 
 TEST(PlacementQualityTest, FourWayBlocksSaturateRowDiversity) {
@@ -118,7 +159,7 @@ TEST(PlacementQualityTest, FourWayBlocksSaturateRowDiversity) {
   for (int b = 0; b < 100; ++b) {
     nn.CreateBlock(static_cast<ServerId>(rng.NextBounded(cluster.num_servers())), 0.0);
   }
-  PlacementQualityReport report = monitor.Audit(nn);
+  PlacementQualityReport report = monitor.Summarize(ReplicaSets(nn));
   // A 4th replica must reuse one of 3 rows; the saturating denominator keeps
   // the score from penalizing that legitimate reuse.
   EXPECT_GT(report.mean_score, 0.85);

@@ -121,13 +121,6 @@ TEST(HistoryPlacementTest, GridCoversAllTenants) {
   EXPECT_EQ(in_cells, cluster.num_tenants());
 }
 
-TEST(PlacementPolicyTest, Names) {
-  Cluster cluster = RealisticCluster(13);
-  EXPECT_STREQ(StockPlacement(&cluster).name(), "HDFS-Stock");
-  EXPECT_STREQ(RandomPlacement(&cluster).name(), "HDFS-Random");
-  EXPECT_STREQ(HistoryPlacement(&cluster).name(), "HDFS-H");
-}
-
 // Property: history placement diversifies reimage rates within each block --
 // the average spread of tenant reimage rates across a block's replicas is
 // wider than stock's (which concentrates on the writer's rack/tenant).

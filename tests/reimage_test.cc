@@ -88,7 +88,8 @@ TEST(ReimageTest, RealizedRateTracksBaseRate) {
   // Pick a tenant with a non-trivial rate for a tight relative check.
   TenantReimageProcess process(params, 200, rng);
   std::vector<ReimageEvent> events = process.GenerateEvents(24, rng);
-  double realized = TenantReimageProcess::RealizedRate(events, 200, 24);
+  // Reimages per server per month.
+  double realized = static_cast<double>(events.size()) / (200.0 * 24.0);
   EXPECT_NEAR(realized, process.base_rate(), process.base_rate() * 0.2 + 0.02);
 }
 

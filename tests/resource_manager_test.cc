@@ -30,12 +30,6 @@ Cluster TwoTenantCluster() {
   return cluster;
 }
 
-TEST(ResourceManagerTest, ModeNames) {
-  EXPECT_STREQ(SchedulerModeName(SchedulerMode::kStock), "Stock");
-  EXPECT_STREQ(SchedulerModeName(SchedulerMode::kPrimaryAware), "PT");
-  EXPECT_STREQ(SchedulerModeName(SchedulerMode::kHistory), "H");
-}
-
 TEST(ResourceManagerTest, AllocatePlacesRequestedContainers) {
   Cluster cluster = TwoTenantCluster();
   ResourceManager rm(&cluster, SchedulerMode::kPrimaryAware, kDefaultReserve);

@@ -35,8 +35,8 @@ TEST(SchedulingSimTest, JobsCompleteUnderAllModes) {
   for (SchedulerMode mode :
        {SchedulerMode::kStock, SchedulerMode::kPrimaryAware, SchedulerMode::kHistory}) {
     SchedulingSimResult result = RunSchedulingSimulation(cluster, suite, FastOptions(mode));
-    EXPECT_GT(result.jobs_arrived, 0) << SchedulerModeName(mode);
-    EXPECT_GT(result.jobs_completed, 0) << SchedulerModeName(mode);
+    EXPECT_GT(result.jobs_arrived, 0) << "mode " << static_cast<int>(mode);
+    EXPECT_GT(result.jobs_completed, 0) << "mode " << static_cast<int>(mode);
     EXPECT_LE(result.jobs_completed, result.jobs_arrived);
     EXPECT_GT(result.average_execution_seconds, 0.0);
     for (const auto& job : result.jobs) {

@@ -1,7 +1,5 @@
 #include "src/util/stats.h"
 
-#include <algorithm>
-#include <cmath>
 #include <gtest/gtest.h>
 
 namespace harvest {
@@ -12,7 +10,6 @@ TEST(SummaryStatsTest, EmptyIsZero) {
   EXPECT_EQ(s.count(), 0u);
   EXPECT_DOUBLE_EQ(s.mean(), 0.0);
   EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
-  EXPECT_DOUBLE_EQ(s.cv(), 0.0);
 }
 
 TEST(SummaryStatsTest, BasicMoments) {
@@ -26,55 +23,6 @@ TEST(SummaryStatsTest, BasicMoments) {
   EXPECT_DOUBLE_EQ(s.min(), 2.0);
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
   EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-  EXPECT_DOUBLE_EQ(s.cv(), 0.4);
-}
-
-TEST(SummaryStatsTest, MergeMatchesSequential) {
-  SummaryStats all;
-  SummaryStats left;
-  SummaryStats right;
-  for (int i = 0; i < 100; ++i) {
-    double v = i * 0.37 - 5.0;
-    all.Add(v);
-    (i < 42 ? left : right).Add(v);
-  }
-  left.Merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), all.min());
-  EXPECT_DOUBLE_EQ(left.max(), all.max());
-}
-
-TEST(SummaryStatsTest, MergeWithEmpty) {
-  SummaryStats a;
-  a.Add(3.0);
-  SummaryStats empty;
-  a.Merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  empty.Merge(a);
-  EXPECT_EQ(empty.count(), 1u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 3.0);
-}
-
-TEST(PercentileTest, InterpolatesBetweenOrderStatistics) {
-  std::vector<double> samples = {10.0, 20.0, 30.0, 40.0};
-  EXPECT_DOUBLE_EQ(Percentile(samples, 0.0), 10.0);
-  EXPECT_DOUBLE_EQ(Percentile(samples, 100.0), 40.0);
-  EXPECT_DOUBLE_EQ(Percentile(samples, 50.0), 25.0);
-  EXPECT_DOUBLE_EQ(Percentile(samples, 25.0), 17.5);
-}
-
-TEST(PercentileTest, EdgeCases) {
-  EXPECT_DOUBLE_EQ(Percentile({}, 50.0), 0.0);
-  EXPECT_DOUBLE_EQ(Percentile({7.0}, 99.0), 7.0);
-  // Out-of-range p clamps.
-  EXPECT_DOUBLE_EQ(Percentile({1.0, 2.0}, -5.0), 1.0);
-  EXPECT_DOUBLE_EQ(Percentile({1.0, 2.0}, 105.0), 2.0);
-}
-
-TEST(PercentileTest, UnsortedInputHandled) {
-  EXPECT_DOUBLE_EQ(Percentile({9.0, 1.0, 5.0}, 50.0), 5.0);
 }
 
 TEST(CdfTest, AtAndQuantile) {
@@ -88,62 +36,11 @@ TEST(CdfTest, AtAndQuantile) {
   EXPECT_DOUBLE_EQ(cdf.Quantile(1.0), 3.0);
 }
 
-TEST(CdfTest, SeriesIsMonotone) {
-  Cdf cdf({1.0, 5.0, 9.0, 2.0, 2.0});
-  auto series = cdf.Series(0.0, 10.0, 21);
-  ASSERT_EQ(series.size(), 21u);
-  for (size_t i = 1; i < series.size(); ++i) {
-    EXPECT_GE(series[i].second, series[i - 1].second);
-  }
-  EXPECT_DOUBLE_EQ(series.front().second, 0.0);
-  EXPECT_DOUBLE_EQ(series.back().second, 1.0);
-}
-
-TEST(CdfTest, EmptySeries) {
+TEST(CdfTest, EmptyIsZero) {
   Cdf cdf({});
   EXPECT_DOUBLE_EQ(cdf.At(1.0), 0.0);
-  EXPECT_TRUE(cdf.Series(0.0, 1.0, 1).empty());
-  EXPECT_TRUE(cdf.Series(1.0, 0.0, 10).empty());
+  EXPECT_DOUBLE_EQ(cdf.Quantile(0.5), 0.0);
 }
-
-TEST(HistogramTest, BucketsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.Add(0.5);   // bucket 0
-  h.Add(9.9);   // bucket 4
-  h.Add(-3.0);  // clamps to 0
-  h.Add(42.0);  // clamps to 4
-  h.Add(5.0);   // bucket 2
-  EXPECT_EQ(h.total(), 5);
-  EXPECT_EQ(h.bucket_count(0), 2);
-  EXPECT_EQ(h.bucket_count(2), 1);
-  EXPECT_EQ(h.bucket_count(4), 2);
-  EXPECT_DOUBLE_EQ(h.bucket_low(2), 4.0);
-  EXPECT_DOUBLE_EQ(h.bucket_high(2), 6.0);
-}
-
-TEST(FormatDoubleTest, Decimals) {
-  EXPECT_EQ(FormatDouble(3.14159, 2), "3.14");
-  EXPECT_EQ(FormatDouble(1.0, 0), "1");
-}
-
-// Property: PercentileSorted agrees with Percentile for random-ish data.
-class PercentileParamTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(PercentileParamTest, SortedMatchesUnsorted) {
-  int n = GetParam();
-  std::vector<double> samples;
-  samples.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    samples.push_back(std::fmod(i * 7919.0, 97.0));
-  }
-  std::vector<double> sorted = samples;
-  std::sort(sorted.begin(), sorted.end());
-  for (double p : {1.0, 10.0, 50.0, 90.0, 99.0}) {
-    EXPECT_DOUBLE_EQ(Percentile(samples, p), PercentileSorted(sorted, p));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, PercentileParamTest, ::testing::Values(2, 5, 17, 100, 1001));
 
 }  // namespace
 }  // namespace harvest

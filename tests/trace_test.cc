@@ -48,29 +48,6 @@ TEST(UtilizationTraceTest, WindowAverageWraps) {
   EXPECT_DOUBLE_EQ(trace.WindowAverage(0, 0), 0.0);
 }
 
-TEST(UtilizationTraceTest, AverageOfTraces) {
-  UtilizationTrace a({0.2, 0.4});
-  UtilizationTrace b({0.4, 0.8});
-  UtilizationTrace mean = UtilizationTrace::AverageOf({a, b});
-  ASSERT_EQ(mean.size(), 2u);
-  EXPECT_NEAR(mean.AtSlot(0), 0.3, 1e-12);
-  EXPECT_NEAR(mean.AtSlot(1), 0.6, 1e-12);
-}
-
-TEST(UtilizationTraceTest, AverageOfDifferentLengthsUsesWrap) {
-  UtilizationTrace a({0.2});            // wraps to 0.2 everywhere
-  UtilizationTrace b({0.0, 0.4, 0.8});  // longer
-  UtilizationTrace mean = UtilizationTrace::AverageOf({a, b});
-  ASSERT_EQ(mean.size(), 3u);
-  EXPECT_NEAR(mean.AtSlot(0), 0.1, 1e-12);
-  EXPECT_NEAR(mean.AtSlot(1), 0.3, 1e-12);
-  EXPECT_NEAR(mean.AtSlot(2), 0.5, 1e-12);
-}
-
-TEST(UtilizationTraceTest, AverageOfEmptyListIsEmpty) {
-  EXPECT_TRUE(UtilizationTrace::AverageOf({}).empty());
-}
-
 TEST(UtilizationTraceTest, ConstantsMatchTwoMinuteTelemetry) {
   EXPECT_DOUBLE_EQ(kSlotSeconds, 120.0);
   EXPECT_EQ(kSlotsPerDay, 720u);

@@ -128,30 +128,5 @@ TEST(UtilizationClusteringTest, MaxClassesPerPatternRespected) {
   }
 }
 
-TEST(UtilizationClusteringTest, WindowedRunUsesOnlyTheWindow) {
-  // A tenant that is flat in the first week and bursty later must classify
-  // as constant when the window covers only the first week.
-  Cluster cluster;
-  PrimaryTenant tenant;
-  tenant.environment = 0;
-  tenant.name = "windowed";
-  std::vector<double> series(kSlotsPerDay * 14, 0.3);
-  for (size_t i = kSlotsPerDay * 7; i < series.size(); i += 50) {
-    series[i] = 0.9;
-  }
-  tenant.average_utilization = UtilizationTrace(std::move(series));
-  TenantId id = cluster.AddTenant(std::move(tenant));
-  Server server;
-  server.tenant = id;
-  server.utilization =
-      std::make_shared<const UtilizationTrace>(cluster.tenant(id).average_utilization);
-  cluster.AddServer(std::move(server));
-
-  UtilizationClusteringService service;
-  Rng rng(15);
-  ClusteringSnapshot first_week = service.Run(cluster, 0, kSlotsPerDay * 7, rng);
-  EXPECT_EQ(first_week.tenant_pattern[0], UtilizationPattern::kConstant);
-}
-
 }  // namespace
 }  // namespace harvest
