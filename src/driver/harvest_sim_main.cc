@@ -12,8 +12,12 @@
 //   ./build/harvest_sim --list-scenarios
 //   ./build/harvest_sim --list-knobs
 //
-// The paper's figures (Figs 13-16 and the placement ablation) are preset
-// runs; DESIGN.md maps each figure to its command.
+// The paper's figures (Figs 2-6, 13-16 and the placement ablation) are
+// preset runs; DESIGN.md maps each figure to its command.
+
+#include <signal.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <cerrno>
 #include <cstdint>
@@ -95,6 +99,83 @@ bool WriteAndClose(std::FILE* file, const std::string& text) {
   const bool flushed = std::fflush(file) == 0;
   const bool closed = std::fclose(file) == 0;
   return written && flushed && closed;
+}
+
+// The temporary result file of a run in flight. Every failing exit removes
+// it, a fatal signal's too, so that an earlier result stays as it was.
+std::string g_temp_path;
+
+// Unlinks before restoring the default action: another thread that takes
+// the same signal meanwhile runs this handler too, never the default.
+extern "C" void RemoveTempAndDie(int sig) {
+  ::unlink(g_temp_path.c_str());
+  struct sigaction action {};
+  action.sa_handler = SIG_DFL;
+  ::sigaction(sig, &action, nullptr);
+  ::kill(::getpid(), sig);
+}
+
+// Sets the temporary file, or clears it when `path` is empty. A signal the
+// process inherited as ignored stays ignored.
+void WatchTemp(const std::string& path) {
+  g_temp_path = path;
+  struct sigaction action {};
+  action.sa_handler = path.empty() ? SIG_DFL : RemoveTempAndDie;
+  for (int sig : {SIGABRT, SIGINT, SIGTERM}) {
+    struct sigaction previous {};
+    if (::sigaction(sig, &action, &previous) == 0 && previous.sa_handler == SIG_IGN) {
+      ::sigaction(sig, &previous, nullptr);
+    }
+  }
+}
+
+void RemoveTemp() {
+  if (!g_temp_path.empty()) {
+    ::unlink(g_temp_path.c_str());
+    WatchTemp("");
+  }
+}
+
+// Opens --out as fopen's "wb" would; null if it cannot be written. A regular
+// file, or a path that does not exist yet, is written to a temporary file
+// beside it, which replaces `*target` once the whole result is written, so
+// a failed run never truncates an earlier result. Anything else (/dev/null,
+// /dev/full, a FIFO) has nothing to preserve and is opened directly.
+std::FILE* OpenResult(const std::string& path, std::string* target) {
+  namespace fs = std::filesystem;
+  fs::path resolved = path;  // like fopen, write through symlinks
+  std::error_code ec;
+  for (int hops = 0; hops < 40 && fs::is_symlink(resolved, ec); ++hops) {
+    const fs::path link = fs::read_symlink(resolved, ec);
+    resolved = link.is_absolute() ? link : resolved.parent_path() / link;
+  }
+  struct stat st {};
+  const bool exists = ::stat(resolved.c_str(), &st) == 0;
+  if (exists ? ::access(resolved.c_str(), W_OK) != 0 : errno != ENOENT) {
+    return nullptr;
+  }
+  if (exists && !S_ISREG(st.st_mode)) {
+    return std::fopen(path.c_str(), "wb");
+  }
+  // fopen keeps an existing file's mode and creates a new one 0666 less the
+  // umask; mkstemp would leave 0600.
+  const mode_t mask = ::umask(0);
+  ::umask(mask);
+  const mode_t mode = exists ? (st.st_mode & 07777) : (0666 & ~mask);
+  std::string temp =
+      (resolved.parent_path() / ("." + resolved.filename().string() + ".XXXXXX")).string();
+  const int fd = ::mkstemp(temp.data());
+  if (fd < 0) {
+    return nullptr;
+  }
+  WatchTemp(temp);
+  std::FILE* file = ::fchmod(fd, mode) == 0 ? ::fdopen(fd, "wb") : nullptr;
+  if (file == nullptr) {
+    ::close(fd);
+    RemoveTemp();
+  }
+  *target = resolved.string();
+  return file;
 }
 
 // Accepts --key=value and --key value spellings; returns false on mismatch.
@@ -246,7 +327,8 @@ int main(int argc, char** argv) {
   // Open the destination before the run, so a path that cannot be written
   // fails at once instead of after the whole simulation.
   const bool to_stdout = out_path == "-";
-  std::FILE* file = to_stdout ? stdout : std::fopen(out_path.c_str(), "wb");
+  std::string target;
+  std::FILE* file = to_stdout ? stdout : OpenResult(out_path, &target);
   if (file == nullptr) {
     std::fprintf(stderr, "harvest_sim: cannot open '%s' for writing\n", out_path.c_str());
     return 1;
@@ -256,6 +338,7 @@ int main(int argc, char** argv) {
     std::error_code ec;
     std::filesystem::create_directories(options.dump_traces_dir, ec);
     if (ec) {
+      RemoveTemp();
       std::fprintf(stderr, "harvest_sim: cannot create trace export directory '%s': %s\n",
                    options.dump_traces_dir.c_str(), ec.message().c_str());
       return 1;
@@ -267,13 +350,16 @@ int main(int argc, char** argv) {
                options.scale, overrides.size());
   harvest::ScenarioRunResult result = harvest::RunScenario(config, options);
 
-  if (!WriteAndClose(file, result.json)) {
-    const std::string target = to_stdout ? "stdout" : "'" + out_path + "'";
+  if (!WriteAndClose(file, result.json) ||
+      (!g_temp_path.empty() && std::rename(g_temp_path.c_str(), target.c_str()) != 0)) {
+    const std::string where = to_stdout ? "stdout" : "'" + out_path + "'";
     const std::string reason = std::generic_category().message(errno);
-    std::fprintf(stderr, "harvest_sim: cannot write results to %s: %s\n", target.c_str(),
+    RemoveTemp();
+    std::fprintf(stderr, "harvest_sim: cannot write results to %s: %s\n", where.c_str(),
                  reason.c_str());
     return 1;
   }
+  WatchTemp("");  // renamed into place
 
   const harvest::ScenarioSummary& s = result.summary;
   std::fprintf(stderr,

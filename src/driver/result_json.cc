@@ -16,6 +16,15 @@ void WriteFleet(JsonWriter& json, const FleetStageResult& fleet) {
   json.EndObject();
 }
 
+void WritePerPattern(JsonWriter& json, const char* key,
+                     const std::array<int, kNumPatterns>& counts) {
+  json.Key(key).BeginObject();
+  for (int p = 0; p < kNumPatterns; ++p) {
+    json.Field(PatternName(static_cast<UtilizationPattern>(p)), counts[static_cast<size_t>(p)]);
+  }
+  json.EndObject();
+}
+
 void WriteClustering(JsonWriter& json, const ClusteringStageResult& clustering) {
   json.Key("clustering").BeginObject();
   json.Key("classes").BeginArray();
@@ -31,13 +40,21 @@ void WriteClustering(JsonWriter& json, const ClusteringStageResult& clustering) 
     json.EndObject();
   }
   json.EndArray();
-  json.Key("tenants_per_pattern").BeginObject();
-  for (int p = 0; p < kNumPatterns; ++p) {
-    json.Field(PatternName(static_cast<UtilizationPattern>(p)),
-               clustering.tenants_per_pattern[static_cast<size_t>(p)]);
-  }
-  json.EndObject();
+  WritePerPattern(json, "tenants_per_pattern", clustering.tenants_per_pattern);
+  WritePerPattern(json, "servers_per_pattern", clustering.servers_per_pattern);
   json.Field("classifier_accuracy", clustering.classifier_accuracy);
+  const ClusteringReimageResult& reimages = clustering.reimages;
+  json.Key("reimages").BeginObject();
+  json.Field("months", reimages.months);
+  json.Field("servers_at_most_one_per_month", reimages.servers_at_most_one_per_month);
+  json.Field("tenants_at_most_one_per_server_month",
+             reimages.tenants_at_most_one_per_server_month);
+  json.Key("tenants_by_tertile_changes").BeginArray();
+  for (int64_t tenants : reimages.tenants_by_tertile_changes) {
+    json.Value(tenants);
+  }
+  json.EndArray();
+  json.EndObject();
   json.EndObject();
 }
 

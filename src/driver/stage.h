@@ -110,12 +110,28 @@ struct ClusteringClassResult {
   int total_cores = 0;
 };
 
+// Paper §3.3's reimage statistics (Figs 4-6) over the fleet's reimage
+// schedules in [0, months), as integer counts.
+struct ClusteringReimageResult {
+  int months = 0;
+  // Fig 4: servers averaging at most one reimage per month.
+  int64_t servers_at_most_one_per_month = 0;
+  // Fig 5: tenants averaging at most one reimage per server per month.
+  int64_t tenants_at_most_one_per_server_month = 0;
+  // Fig 6: [k] = tenants whose reimage-frequency tertile changed k times
+  // over the months - 1 monthly transitions; `months` entries.
+  std::vector<int64_t> tenants_by_tertile_changes;
+};
+
 struct ClusteringStageResult {
   std::vector<ClusteringClassResult> classes;
-  // Indexed by UtilizationPattern; rendered with PatternName().
+  // Indexed by UtilizationPattern; rendered with PatternName(). Tenants
+  // per pattern is Fig 2, their servers per pattern Fig 3.
   std::array<int, kNumPatterns> tenants_per_pattern{};
+  std::array<int, kNumPatterns> servers_per_pattern{};
   // Accuracy against the generators' ground-truth patterns.
   double classifier_accuracy = 1.0;
+  ClusteringReimageResult reimages;
 };
 
 ClusteringStageResult RunClusteringStage(const DcContext& ctx, const Cluster& cluster);
@@ -315,9 +331,10 @@ struct DatacenterResult {
 // the full placement-kind coverage; v4 adds workload provenance
 // ("trace_source": synthetic vs replay); v5 adds the per-DC "energy" block
 // (power_accounting scenarios only); v6 adds the per-DC "faults" block
-// (fault_plan scenarios only).
+// (fault_plan scenarios only); v7 adds the clustering block's
+// "servers_per_pattern" and "reimages" (paper §3, Figs 3-6).
 struct ScenarioResult {
-  int schema_version = 6;
+  int schema_version = 7;
   std::string scenario;
   std::string description;
   uint64_t seed = 0;

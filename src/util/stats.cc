@@ -29,29 +29,4 @@ double SummaryStats::variance() const {
 
 double SummaryStats::stddev() const { return std::sqrt(variance()); }
 
-Cdf::Cdf(std::vector<double> samples) : sorted_(std::move(samples)) {
-  std::sort(sorted_.begin(), sorted_.end());
-}
-
-double Cdf::At(double x) const {
-  if (sorted_.empty()) {
-    return 0.0;
-  }
-  auto it = std::upper_bound(sorted_.begin(), sorted_.end(), x);
-  return static_cast<double>(it - sorted_.begin()) / static_cast<double>(sorted_.size());
-}
-
-double Cdf::Quantile(double q) const {
-  if (sorted_.empty()) {
-    return 0.0;
-  }
-  double clamped = std::clamp(q, 0.0, 1.0);
-  size_t idx = static_cast<size_t>(std::ceil(clamped * static_cast<double>(sorted_.size())));
-  if (idx > 0) {
-    --idx;
-  }
-  idx = std::min(idx, sorted_.size() - 1);
-  return sorted_[idx];
-}
-
 }  // namespace harvest

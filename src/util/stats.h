@@ -1,12 +1,10 @@
-// Descriptive statistics and empirical CDFs: the spectrum's moments, the
-// co-simulation's per-window latency and job means, and the characterization
-// study's reimage-rate distributions.
+// Descriptive statistics: the spectrum's moments, the clustering service's
+// class averages, and the co-simulation's per-window latency and job means.
 
 #ifndef HARVEST_SRC_UTIL_STATS_H_
 #define HARVEST_SRC_UTIL_STATS_H_
 
 #include <cstddef>
-#include <vector>
 
 namespace harvest {
 
@@ -31,20 +29,6 @@ class SummaryStats {
   double min_ = 0.0;
   double max_ = 0.0;
   double sum_ = 0.0;
-};
-
-// Empirical CDF over a sample set.
-class Cdf {
- public:
-  explicit Cdf(std::vector<double> samples);
-
-  // Fraction of samples <= x, in [0, 1].
-  double At(double x) const;
-  // Inverse CDF: smallest sample value v with P[X <= v] >= q (q in [0,1]).
-  double Quantile(double q) const;
-
- private:
-  std::vector<double> sorted_;
 };
 
 }  // namespace harvest

@@ -4,6 +4,7 @@
 #include <stdlib.h>
 
 #include <algorithm>
+#include <array>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -379,7 +380,7 @@ TEST(ResultJsonTest, RendersOverridesAndTopLevelFields) {
   result.scale = 0.5;
   result.overrides = {"fleet_scale=0.5", "run_durability=false"};
   std::string json = RenderScenarioJson(result);
-  EXPECT_NE(json.find("\"schema_version\": 6"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\": 7"), std::string::npos);
   EXPECT_NE(json.find("\"trace_source\": \"synthetic\""), std::string::npos);
   EXPECT_NE(json.find("\"fleet_scale=0.5\""), std::string::npos);
   EXPECT_NE(json.find("\"run_durability=false\""), std::string::npos);
@@ -516,6 +517,85 @@ TEST(DriverPipelineTest, StormScenarioKeepsHistoryAtOrBelowStockLoss) {
         EXPECT_GT(dc.scheduling.history_improvement_percent, 0.0) << "Fig 14, " << dc.name;
       }
     }
+  }
+}
+
+// Paper §3's anchors (Figs 2-6) on the fleets the driver simulates: the
+// clustering stage's counts for fleet_sweep at nine seeds, without the
+// scheduling and durability stages. A DC holds only 33 to 48 tenants at
+// this scale, too few for a share per DC (Fig 3's server-to-tenant ratio
+// falls to 0.43x on one DC at seed 42), so each share is summed over the
+// ten DCs. Anchors that the simulated fleets miss are listed, not
+// asserted, in DESIGN.md.
+TEST(DriverPipelineTest, CharacterizationAnchorsHoldOnTheSimulatedFleets) {
+  ScenarioConfig config = *FindScenario("fleet_sweep");
+  config.fleet_scale = 0.3;
+  config.per_server_traces = false;
+  config.run_scheduling = false;
+  config.run_durability = false;
+  const auto periodic = static_cast<size_t>(UtilizationPattern::kPeriodic);
+  const auto constant = static_cast<size_t>(UtilizationPattern::kConstant);
+  for (const uint64_t seed : {1, 2, 3, 4, 5, 6, 7, 8, 42}) {
+    ScenarioRunOptions options;
+    options.seed = seed;
+    const ScenarioRunResult run = RunScenario(config, options);
+    ASSERT_EQ(run.result.datacenters.size(), 10u) << "seed " << seed;
+    std::array<double, kNumPatterns> tenants{};
+    std::array<double, kNumPatterns> servers{};
+    double all_tenants = 0.0;
+    double all_servers = 0.0;
+    double servers_at_most_one = 0.0;
+    double tenants_at_most_one = 0.0;
+    double tenants_stable = 0.0;
+    for (const DatacenterResult& dc : run.result.datacenters) {
+      const std::string where = "seed " + std::to_string(seed) + " " + dc.name;
+      const ClusteringStageResult& clustering = dc.clustering;
+      size_t dc_tenants = 0;
+      size_t dc_servers = 0;
+      for (size_t p = 0; p < tenants.size(); ++p) {
+        tenants[p] += clustering.tenants_per_pattern[p];
+        servers[p] += clustering.servers_per_pattern[p];
+        dc_tenants += static_cast<size_t>(clustering.tenants_per_pattern[p]);
+        dc_servers += static_cast<size_t>(clustering.servers_per_pattern[p]);
+      }
+      EXPECT_EQ(dc_tenants, dc.fleet.tenants) << where;
+      EXPECT_EQ(dc_servers, dc.fleet.servers) << where;
+      EXPECT_GT(dc.fleet.reimage_events, 0) << where;
+      const ClusteringReimageResult& reimages = clustering.reimages;
+      ASSERT_EQ(reimages.tenants_by_tertile_changes.size(),
+                static_cast<size_t>(reimages.months))
+          << where;
+      int64_t histogram_tenants = 0;
+      for (int64_t count : reimages.tenants_by_tertile_changes) {
+        histogram_tenants += count;
+      }
+      EXPECT_EQ(static_cast<size_t>(histogram_tenants), dc.fleet.tenants) << where;
+      // Fig 6's "at most 8 changes in 35 transitions", scaled to the run's
+      // months - 1 transitions and rounded up: 3 of 11 for 12 months.
+      const int budget = (8 * (reimages.months - 1) + 34) / 35;
+      for (int k = 0; k <= budget; ++k) {
+        tenants_stable += static_cast<double>(reimages.tenants_by_tertile_changes[k]);
+      }
+      all_tenants += static_cast<double>(dc.fleet.tenants);
+      all_servers += static_cast<double>(dc.fleet.servers);
+      servers_at_most_one += static_cast<double>(reimages.servers_at_most_one_per_month);
+      tenants_at_most_one += static_cast<double>(reimages.tenants_at_most_one_per_server_month);
+    }
+    const std::string where = "seed " + std::to_string(seed);
+    // Fig 2: periodic tenants are a minority, and fewer than constant ones.
+    EXPECT_LT(tenants[periodic], tenants[constant]) << where;
+    EXPECT_LT(tenants[periodic] / all_tenants, 0.5) << where;
+    EXPECT_GE(tenants[constant] / all_tenants, 0.4) << where;
+    // Fig 3: periodic tenants run user-facing fleets, so they hold a larger
+    // share of servers than of tenants; history predicts most servers.
+    EXPECT_GT(servers[periodic] / all_servers, 1.5 * tenants[periodic] / all_tenants) << where;
+    EXPECT_GE((servers[periodic] + servers[constant]) / all_servers, 0.55) << where;
+    // Fig 4: at least 90% of servers see at most one reimage a month.
+    EXPECT_GE(servers_at_most_one / all_servers, 0.9) << where;
+    // Fig 5: at least 80% of tenants see at most one per server a month.
+    EXPECT_GE(tenants_at_most_one / all_tenants, 0.8) << where;
+    // Fig 6: reimage-frequency ranks are stable.
+    EXPECT_GT(tenants_stable / all_tenants, 0.7) << where;
   }
 }
 

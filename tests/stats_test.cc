@@ -25,22 +25,5 @@ TEST(SummaryStatsTest, BasicMoments) {
   EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
-TEST(CdfTest, AtAndQuantile) {
-  Cdf cdf({1.0, 2.0, 2.0, 3.0});
-  EXPECT_DOUBLE_EQ(cdf.At(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(cdf.At(1.0), 0.25);
-  EXPECT_DOUBLE_EQ(cdf.At(2.0), 0.75);
-  EXPECT_DOUBLE_EQ(cdf.At(10.0), 1.0);
-  EXPECT_DOUBLE_EQ(cdf.Quantile(0.25), 1.0);
-  EXPECT_DOUBLE_EQ(cdf.Quantile(0.75), 2.0);
-  EXPECT_DOUBLE_EQ(cdf.Quantile(1.0), 3.0);
-}
-
-TEST(CdfTest, EmptyIsZero) {
-  Cdf cdf({});
-  EXPECT_DOUBLE_EQ(cdf.At(1.0), 0.0);
-  EXPECT_DOUBLE_EQ(cdf.Quantile(0.5), 0.0);
-}
-
 }  // namespace
 }  // namespace harvest
