@@ -24,6 +24,15 @@ RankingWeights RankingWeights::Default() {
   return w;
 }
 
+ClassSelector::ClassSelector(const ClusteringSnapshot* snapshot, RankingWeights weights)
+    : snapshot_(snapshot), weights_(weights) {
+  for (const auto& row : weights_.weight) {
+    for (double w : row) {
+      HARVEST_CHECK(w >= 0.0) << "ranking weights must be non-negative, got " << w;
+    }
+  }
+}
+
 double ClassSelector::Headroom(JobType type, const UtilizationClass& cls,
                                const ClassState& state) const {
   double utilization;
@@ -82,9 +91,7 @@ ClassSelection ClassSelector::Select(JobType type, int required_cores,
     // Live availability already excludes primary usage + reserve; the
     // type-dependent headroom further discounts classes whose history says
     // the resources will not stay free for this job type.
-    core_room[c] = std::min(states[c].available_cores,
-                            static_cast<int>(headroom[c] * classes[c].total_cores));
-    double w = weights_.weight[static_cast<int>(type)][static_cast<int>(classes[c].pattern)];
+    core_room[c] = CoreRoom(states[c].available_cores, HeadroomCores(headroom[c], classes[c]));
     // The pick probability is rank weight x *core* headroom, not the bare
     // headroom fraction: the RM balances load across eligible servers in
     // proportion to available resources (§5.3), and the class pick must do
@@ -94,7 +101,7 @@ ClassSelection ClassSelector::Select(JobType type, int required_cores,
     // *more* reserve kills than the PT baseline (the fleet_sweep 45%-target
     // regression); weighting by core room recovers PT's proportional spread
     // while the headroom baked into core_room keeps steering by history.
-    weighted[c] = static_cast<double>(core_room[c]) * w;
+    weighted[c] = WeightedRoom(type, classes[c], core_room[c]);
   }
 
   // Single-class fit (lines 8-11).
@@ -145,6 +152,32 @@ ClassSelection ClassSelector::Select(JobType type, int required_cores,
 
   // No combination fits (line 16): do not pick classes.
   return selection;
+}
+
+// Select is empty exactly when the total below is short of the ask. With
+// non-negative weights a class of positive weighted room has positive core
+// room, so each such room is at most the total. So if the total is short of
+// the ask, no such class fits alone, every single-fit weight is <= 0,
+// WeightedIndex returns -1 without a draw, and the combination is skipped
+// on the same total: empty, and nothing drawn. If the total covers the ask,
+// a single-fit pick or the combination, which draws positive classes until
+// their rooms cover it, returns classes. Skipping Select relies on the
+// first half only.
+bool ClassSelector::SelectsNothing(JobType type, int required_cores,
+                                   std::span<const int> available_cores,
+                                   std::span<const int> headroom_cores) const {
+  const auto& classes = snapshot_->classes;
+  HARVEST_CHECK(available_cores.size() == classes.size() &&
+                headroom_cores.size() == classes.size())
+      << "class cores must align with clustering snapshot";
+  int64_t total_room = 0;
+  for (size_t c = 0; c < classes.size(); ++c) {
+    const int room = CoreRoom(available_cores[c], headroom_cores[c]);
+    if (WeightedRoom(type, classes[c], room) > 0.0) {
+      total_room += room;
+    }
+  }
+  return total_room < required_cores;
 }
 
 }  // namespace harvest

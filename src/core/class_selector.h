@@ -23,6 +23,8 @@
 #ifndef HARVEST_SRC_CORE_CLASS_SELECTOR_H_
 #define HARVEST_SRC_CORE_CLASS_SELECTOR_H_
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "src/core/job_history.h"
@@ -32,6 +34,7 @@
 namespace harvest {
 
 // Ranking weights W[job type][pattern]; higher weight = higher ranking.
+// Non-negative: ClassSelector's emptiness test relies on it.
 struct RankingWeights {
   // Indexed [JobType][UtilizationPattern].
   double weight[kNumJobTypes][kNumPatterns];
@@ -76,8 +79,9 @@ struct ClassSelection {
 
 class ClassSelector {
  public:
-  ClassSelector(const ClusteringSnapshot* snapshot, RankingWeights weights = RankingWeights::Default())
-      : snapshot_(snapshot), weights_(weights) {}
+  // `weights` must be non-negative (checked).
+  ClassSelector(const ClusteringSnapshot* snapshot,
+                RankingWeights weights = RankingWeights::Default());
 
   // Headroom of class `cls` for a job of `type` (Algorithm 1 lines 6-8):
   //   short  : 1 - current
@@ -85,15 +89,45 @@ class ClassSelector {
   //   long   : 1 - max(long forecast (fallback: sustained peak), current)
   double Headroom(JobType type, const UtilizationClass& cls, const ClassState& state) const;
 
+  // The cores a class's headroom allows a job type: int(headroom x
+  // total_cores). Its inputs (utilization and forecasts) change only with
+  // the telemetry slot, so a caller may cache it per slot and job type.
+  static int HeadroomCores(double headroom, const UtilizationClass& cls) {
+    return static_cast<int>(headroom * cls.total_cores);
+  }
+
+  // A class's core room for a job type: the containers it could actually
+  // host, its live available cores capped by its headroom cores. Select and
+  // SelectsNothing both size classes with this one rule.
+  static int CoreRoom(int available_cores, int headroom_cores) {
+    return std::min(available_cores, headroom_cores);
+  }
+
   // Runs Algorithm 1. `states` must align with snapshot->classes by index.
   // `required_cores` is the job's maximum concurrent resource need.
   ClassSelection Select(JobType type, int required_cores, const std::vector<ClassState>& states,
                         Rng& rng) const;
 
+  // True exactly when Select returns no class for an ask of `required_cores`
+  // (>= 1) on classes with these available cores and headroom cores (both
+  // aligned with snapshot->classes, the latter HeadroomCores for `type`):
+  // when the core rooms of the classes with positive weighted room add up to
+  // less than the ask. An empty Select draws nothing from its Rng, so a
+  // caller may skip a selection this rules out without moving any stream.
+  bool SelectsNothing(JobType type, int required_cores, std::span<const int> available_cores,
+                      std::span<const int> headroom_cores) const;
+
   const ClusteringSnapshot& snapshot() const { return *snapshot_; }
   const RankingWeights& weights() const { return weights_; }
 
  private:
+  // A class's pick weight: rank weight x core room. Select picks and
+  // combines only classes whose weighted room is positive.
+  double WeightedRoom(JobType type, const UtilizationClass& cls, int core_room) const {
+    return static_cast<double>(core_room) *
+           weights_.weight[static_cast<int>(type)][static_cast<int>(cls.pattern)];
+  }
+
   const ClusteringSnapshot* snapshot_;
   RankingWeights weights_;
 };

@@ -5,14 +5,13 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <queue>
-#include <set>
 #include <unordered_map>
 
 #include "src/core/utilization_clustering.h"
 #include "src/experiments/storage_cosim.h"
 #include "src/jobs/app_master.h"
+#include "src/util/dense_id_set.h"
 #include "src/util/stats.h"
 
 namespace harvest {
@@ -86,6 +85,9 @@ class SchedulingSimulation {
     if (options.mode == SchedulerMode::kHistory) {
       SetupHistoryScheduling();
     }
+    if (options.collect_latency) {
+      window_kills_.assign(cluster.num_servers(), 0);
+    }
     if (options.storage != StorageVariant::kNone) {
       SetupStorage();
     }
@@ -144,12 +146,14 @@ class SchedulingSimulation {
   };
 
   struct ActiveJob {
-    std::unique_ptr<AppMaster> am;
+    std::unique_ptr<AppMaster> am;     // null once the job finished
     std::vector<int> allowed_classes;  // H mode; empty = any
     double start_time = -1.0;          // first container start
     JobType type = JobType::kMedium;
     bool awaiting_classes = false;     // H mode: selector returned empty
   };
+
+  ActiveJob& Job(JobId id) { return jobs_[static_cast<size_t>(id)]; }
 
   // Every scheduled time is now_ plus a positive delay, or an arrival
   // generated before the run starts, so no event lands in the past.
@@ -170,6 +174,7 @@ class SchedulingSimulation {
     server_class_ = server_class;
     rm_.SetServerClasses(std::move(server_class));
     selector_ = std::make_unique<ClassSelector>(&snapshot_);
+    class_available_cores_.assign(snapshot_.classes.size(), 0);
 
     result_.class_diagnostics.reserve(snapshot_.classes.size());
     for (const UtilizationClass& cls : snapshot_.classes) {
@@ -332,12 +337,12 @@ class SchedulingSimulation {
   void AdmitJob(int query, double arrival_time) {
     ++result_.jobs_arrived;
     const JobDag* dag = &suite_[static_cast<size_t>(query)];
-    JobId id = next_job_id_++;
-    ActiveJob job;
+    const JobId id = next_job_id_++;
+    jobs_.resize(static_cast<size_t>(id) + 1);  // the only place jobs_ grows
+    ActiveJob& job = Job(id);
     job.am = std::make_unique<AppMaster>(id, dag, arrival_time);
     job.type = history_.TypeOf(dag->name());
-    jobs_.emplace(id, std::move(job));
-    pending_.insert(id);  // a fresh AM always has pending root tasks
+    pending_.Insert(id);  // a fresh AM always has pending root tasks
     if (options_.mode == SchedulerMode::kHistory) {
       // Two-tier admission ask: first the whole DAG's maximum concurrent
       // need (Algorithm 1's selection quantum), so a class that can carry
@@ -346,8 +351,7 @@ class SchedulingSimulation {
       // the first runnable wave -- admitting the job piecemeal beats
       // holding it for a class large enough for a width it may only reach
       // an hour from now.
-      ActiveJob& fresh = jobs_.at(id);
-      SelectClasses(fresh, fresh.am->dag().MaxConcurrentCores());
+      job.awaiting_classes = !SelectClasses(job, job.am->dag().MaxConcurrentCores());
     }
     TryScheduleJob(id);
   }
@@ -360,7 +364,9 @@ class SchedulingSimulation {
   // *aggregate* series (per-slot mean across member tenants): a job lands
   // across the class's servers, so it rides the class aggregate, not one
   // member's worst moment. Traces are piecewise-constant per telemetry slot,
-  // so the values are cached per slot.
+  // so the values are cached per slot, and with them each class's headroom
+  // cores per job type: the RM serves the class utilization the headroom
+  // reads from a per-slot cache too.
   void RefreshClassForecasts(double now) {
     const int64_t slot = static_cast<int64_t>(std::floor(now / kSlotSeconds));
     if (slot == class_forecast_slot_) {
@@ -410,6 +416,30 @@ class SchedulingSimulation {
       class_forecast_util_[c] = medium_peak;
       class_long_forecast_util_[c] = long_peak;
     }
+    for (std::vector<int>& cores : class_headroom_cores_) {
+      cores.assign(snapshot_.classes.size(), 0);
+    }
+    for (size_t c = 0; c < snapshot_.classes.size(); ++c) {
+      const ClassState state = ClassStateAt(c, now);
+      for (int type = 0; type < kNumJobTypes; ++type) {
+        class_headroom_cores_[static_cast<size_t>(type)][c] = ClassSelector::HeadroomCores(
+            selector_->Headroom(static_cast<JobType>(type), snapshot_.classes[c], state),
+            snapshot_.classes[c]);
+      }
+    }
+  }
+
+  // Algorithm 1's view of class `c` at `now`: live utilization and
+  // available cores from the RM, forecasts from the per-slot cache.
+  ClassState ClassStateAt(size_t c, double now) const {
+    const UtilizationClass& cls = snapshot_.classes[c];
+    ClassState state;
+    state.class_id = cls.id;
+    state.current_utilization = rm_.ClassCurrentUtilization(cls.id, now);
+    state.available_cores = rm_.ClassAvailableCores(cls.id, now);
+    state.forecast_utilization = class_forecast_util_[c];
+    state.long_forecast_utilization = class_long_forecast_util_[c];
+    return state;
   }
 
   // Cores the job's currently runnable (unlocked, unscheduled) tasks need
@@ -418,30 +448,34 @@ class SchedulingSimulation {
   // holding a half-done job to it would reject class sets that comfortably
   // host the remaining wave.
   int RunnableDemandCores(const ActiveJob& job) const {
-    int cores = 0;
-    for (const TaskDemand& demand : job.am->RunnableTasks()) {
-      cores += demand.count * job.am->dag().stage(demand.stage).per_task.cores;
-    }
-    return std::max(1, cores);
+    return std::max(1, job.am->RunnableCores());
   }
 
-  // Algorithm 1 front-end: picks the class set for a job.
-  void SelectClasses(ActiveJob& job, int required_cores) {
+  // Algorithm 1 front-end: re-picks the job's class set for an ask of
+  // `required_cores`. Returns false, and leaves the job's classes as they
+  // were, when no class set covers the ask. In a saturated run nearly every
+  // retry asks in vain; the exact emptiness test answers those from the
+  // per-slot headroom cores and the RM's running class aggregates, builds
+  // no class states and, like an empty Select, draws no RNG.
+  bool SelectClasses(ActiveJob& job, int required_cores) {
     const double now = now_;
     RefreshClassForecasts(now);
+    for (size_t c = 0; c < snapshot_.classes.size(); ++c) {
+      class_available_cores_[c] = rm_.ClassAvailableCores(snapshot_.classes[c].id, now);
+    }
+    if (selector_->SelectsNothing(job.type, required_cores, class_available_cores_,
+                                  class_headroom_cores_[static_cast<size_t>(job.type)])) {
+      return false;
+    }
     std::vector<ClassState> states;
     states.reserve(snapshot_.classes.size());
     for (size_t c = 0; c < snapshot_.classes.size(); ++c) {
-      const UtilizationClass& cls = snapshot_.classes[c];
-      ClassState state;
-      state.class_id = cls.id;
-      state.current_utilization = rm_.ClassCurrentUtilization(cls.id, now);
-      state.available_cores = rm_.ClassAvailableCores(cls.id, now);
-      state.forecast_utilization = class_forecast_util_[c];
-      state.long_forecast_utilization = class_long_forecast_util_[c];
-      states.push_back(state);
+      states.push_back(ClassStateAt(c, now));
     }
     ClassSelection selection = selector_->Select(job.type, required_cores, states, rng_);
+    if (selection.empty()) {
+      return false;
+    }
     for (size_t i = 0; i < selection.class_ids.size(); ++i) {
       ClassSchedulingDiagnostics* diag = DiagnosticsForClass(selection.class_ids[i]);
       if (diag == nullptr) {
@@ -453,16 +487,15 @@ class SchedulingSimulation {
                                      [static_cast<int>(diag->pattern)] *
           selection.headrooms[i];
     }
-    job.allowed_classes = selection.class_ids;
-    job.awaiting_classes = selection.empty();
+    job.allowed_classes = std::move(selection.class_ids);
+    return true;
   }
 
   void TryScheduleJob(JobId id) {
-    auto it = jobs_.find(id);
-    if (it == jobs_.end()) {
+    ActiveJob& job = Job(id);
+    if (!job.am) {
       return;
     }
-    ActiveJob& job = it->second;
     if (job.awaiting_classes) {
       // An empty class pick is not a 120-second sentence. This fires both
       // straight from arrival -- the whole-DAG ask found no class, so fall
@@ -471,10 +504,10 @@ class SchedulingSimulation {
       // a class eligible right now, exactly like a PT job grabbing freed
       // cores in the same sweep. Selection consumes RNG only when it
       // succeeds, so a still-empty attempt leaves every stream untouched.
-      SelectClasses(job, RunnableDemandCores(job));
-      if (job.awaiting_classes) {
+      if (!SelectClasses(job, RunnableDemandCores(job))) {
         return;  // still nothing anywhere (stays in pending_)
       }
+      job.awaiting_classes = false;
     }
     const double now = now_;
     bool allocation_short = false;  // some runnable demand went unplaced
@@ -536,22 +569,16 @@ class SchedulingSimulation {
     // a slowly-freeing class beats one frozen with no classes at all.
     if (options_.mode == SchedulerMode::kHistory && allocation_short &&
         job.am->PendingTasks() > 0) {
-      std::vector<int> previous = job.allowed_classes;
       SelectClasses(job, RunnableDemandCores(job));
-      if (job.awaiting_classes && !previous.empty()) {
-        job.allowed_classes = std::move(previous);
-        job.awaiting_classes = false;
-      }
     }
     // Keep the pending queue exact: a job is queued iff it still has
     // unscheduled tasks in unlocked stages. TryScheduleJob only ever
     // *shrinks* a job's pending demand, so during a RetryPendingJobs sweep
-    // this can erase the current element (iterator already advanced) but
-    // never inserts new ones ahead of it.
+    // this can erase the visited job but never inserts another.
     if (job.am->PendingTasks() > 0) {
-      pending_.insert(id);
+      pending_.Insert(id);
     } else {
-      pending_.erase(id);
+      pending_.Erase(id);
     }
   }
 
@@ -583,7 +610,7 @@ class SchedulingSimulation {
                                   task.container.start_time, now_);
     }
 
-    ActiveJob& job = jobs_.at(task.job);
+    ActiveJob& job = Job(task.job);
     bool finished = job.am->OnTaskComplete(task.stage, now_);
     if (finished) {
       FinishJob(task.job);
@@ -595,7 +622,7 @@ class SchedulingSimulation {
   }
 
   void FinishJob(JobId id) {
-    ActiveJob& job = jobs_.at(id);
+    ActiveJob& job = Job(id);
     JobRecord record;
     record.name = job.am->dag().name();
     record.arrival_seconds = job.am->arrival_time();
@@ -611,21 +638,20 @@ class SchedulingSimulation {
     double execution = job.am->finish_time() - (job.start_time >= 0.0 ? job.start_time
                                                                       : job.am->arrival_time());
     history_.RecordRun(record.name, execution);
-    pending_.erase(id);  // a finished job has no pending tasks, but be exact
-    jobs_.erase(id);     // ordered-map erase: O(log n), no vector compaction
+    pending_.Erase(id);  // a finished job has no pending tasks, but be exact
+    job = ActiveJob{};   // frees the AM and the class list; the slot stays
   }
 
   void RetryPendingJobs() {
     cluster_full_hint_ = false;
     // Arrival order (FIFO fairness; job ids are issued in arrival order, so
-    // the ordered set already iterates oldest-first). Only jobs that
-    // actually have pending demand are visited -- completed and fully
-    // scheduled jobs never enter the sweep. Stop early once an allocation
-    // attempt reports a full cluster -- all requests share one container
-    // shape here.
-    for (auto it = pending_.begin(); it != pending_.end();) {
-      JobId id = *it;
-      ++it;  // TryScheduleJob may erase `id` once its demand is satisfied
+    // the ascending id scan visits oldest-first). Only jobs that actually
+    // have pending demand are visited -- completed and fully scheduled jobs
+    // never enter the sweep. TryScheduleJob may erase the visited id (its
+    // demand satisfied) and touches no other; the scan resumes past it.
+    // Stop early once an allocation attempt reports a full cluster -- all
+    // requests share one container shape here.
+    for (JobId id = pending_.Next(0); id >= 0; id = pending_.Next(id + 1)) {
       TryScheduleJob(id);
       if (cluster_full_hint_) {
         break;
@@ -647,9 +673,11 @@ class SchedulingSimulation {
     if (accountant_) {
       accountant_->OnContainerEnd(container.resources.cores, container.start_time, now);
     }
-    jobs_.at(task.job).am->OnTaskKilled(task.stage);
-    pending_.insert(task.job);  // the killed task returns to the pending pool
-    ++window_kills_[container.server];
+    Job(task.job).am->OnTaskKilled(task.stage);
+    pending_.Insert(task.job);  // the killed task returns to the pending pool
+    if (options_.collect_latency) {
+      ++window_kills_[static_cast<size_t>(container.server)];
+    }
     return true;
   }
 
@@ -741,10 +769,7 @@ class SchedulingSimulation {
     for (size_t s = 0; s < cluster_.num_servers(); ++s) {
       const NodeManager& node = rm_.node(static_cast<ServerId>(s));
       double primary_load = cluster_.server(static_cast<ServerId>(s)).PrimaryUtilizationAt(now);
-      int kills = 0;
-      if (auto it = window_kills_.find(static_cast<ServerId>(s)); it != window_kills_.end()) {
-        kills = it->second;
-      }
+      const int kills = window_kills_[s];
       int interfering = static_cast<int>(
           interfering_base + (static_cast<int64_t>(s) < interfering_remainder ? 1 : 0));
       double p99 = latency_model_.ServerP99(primary_load, node.OvercommitCores(now),
@@ -753,7 +778,7 @@ class SchedulingSimulation {
       window.Add(p99);
     }
     result_.p99_series_ms.push_back(window.mean());
-    window_kills_.clear();
+    std::fill(window_kills_.begin(), window_kills_.end(), 0);
     window_interfering_ = 0;
     if (now + kLatencyWindowSeconds <= options_.horizon_seconds) {
       Schedule(now + kLatencyWindowSeconds, EventKind::kLatencyWindow);
@@ -820,19 +845,23 @@ class SchedulingSimulation {
   // telemetry slot; -1 marks classes without usable traces.
   std::vector<double> class_forecast_util_;
   std::vector<double> class_long_forecast_util_;
+  // ClassSelector::HeadroomCores per [job type][class], cached with the
+  // forecasts; and the classes' available cores, refilled for each ask.
+  std::array<std::vector<int>, kNumJobTypes> class_headroom_cores_;
+  std::vector<int> class_available_cores_;
   int64_t class_forecast_slot_ = std::numeric_limits<int64_t>::min();
   std::unique_ptr<ClassSelector> selector_;
   std::unique_ptr<NameNode> name_node_;
-  // Live jobs keyed by id. Ids are issued in arrival order, so the ordered
-  // map doubles as the FIFO arrival order the retry/starvation sweeps need;
-  // erasing a finished job is O(log n) with stable iterators (no dense
-  // vector to compact or copy).
-  std::map<JobId, ActiveJob> jobs_;
-  // Jobs with unscheduled tasks in unlocked stages, in arrival order: the
-  // retry queue. Woken by resource-release (task completion) and kill
-  // events; membership is maintained exactly at every transition, so a
-  // retry sweep touches only jobs that can actually make progress.
-  std::set<JobId> pending_;
+  // Jobs indexed by id; ids are issued densely from 1 in arrival order. A
+  // finished job's slot stays, emptied. The vector grows only in AdmitJob,
+  // so an ActiveJob reference held anywhere else stays valid.
+  std::vector<ActiveJob> jobs_;
+  // Jobs with unscheduled tasks in unlocked stages, scanned in ascending id
+  // (arrival order): the retry queue. Woken by resource-release (task
+  // completion) and kill events; membership is maintained exactly at every
+  // transition, so a retry sweep touches only jobs that can actually make
+  // progress.
+  DenseIdSet pending_;
   std::unordered_map<ContainerId, RunningTask> running_;
   // Power subsystem: the energy / cost ledger (power_accounting runs only)
   // and the deferral valley curve, cached per telemetry slot.
@@ -846,7 +875,8 @@ class SchedulingSimulation {
   size_t fault_cursor_ = 0;
   int64_t fault_evictions_ = 0;
   double forecast_degraded_seconds_ = 0.0;
-  std::unordered_map<ServerId, int> window_kills_;
+  // Kills per server in the current latency window (collect_latency only).
+  std::vector<int> window_kills_;
   int64_t window_interfering_ = 0;
   double utilization_sum_ = 0.0;
   double primary_sum_ = 0.0;

@@ -44,6 +44,16 @@ int AppMaster::PendingTasks() const {
   return total;
 }
 
+int AppMaster::RunnableCores() const {
+  int cores = 0;
+  for (int s = 0; s < dag_->num_stages(); ++s) {
+    if (pending_[static_cast<size_t>(s)] > 0 && StageUnlocked(s)) {
+      cores += pending_[static_cast<size_t>(s)] * dag_->stage(s).per_task.cores;
+    }
+  }
+  return cores;
+}
+
 void AppMaster::OnTasksScheduled(int stage, int count) {
   HARVEST_CHECK(pending_[static_cast<size_t>(stage)] >= count)
       << "scheduled more tasks than pending for stage " << stage;

@@ -30,6 +30,9 @@ class AppMaster {
   std::vector<TaskDemand> RunnableTasks() const;
   // Total pending tasks across unlocked stages.
   int PendingTasks() const;
+  // Cores the runnable tasks need at once: RunnableTasks' counts times their
+  // stages' per-task cores, without building the list.
+  int RunnableCores() const;
 
   // The driver placed `count` containers for `stage`.
   void OnTasksScheduled(int stage, int count);

@@ -255,6 +255,19 @@ void ResourceManager::ResyncNode(ServerId s) {
   }
 }
 
+int64_t ResourceManager::CandidateTotal(const ContainerRequest& request) const {
+  if (request.allowed_classes.empty()) {
+    return all_servers_picker_.Total();
+  }
+  int64_t total = 0;
+  for (int c : request.allowed_classes) {
+    if (c >= 0 && c < num_classes_) {
+      total += class_pickers_[static_cast<size_t>(c)].Total();
+    }
+  }
+  return total;
+}
+
 std::vector<Container> ResourceManager::Allocate(const ContainerRequest& request, double t,
                                                  Rng& rng) {
   std::vector<Container> placed;
@@ -263,6 +276,9 @@ std::vector<Container> ResourceManager::Allocate(const ContainerRequest& request
   }
   EnsureSlot(t);
   EnsureProfile(request);
+  if (CandidateTotal(request) <= 0) {
+    return placed;  // nothing fits: the loop below would stop before its first draw
+  }
 
   // Candidate segments: the label disjunction in request order, or every
   // server when no label was named (RM default policy). Each segment is a
@@ -321,7 +337,7 @@ std::vector<Container> ResourceManager::Allocate(const ContainerRequest& request
     container.resources = request.resources;
     container.start_time = t;
     nodes_[static_cast<size_t>(server)].AddContainer(container);
-    active_.insert(server);
+    active_.Insert(server);
     placed.push_back(container);
     ResyncNode(server);
   }
@@ -334,7 +350,7 @@ void ResourceManager::Release(const Container& container) {
   HARVEST_CHECK(removed) << "released container " << container.id << " not found on server "
                          << container.server;
   if (node.idle()) {
-    active_.erase(container.server);
+    active_.Erase(container.server);
     MaybeParkOnDrain(container.server);
   }
   ResyncNode(container.server);
@@ -343,17 +359,17 @@ void ResourceManager::Release(const Container& container) {
 std::vector<Container> ResourceManager::EnforceReserves(double t) {
   EnsureSlot(t);
   std::vector<Container> killed;
-  // Snapshot: a kill can idle a node and erase it from active_ mid-sweep.
-  // active_ holds exactly the non-idle servers in ascending ServerId order,
-  // so this visits the same nodes in the same order the dense fleet sweep
-  // did (idle nodes contributed nothing there).
-  active_scratch_.assign(active_.begin(), active_.end());
-  for (ServerId s : active_scratch_) {
+  // active_ holds exactly the non-idle servers, so this visits the same
+  // nodes in the same ascending ServerId order the dense fleet sweep did
+  // (idle nodes contributed nothing there). A kill can idle the visited
+  // node and erase it mid-sweep; the scan resumes past it.
+  for (int64_t next = active_.Next(0); next >= 0; next = active_.Next(next + 1)) {
+    const ServerId s = static_cast<ServerId>(next);
     NodeManager& node = nodes_[static_cast<size_t>(s)];
     std::vector<Container> k = node.EnforceReserve(t);
     if (!k.empty()) {
       if (node.idle()) {
-        active_.erase(s);
+        active_.Erase(s);
         MaybeParkOnDrain(s);
       }
       ResyncNode(s);
@@ -473,7 +489,7 @@ std::vector<Container> ResourceManager::SetServerDown(ServerId s, bool is_down) 
     // Power loss kills everything the node hosts; the caller accounts the
     // evictions (AM retries, pending re-queue) like reserve kills.
     evicted = nodes_[i].RemoveAllContainers();
-    active_.erase(s);
+    active_.Erase(s);
   }
   ResyncNode(s);
   return evicted;
@@ -543,7 +559,7 @@ bool ResourceManager::AuditCachesForTest(std::string* error) const {
     return false;
   };
   for (size_t s = 0; s < nodes_.size(); ++s) {
-    if (active_.count(static_cast<ServerId>(s)) != (nodes_[s].idle() ? 0u : 1u)) {
+    if (active_.Contains(static_cast<int64_t>(s)) == nodes_[s].idle()) {
       return fail("active set out of sync for server " + std::to_string(s));
     }
   }

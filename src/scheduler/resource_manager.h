@@ -19,8 +19,8 @@
 // Per-slot refresh: trace-dependent per-slot values (live primary cores,
 // forecast cores) are computed once per telemetry group and broadcast, so
 // slot work is O(groups + active servers) in the shared-trace fleets the
-// paper models; EnforceReserves walks an ordered active-node set instead of
-// the whole fleet.
+// paper models; EnforceReserves walks a bitmap of the active nodes, in
+// ServerId order, instead of the whole fleet.
 //
 // Not thread-safe: one RM belongs to one simulation thread. Callers must
 // not mutate NodeManagers behind the RM's back (use Allocate / Release /
@@ -32,7 +32,6 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,6 +40,7 @@
 #include "src/cluster/fleet_table.h"
 #include "src/scheduler/container.h"
 #include "src/scheduler/node_manager.h"
+#include "src/util/dense_id_set.h"
 #include "src/util/rng.h"
 #include "src/util/weighted_picker.h"
 
@@ -225,6 +225,9 @@ class ResourceManager {
   // Placement weight of server `s` from its cached inputs and live
   // allocations. Zero when the profile's shape does not fit.
   int64_t NodeWeight(ServerId s) const;
+  // Total weight of `request`'s candidate samplers (its valid labels, or
+  // every server when it names none).
+  int64_t CandidateTotal(const ContainerRequest& request) const;
   // Resyncs one node's cached availability / weight after its allocations
   // changed (container add / remove / reserve kill).
   void ResyncNode(ServerId s);
@@ -244,11 +247,10 @@ class ResourceManager {
   int num_classes_ = 0;
   ContainerId next_container_id_ = 1;
   int64_t total_kills_ = 0;
-  // Exactly the non-idle servers, ordered by ServerId: EnforceReserves
-  // visits these and only these (the dense sweep skipped idle nodes, so the
+  // Exactly the non-idle servers: EnforceReserves visits these and only
+  // these, in ascending ServerId (the dense sweep skipped idle nodes, so the
   // visit order -- and every emitted byte -- is unchanged).
-  std::set<ServerId> active_;
-  std::vector<ServerId> active_scratch_;  // iteration snapshot (kills mutate active_)
+  DenseIdSet active_;
 
   // --- Right-sizing state (all empty until ConfigureRightSizing) ----------
   RightSizingOptions rightsizing_;

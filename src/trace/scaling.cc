@@ -87,6 +87,13 @@ ScaledSumBounds::ScaledSumBounds(std::span<const UtilizationTrace* const> traces
       ++counts_[std::min(static_cast<int>(u * kBins), kBins - 1)];
     }
   }
+  // A settled probe scales up to two edges per nonempty bin, where a pass
+  // scales each sample once: on a list shorter than that the bins cost more
+  // than the passes they skip.
+  const int64_t nonempty = kBins - std::count(counts_.begin(), counts_.end(), 0);
+  if (samples_ < 2 * nonempty) {
+    counts_.clear();
+  }
 }
 
 std::optional<double> ScaledSumBounds::SettledAverage(ScalingMethod method, double parameter,

@@ -27,7 +27,9 @@ UtilizationTrace ScaleTrace(const UtilizationTrace& trace, ScalingMethod method,
 // the samples once: exact zeros apart, then kBins equal bins over (0, 1].
 // Scaling is monotone in the sample, so a pass's sum lies between the counts
 // times the scaled low edges and the counts times the scaled high edges,
-// widened by a slack for pow's error and the sums' rounding.
+// widened by a slack for pow's error and the sums' rounding. A list with
+// fewer samples than twice its nonempty bins keeps the bins off: a bound
+// would then cost more than the pass.
 class ScaledSumBounds {
  public:
   static constexpr int kBins = 4096;
@@ -38,8 +40,9 @@ class ScaledSumBounds {
   // >= 0 or a power > 0) sit on one side of `target_average`, returns their
   // midpoint, which sits on the pass's side: `*settled < target_average`
   // exactly when the pass's average is below the target. No value when the
-  // bounds straddle the target, there are no samples, or a sample is NaN
-  // (the bins are then off and every probe takes a pass).
+  // bounds straddle the target, there are no samples, a sample is NaN, or
+  // the list is too short for its bins (the bins are then off and every
+  // probe takes a pass).
   std::optional<double> SettledAverage(ScalingMethod method, double parameter,
                                        double target_average) const;
 

@@ -88,21 +88,45 @@ TEST(AppMasterTest, PartialSchedulingTracksRemainder) {
   EXPECT_EQ(demands[0].count, 6);
 }
 
+// RunnableCores sums RunnableTasks' counts times their stages' cores.
+int ListedRunnableCores(const AppMaster& am) {
+  int cores = 0;
+  for (const TaskDemand& demand : am.RunnableTasks()) {
+    cores += demand.count * am.dag().stage(demand.stage).per_task.cores;
+  }
+  return cores;
+}
+
 TEST(AppMasterTest, DiamondDagUnlocksSinkAfterBothBranches) {
-  JobDag dag("diamond", {MakeStage("src", 1, 1, {}), MakeStage("l", 1, 1, {0}),
-                         MakeStage("r", 1, 1, {0}), MakeStage("sink", 1, 1, {1, 2})});
+  std::vector<Stage> stages = {MakeStage("src", 1, 1, {}), MakeStage("l", 3, 1, {0}),
+                               MakeStage("r", 2, 1, {0}), MakeStage("sink", 1, 1, {1, 2})};
+  for (size_t s = 0; s < stages.size(); ++s) {
+    stages[s].per_task.cores = static_cast<int>(s) + 1;
+  }
+  JobDag dag("diamond", std::move(stages));
   AppMaster am(3, &dag, 0.0);
+  EXPECT_EQ(am.RunnableCores(), 1);
   am.OnTasksScheduled(0, 1);
+  EXPECT_EQ(am.RunnableCores(), 0);
   am.OnTaskComplete(0, 1.0);
   // Both branches runnable in parallel.
   EXPECT_EQ(am.RunnableTasks().size(), 2u);
+  EXPECT_EQ(am.RunnableCores(), 3 * 2 + 2 * 3);
+  am.OnTasksScheduled(1, 2);
+  EXPECT_EQ(am.RunnableCores(), ListedRunnableCores(am));
   am.OnTasksScheduled(1, 1);
-  am.OnTasksScheduled(2, 1);
-  am.OnTaskComplete(1, 2.0);
+  am.OnTasksScheduled(2, 2);
+  for (int i = 0; i < 3; ++i) {
+    am.OnTaskComplete(1, 2.0);
+  }
+  am.OnTaskComplete(2, 2.0);
   EXPECT_TRUE(am.RunnableTasks().empty());  // sink blocked on branch r
+  EXPECT_EQ(am.RunnableCores(), 0);
   am.OnTaskComplete(2, 3.0);
   ASSERT_EQ(am.RunnableTasks().size(), 1u);
   EXPECT_EQ(am.RunnableTasks()[0].stage, 3);
+  EXPECT_EQ(am.RunnableCores(), 4);
+  EXPECT_EQ(am.RunnableCores(), ListedRunnableCores(am));
 }
 
 TEST(AppMasterTest, KillsAccumulate) {

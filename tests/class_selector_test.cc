@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 namespace harvest {
 namespace {
 
@@ -214,6 +217,80 @@ TEST(ClassSelectorTest, SelectionReportsJobTypeAndHeadrooms) {
     EXPECT_GT(h, 0.0);
     EXPECT_LE(h, 1.0);
   }
+}
+
+// SelectsNothing against Select itself, on random classes: available cores
+// at or below 0, classes of 0 cores, forecasts of -1 and ranking weights
+// with zero entries, at every ask from 1 to past the classes' total room.
+// Wherever Select comes back empty it must also have drawn nothing.
+TEST(ClassSelectorTest, SelectsNothingExactlyWhenSelectIsEmpty) {
+  Rng gen(27);
+  int empty = 0;
+  int picked = 0;
+  for (int trial = 0; trial < 500; ++trial) {
+    ClusteringSnapshot snapshot;
+    std::vector<ClassState> states;
+    const int64_t num_classes = gen.UniformInt(1, 6);
+    for (int c = 0; c < num_classes; ++c) {
+      UtilizationClass cls;
+      cls.id = c;
+      cls.pattern = static_cast<UtilizationPattern>(gen.UniformInt(0, kNumPatterns - 1));
+      cls.average_utilization = gen.NextDouble();
+      cls.peak_utilization = std::max(cls.average_utilization, gen.NextDouble());
+      cls.total_cores = gen.Bernoulli(0.15) ? 0 : static_cast<int>(gen.UniformInt(1, 120));
+      snapshot.classes.push_back(cls);
+      ClassState state;
+      state.class_id = c;
+      state.current_utilization = gen.NextDouble();
+      state.available_cores = static_cast<int>(gen.UniformInt(-20, cls.total_cores));
+      state.forecast_utilization = gen.Bernoulli(0.3) ? -1.0 : gen.NextDouble();
+      state.long_forecast_utilization = gen.Bernoulli(0.3) ? -1.0 : gen.NextDouble();
+      states.push_back(state);
+    }
+    RankingWeights weights = RankingWeights::Default();
+    for (auto& row : weights.weight) {
+      for (double& w : row) {
+        w = gen.Bernoulli(0.3) ? 0.0 : w;
+      }
+    }
+    const ClassSelector selector(&snapshot, weights);
+    for (JobType type : {JobType::kShort, JobType::kMedium, JobType::kLong}) {
+      std::vector<int> available;
+      std::vector<int> headroom_cores;
+      int total_room = 0;
+      for (size_t c = 0; c < states.size(); ++c) {
+        const UtilizationClass& cls = snapshot.classes[c];
+        available.push_back(states[c].available_cores);
+        headroom_cores.push_back(
+            ClassSelector::HeadroomCores(selector.Headroom(type, cls, states[c]), cls));
+        total_room += std::max(0, ClassSelector::CoreRoom(available[c], headroom_cores[c]));
+      }
+      Rng rng(static_cast<uint64_t>(trial) * 3 + static_cast<uint64_t>(type));
+      for (int ask = 1; ask <= total_room + 2; ++ask) {
+        Rng untouched = rng;
+        const bool nothing = selector.SelectsNothing(type, ask, available, headroom_cores);
+        const ClassSelection selection = selector.Select(type, ask, states, rng);
+        ASSERT_EQ(nothing, selection.empty())
+            << "trial " << trial << ", type " << static_cast<int>(type) << ", ask " << ask;
+        if (selection.empty()) {
+          ASSERT_EQ(rng.Next(), untouched.Next()) << "an empty Select drew, trial " << trial;
+          ++empty;
+        } else {
+          ++picked;
+        }
+      }
+    }
+  }
+  // Both outcomes occur often.
+  EXPECT_GT(empty, 1000);
+  EXPECT_GT(picked, 1000);
+}
+
+TEST(ClassSelectorTest, NegativeRankingWeightIsRejected) {
+  ClusteringSnapshot snapshot = MakeSnapshot(0.3, 0.6, 0.3, 0.4, 0.3, 0.7);
+  RankingWeights weights = RankingWeights::Default();
+  weights.weight[0][1] = -1.0;
+  EXPECT_DEATH(ClassSelector(&snapshot, weights), "non-negative");
 }
 
 TEST(RankingWeightsTest, DefaultMatchesPaperRanking) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 namespace harvest {
 namespace {
 
@@ -104,6 +106,29 @@ TEST(ResourceManagerTest, LabelsRestrictPlacement) {
   for (const auto& c : placed) {
     EXPECT_LE(c.server, 2);
   }
+}
+
+// A request whose candidate samplers total 0 places nothing and draws
+// nothing: labeled with a class that has no room (or no servers), and
+// label-free with a shape no server fits.
+TEST(ResourceManagerTest, RequestWithNoRoomDrawsNothing) {
+  Cluster cluster = TwoTenantCluster();
+  ResourceManager rm(&cluster, SchedulerMode::kHistory, kDefaultReserve);
+  rm.SetServerClasses({0, 0, 0, 1, 1, 1});
+  Rng rng(6);
+  Rng untouched = rng;
+  ContainerRequest request;
+  request.resources = {1, 1024};
+  request.count = 3;
+  request.allowed_classes = {1, 7};  // tenant 1 runs hot; class 7 does not exist
+  EXPECT_TRUE(rm.Allocate(request, 0.0, rng).empty());
+  request.allowed_classes.clear();
+  request.resources = {13, 1024};  // more cores than any server has
+  EXPECT_TRUE(rm.Allocate(request, 0.0, rng).empty());
+  EXPECT_EQ(rng.Next(), untouched.Next());
+  // The same RM still places a shape that fits.
+  request.resources = {1, 1024};
+  EXPECT_EQ(rm.Allocate(request, 0.0, rng).size(), 3u);
 }
 
 TEST(ResourceManagerTest, DisjunctionOfLabels) {

@@ -17,11 +17,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "src/cluster/datacenter.h"
 #include "src/cluster/fleet_table.h"
+#include "src/util/dense_id_set.h"
 #include "src/util/rng.h"
 
 namespace harvest {
@@ -243,6 +245,48 @@ TEST(RmOracleTest, SlidingWindowForecastMatchesNaiveScanAcrossJumpsAndWindows) {
     std::string error;
     ASSERT_TRUE(rm.AuditCachesForTest(&error)) << "op " << op << " t=" << t << ": " << error;
   }
+}
+
+// The RM's active-server set (and the co-simulation's pending-job queue) is
+// a DenseIdSet: random inserts and erases across several words, checked
+// against std::set, and sweeps that erase the visited member must visit
+// what an ordered std::set iterator advanced before each visit does.
+TEST(DenseIdSetTest, MatchesAnOrderedSetUnderMidSweepErases) {
+  Rng rng(5);
+  DenseIdSet ids;
+  std::set<int64_t> reference;
+  for (int op = 0; op < 4000; ++op) {
+    const int64_t id = static_cast<int64_t>(rng.NextBounded(300));
+    if (rng.Bernoulli(0.6)) {
+      ids.Insert(id);
+      reference.insert(id);
+    } else {
+      ids.Erase(id);
+      reference.erase(id);
+    }
+    ASSERT_EQ(ids.Contains(id), reference.count(id) == 1) << "op " << op;
+    if (op % 100 != 99) {
+      continue;
+    }
+    std::vector<int64_t> expected;
+    for (auto it = reference.begin(); it != reference.end();) {
+      const int64_t visited = *it;
+      ++it;
+      expected.push_back(visited);
+      if (visited % 3 == 0) {
+        reference.erase(visited);
+      }
+    }
+    std::vector<int64_t> visits;
+    for (int64_t m = ids.Next(0); m >= 0; m = ids.Next(m + 1)) {
+      visits.push_back(m);
+      if (m % 3 == 0) {
+        ids.Erase(m);
+      }
+    }
+    ASSERT_EQ(visits, expected) << "sweep after op " << op;
+  }
+  EXPECT_EQ(ids.Next(300), -1);
 }
 
 // Each mode runs the full oracle on both fleets: any byte of divergence in

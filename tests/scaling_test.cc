@@ -38,6 +38,18 @@ std::vector<const UtilizationTrace*> Pointers(const std::vector<UtilizationTrace
   return pointers;
 }
 
+// The list twice over: at least twice as many samples as nonempty bins, so
+// ScaledSumBounds keeps its bins on whatever the samples.
+std::vector<const UtilizationTrace*> Twice(const std::vector<UtilizationTrace>& traces) {
+  std::vector<const UtilizationTrace*> pointers;
+  for (int copy = 0; copy < 2; ++copy) {
+    for (const UtilizationTrace& trace : traces) {
+      pointers.push_back(&trace);
+    }
+  }
+  return pointers;
+}
+
 double PopulationAverage(const std::vector<UtilizationTrace>& traces) {
   double sum = 0.0;
   size_t count = 0;
@@ -315,7 +327,8 @@ TEST(ScalingOracleTest, DegenerateSetsSolveToTheReferenceBitForBit) {
 
 // The samples the bins could misplace: exact bin edges and the doubles next
 // to them, 1 and the double just below it, subnormals, a NaN, and one trace
-// listed 10^4 times.
+// listed 10^4 times. Lists of a few samples in as many bins are listed twice,
+// or the bins would stay off.
 TEST(ScalingOracleTest, BinEdgeSetsSolveToTheReferenceBitForBit) {
   constexpr double kBins = ScaledSumBounds::kBins;
   std::vector<double> edges;
@@ -332,7 +345,8 @@ TEST(ScalingOracleTest, BinEdgeSetsSolveToTheReferenceBitForBit) {
       const int64_t side = rng.UniformInt(-1, 1);
       u = side == 0 ? edge : std::nextafter(edge, side < 0 ? 0.0 : 2.0);
     }
-    ExpectReferenceParameters({UtilizationTrace(samples)}, "random edges " + std::to_string(set));
+    ExpectReferenceParameters(Twice({UtilizationTrace(samples)}),
+                              "random edges " + std::to_string(set));
   }
   ExpectReferenceParameters({UtilizationTrace(std::vector<double>(300, 0.5))}, "300 x 0.5");
   const double below_one = 1.0 - 0x1p-53;
@@ -341,7 +355,7 @@ TEST(ScalingOracleTest, BinEdgeSetsSolveToTheReferenceBitForBit) {
   ExpectReferenceParameters({UtilizationTrace({1.0, below_one, 1.0, below_one, 0.0})},
                             "{1, 1 - 2^-53, 0}");
   ExpectReferenceParameters({UtilizationTrace({5e-324, 1e-310, 5e-324, 0.0})}, "subnormals");
-  ExpectReferenceParameters({UtilizationTrace({5e-324, 1e-310, 0.25, 1.0})},
+  ExpectReferenceParameters(Twice({UtilizationTrace({5e-324, 1e-310, 0.25, 1.0})}),
                             "subnormals and normals");
   ExpectReferenceParameters(
       {UtilizationTrace({0.3, std::numeric_limits<double>::quiet_NaN(), 0.7})}, "one NaN");
@@ -384,6 +398,13 @@ TEST(ScalingTest, BoundsSettleFarProbes) {
   int passes = 0;
   SolveScalingParameter(Pointers(nan), ScalingMethod::kRoot, 0.5, &probes, &passes);
   EXPECT_EQ(passes, probes);
+  // So does a list with fewer samples than twice its nonempty bins; the same
+  // samples listed twice keep them on.
+  const std::vector<UtilizationTrace> pair = {UtilizationTrace({0.3, 0.7})};
+  SolveScalingParameter(Pointers(pair), ScalingMethod::kRoot, 0.999999, &probes, &passes);
+  EXPECT_EQ(passes, probes);
+  SolveScalingParameter(Twice(pair), ScalingMethod::kRoot, 0.999999, &probes, &passes);
+  EXPECT_EQ(passes, 0);
 }
 
 // --- ScaledSumBounds: a settled probe has the pass's predicate -------------
@@ -435,12 +456,14 @@ int ExpectSettledProbesAgree(std::span<const UtilizationTrace* const> traces, Rn
   return settled_probes;
 }
 
+// The random and bin-edge sets are listed twice, so every list here keeps
+// its bins on.
 TEST(ScaledSumBoundsTest, SettledProbesAgreeWithThePass) {
   Rng rng(2026);
   int settled = 0;
   for (uint64_t seed = 1; seed <= 80; ++seed) {
     const std::vector<UtilizationTrace> traces = RandomTraceSet(seed);
-    settled += ExpectSettledProbesAgree(Pointers(traces), rng, "seed " + std::to_string(seed));
+    settled += ExpectSettledProbesAgree(Twice(traces), rng, "seed " + std::to_string(seed));
   }
   constexpr double kBins = ScaledSumBounds::kBins;
   for (int set = 0; set < 20; ++set) {
@@ -452,7 +475,7 @@ TEST(ScaledSumBoundsTest, SettledProbesAgreeWithThePass) {
       u = static_cast<double>(rng.UniformInt(1, edges) * rng.UniformInt(1, 4096 / edges)) / kBins;
     }
     const std::vector<UtilizationTrace> traces = {UtilizationTrace(samples)};
-    settled += ExpectSettledProbesAgree(Pointers(traces), rng, "edges " + std::to_string(set));
+    settled += ExpectSettledProbesAgree(Twice(traces), rng, "edges " + std::to_string(set));
   }
   const UtilizationTrace edge({0.5, 1.0 / kBins, 1.0});
   settled += ExpectSettledProbesAgree(std::vector<const UtilizationTrace*>(10000, &edge), rng,
