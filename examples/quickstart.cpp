@@ -9,6 +9,7 @@
 //
 // Build & run:  ./build/examples/quickstart
 
+#include <cstdint>
 #include <cstdio>
 
 #include "src/cluster/datacenter.h"
@@ -74,8 +75,9 @@ int main() {
   PlacementGrid grid = PlacementGrid::Build(CollectPlacementStats(cluster));
   ReplicaPlacer placer(&cluster, &grid);
   ServerId writer = 7;
+  const std::vector<uint8_t> every_server_open(cluster.num_servers(), 1);
   std::vector<ServerId> replicas =
-      placer.Place(writer, 3, [](ServerId) { return true; }, rng);
+      placer.Place(writer, 3, ServerSpaceFilter{every_server_open}, rng);
   std::printf("\nAlgorithm 2 for a block written on server %d:\n", writer);
   for (ServerId s : replicas) {
     auto [row, col] = grid.CellOfTenant(cluster.server(s).tenant);

@@ -1,44 +1,83 @@
 #include "src/core/replica_placement.h"
 
 #include <algorithm>
-#include <array>
-#include <numeric>
+#include <utility>
 
 namespace harvest {
 
 namespace {
 
-bool Contains(const std::vector<EnvironmentId>& haystack, EnvironmentId needle) {
+bool Contains(std::span<const EnvironmentId> haystack, EnvironmentId needle) {
   return std::find(haystack.begin(), haystack.end(), needle) != haystack.end();
 }
 
-// Lazily-shuffled visit order over items[0, count): each NextIndex call is
-// one step of a Fisher-Yates shuffle, so the sequence of visited items is
+// Lazily-shuffled visit order over a read-only list: each Next call is one
+// step of a Fisher-Yates shuffle, so the sequence of visited items is
 // distributed exactly like a full Shuffle() followed by a linear scan, but
-// the RNG is only consumed for items actually inspected (the common case
-// inspects one).
+// the RNG is only consumed for items actually inspected. The common case
+// inspects one item, so the first draw reads the list in place; the list is
+// copied into `scratch` (room for items.size()) only when a second draw is
+// needed, in the order the first step's swap would have left it. The
+// NextBounded calls are those of a shuffle over a copy.
 template <typename T>
 class LazyShuffle {
  public:
-  LazyShuffle(T* items, size_t count) : items_(items), count_(count) {}
+  LazyShuffle(std::span<const T> items, T* scratch) : items_(items), scratch_(scratch) {}
 
-  bool Done() const { return next_ >= count_; }
-  T& Next(Rng& rng) {
-    size_t j = next_ + static_cast<size_t>(rng.NextBounded(count_ - next_));
-    std::swap(items_[next_], items_[j]);
-    return items_[next_++];
+  bool Done() const { return next_ >= items_.size(); }
+  T Next(Rng& rng) {
+    const size_t j = next_ + static_cast<size_t>(rng.NextBounded(items_.size() - next_));
+    if (next_ == 0) {
+      first_ = j;
+      next_ = 1;
+      return items_[j];
+    }
+    if (next_ == 1) {
+      std::copy(items_.begin(), items_.end(), scratch_);
+      std::swap(scratch_[0], scratch_[first_]);
+    }
+    std::swap(scratch_[next_], scratch_[j]);
+    return scratch_[next_++];
   }
 
  private:
-  T* items_;
-  size_t count_;
+  std::span<const T> items_;
+  T* scratch_;
   size_t next_ = 0;
+  size_t first_ = 0;  // the first draw's index into items_
 };
 
 }  // namespace
 
 ReplicaPlacer::ReplicaPlacer(const Cluster* cluster, const PlacementGrid* grid, Options options)
     : cluster_(cluster), grid_(grid), options_(options) {
+  server_cells_.reserve(cluster_->num_servers());
+  for (const Server& server : cluster_->servers()) {
+    const auto [row, col] = grid_->CellOfTenant(server.tenant);
+    server_cells_.push_back(ServerCell{cluster_->tenant(server.tenant).environment,
+                                       static_cast<int8_t>(row), static_cast<int8_t>(col)});
+  }
+  size_t largest_cell = 0;
+  for (int r = 0; r < kGridDim; ++r) {
+    for (int c = 0; c < kGridDim; ++c) {
+      const size_t tenants = grid_->cell(r, c).tenants.size();
+      largest_cell = std::max(largest_cell, tenants);
+      if (tenants == 0) {
+        continue;
+      }
+      const auto cell = static_cast<uint8_t>(r * kGridDim + c);
+      all_cells_.cells[all_cells_.size++] = cell;
+      for (unsigned mask = 0; mask < kMasks; ++mask) {
+        const unsigned rows = mask & ((1u << kGridDim) - 1);
+        const unsigned cols = mask >> kGridDim;
+        if (((rows >> r) & 1u) == 0 && ((cols >> c) & 1u) == 0) {
+          CellList& list = diverse_cells_[mask];
+          list.cells[list.size++] = cell;
+        }
+      }
+    }
+  }
+  tenant_scratch_.resize(largest_cell);
   if (options_.greedy_best_first) {
     greedy_order_ = grid_->tenant_stats();
     std::sort(greedy_order_.begin(), greedy_order_.end(),
@@ -55,11 +94,10 @@ ReplicaPlacer::ReplicaPlacer(const Cluster* cluster, const PlacementGrid* grid, 
 }
 
 TenantId ReplicaPlacer::PickTenant(const GridCell& cell,
-                                   const std::vector<EnvironmentId>& used_environments,
-                                   const ServerFilter& has_space, Rng& rng) const {
+                                   std::span<const EnvironmentId> used_environments,
+                                   const ServerSpaceFilter& has_space, Rng& rng) const {
   // Random order over the cell's tenants; accept the first eligible one.
-  tenant_scratch_.assign(cell.tenants.begin(), cell.tenants.end());
-  LazyShuffle<TenantId> order(tenant_scratch_.data(), tenant_scratch_.size());
+  LazyShuffle<TenantId> order(cell.tenants, tenant_scratch_.data());
   while (!order.Done()) {
     TenantId tenant = order.Next(rng);
     if (Contains(used_environments, cluster_->tenant(tenant).environment)) {
@@ -74,7 +112,7 @@ TenantId ReplicaPlacer::PickTenant(const GridCell& cell,
   return kInvalidTenant;
 }
 
-ServerId ReplicaPlacer::PickServer(TenantId tenant, const ServerFilter& has_space,
+ServerId ReplicaPlacer::PickServer(TenantId tenant, const ServerSpaceFilter& has_space,
                                    Rng& rng) const {
   const std::vector<ServerId>& servers = cluster_->tenant(tenant).servers;
   if (servers.empty()) {
@@ -110,7 +148,7 @@ ServerId ReplicaPlacer::PickServer(TenantId tenant, const ServerFilter& has_spac
 }
 
 std::vector<ServerId> ReplicaPlacer::Place(ServerId writer, int replication,
-                                           const ServerFilter& has_space, Rng& rng) const {
+                                           const ServerSpaceFilter& has_space, Rng& rng) const {
   if (options_.greedy_best_first) {
     return PlaceGreedy(writer, replication, has_space, rng);
   }
@@ -119,21 +157,21 @@ std::vector<ServerId> ReplicaPlacer::Place(ServerId writer, int replication,
   replicas.reserve(static_cast<size_t>(replication));
   std::vector<EnvironmentId>& used_environments = environment_scratch_;
   used_environments.clear();
-  std::array<bool, kGridDim> used_rows{};
-  std::array<bool, kGridDim> used_cols{};
+  unsigned used_rows = 0;
+  unsigned used_cols = 0;
 
   // Replica 1: the writer's server, for locality (lines 6-7). Falls back to
   // a random server of the writer's tenant/cell when the writer is full.
-  const Server& writer_server = cluster_->server(writer);
-  TenantId writer_tenant = writer_server.tenant;
-  auto [writer_row, writer_col] = grid_->CellOfTenant(writer_tenant);
-  ServerId first = has_space(writer) ? writer : PickServer(writer_tenant, has_space, rng);
+  const ServerCell& writer_cell = server_cells_[static_cast<size_t>(writer)];
+  ServerId first = has_space(writer)
+                       ? writer
+                       : PickServer(cluster_->server(writer).tenant, has_space, rng);
   if (first != kInvalidServer) {
     replicas.push_back(first);
-    used_environments.push_back(cluster_->tenant(writer_tenant).environment);
-    if (writer_row >= 0) {
-      used_rows[static_cast<size_t>(writer_row)] = true;
-      used_cols[static_cast<size_t>(writer_col)] = true;
+    used_environments.push_back(writer_cell.environment);
+    if (writer_cell.row >= 0) {
+      used_rows |= 1u << writer_cell.row;
+      used_cols |= 1u << writer_cell.col;
     }
   }
 
@@ -143,20 +181,22 @@ std::vector<ServerId> ReplicaPlacer::Place(ServerId writer, int replication,
     const CellPick pick = PickInCells(used_rows, used_cols, used_environments, has_space, rng);
     ServerId chosen = pick.server;
     if (chosen != kInvalidServer) {
-      used_rows[static_cast<size_t>(pick.row)] = true;
-      used_cols[static_cast<size_t>(pick.col)] = true;
+      used_rows |= 1u << pick.row;
+      used_cols |= 1u << pick.col;
       used_environments.push_back(cluster_->tenant(pick.tenant).environment);
     }
 
     if (chosen == kInvalidServer && options_.soft_constraints) {
       // Space over diversity (the initial production configuration): relax
-      // the environment constraint too, before giving up.
-      for (int r = 0; r < kGridDim && chosen == kInvalidServer; ++r) {
-        for (int c = 0; c < kGridDim && chosen == kInvalidServer; ++c) {
-          TenantId tenant = PickTenant(grid_->cell(r, c), {}, has_space, rng);
-          if (tenant != kInvalidTenant) {
-            chosen = PickServer(tenant, has_space, rng);
-          }
+      // the environment constraint too, before giving up. An empty cell
+      // draws nothing, so visiting the nonempty cells in row-major order
+      // draws as visiting all nine would.
+      for (uint8_t i = 0; i < all_cells_.size && chosen == kInvalidServer; ++i) {
+        const int cell = all_cells_.cells[i];
+        TenantId tenant = PickTenant(grid_->cell(cell / kGridDim, cell % kGridDim), {},
+                                     has_space, rng);
+        if (tenant != kInvalidTenant) {
+          chosen = PickServer(tenant, has_space, rng);
         }
       }
     }
@@ -168,56 +208,51 @@ std::vector<ServerId> ReplicaPlacer::Place(ServerId writer, int replication,
     ++since_reset;
     if (since_reset % 3 == 0) {
       // Forget rows and columns every third replica (lines 15-17).
-      used_rows.fill(false);
-      used_cols.fill(false);
+      used_rows = 0;
+      used_cols = 0;
     }
   }
   return replicas;
 }
 
-ServerId ReplicaPlacer::PlaceAdditional(const std::vector<ServerId>& existing,
-                                        const ServerFilter& has_space, Rng& rng) const {
+ServerId ReplicaPlacer::PlaceAdditional(std::span<const ServerId> existing,
+                                        std::span<const uint8_t> open, Rng& rng) const {
   std::vector<EnvironmentId>& used_environments = environment_scratch_;
   used_environments.clear();
-  std::array<bool, kGridDim> used_rows{};
-  std::array<bool, kGridDim> used_cols{};
+  unsigned used_rows = 0;
+  unsigned used_cols = 0;
   for (ServerId s : existing) {
-    TenantId tenant = cluster_->server(s).tenant;
-    used_environments.push_back(cluster_->tenant(tenant).environment);
-    auto [row, col] = grid_->CellOfTenant(tenant);
-    if (row >= 0) {
-      used_rows[static_cast<size_t>(row)] = true;
-      used_cols[static_cast<size_t>(col)] = true;
+    const ServerCell& cell = server_cells_[static_cast<size_t>(s)];
+    used_environments.push_back(cell.environment);
+    if (cell.row >= 0) {
+      used_rows |= 1u << cell.row;
+      used_cols |= 1u << cell.col;
     }
   }
 
   // When the existing replicas already span 3 cells, pass 1 finds none and
   // pass 2 mirrors Algorithm 2's round reset.
+  const ServerSpaceFilter has_space{open, existing};
   return PickInCells(used_rows, used_cols, used_environments, has_space, rng).server;
 }
 
 ReplicaPlacer::CellPick ReplicaPlacer::PickInCells(
-    const std::array<bool, kGridDim>& used_rows, const std::array<bool, kGridDim>& used_cols,
-    const std::vector<EnvironmentId>& used_environments, const ServerFilter& has_space,
-    Rng& rng) const {
+    unsigned used_rows, unsigned used_cols, std::span<const EnvironmentId> used_environments,
+    const ServerSpaceFilter& has_space, Rng& rng) const {
   // Pass 1: cells whose row and column are unused. Pass 2: any cell -- the
   // row/column rule is a diversity heuristic and degrades before failing
   // the block (small fleets cannot always honor it), while the environment
-  // constraint stays hard.
-  for (int pass = 0; pass < 2; ++pass) {
-    std::array<std::pair<int, int>, kGridDim * kGridDim> cells;
-    size_t num_cells = 0;
-    for (int r = 0; r < kGridDim; ++r) {
-      for (int c = 0; c < kGridDim; ++c) {
-        bool diverse = !used_rows[static_cast<size_t>(r)] && !used_cols[static_cast<size_t>(c)];
-        if ((pass == 0 ? diverse : true) && !grid_->cell(r, c).tenants.empty()) {
-          cells[num_cells++] = {r, c};
-        }
-      }
-    }
-    LazyShuffle<std::pair<int, int>> order(cells.data(), num_cells);
+  // constraint stays hard. Both lists skip empty cells, which the
+  // constructor dropped, and keep the row-major order.
+  const CellList* passes[2] = {&diverse_cells_[used_rows | (used_cols << kGridDim)], &all_cells_};
+  std::array<uint8_t, kGridDim * kGridDim> scratch{};
+  for (const CellList* list : passes) {
+    LazyShuffle<uint8_t> order(std::span<const uint8_t>(list->cells.data(), list->size),
+                               scratch.data());
     while (!order.Done()) {
-      auto [r, c] = order.Next(rng);
+      const int cell = order.Next(rng);
+      const int r = cell / kGridDim;
+      const int c = cell % kGridDim;
       TenantId tenant = PickTenant(grid_->cell(r, c), used_environments, has_space, rng);
       if (tenant == kInvalidTenant) {
         continue;
@@ -232,7 +267,8 @@ ReplicaPlacer::CellPick ReplicaPlacer::PickInCells(
 }
 
 std::vector<ServerId> ReplicaPlacer::PlaceGreedy(ServerId writer, int replication,
-                                                 const ServerFilter& has_space, Rng& rng) const {
+                                                 const ServerSpaceFilter& has_space,
+                                                 Rng& rng) const {
   // The strawman of §4.2: order tenants by (reimage rate, peak utilization)
   // and fill the "best" tenants first. Flaws: durability and availability are
   // treated sequentially, and once the good tenants fill up, the remaining
@@ -244,7 +280,7 @@ std::vector<ServerId> ReplicaPlacer::PlaceGreedy(ServerId writer, int replicatio
   std::vector<EnvironmentId>& used_environments = environment_scratch_;
   used_environments.clear();
   if (!replicas.empty()) {
-    used_environments.push_back(cluster_->tenant(cluster_->server(writer).tenant).environment);
+    used_environments.push_back(server_cells_[static_cast<size_t>(writer)].environment);
   }
   for (const auto& stats : greedy_order_) {
     if (static_cast<int>(replicas.size()) >= replication) {

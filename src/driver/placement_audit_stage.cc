@@ -1,6 +1,7 @@
 // PlacementAuditStage: sample Algorithm-2 replica placements over the
 // fleet's 3x3 placement grid and score their quality.
 
+#include <cstdint>
 #include <vector>
 
 #include "src/core/placement_grid.h"
@@ -18,7 +19,8 @@ PlacementAuditStageResult RunPlacementAuditStage(const DcContext& ctx, const Clu
   PlacementQualityMonitor monitor(&cluster, &grid);
 
   const int replication = config.replications.empty() ? 3 : config.replications.front();
-  const auto always_space = [](ServerId) { return true; };
+  const std::vector<uint8_t> every_server_open(cluster.num_servers(), 1);
+  const ServerSpaceFilter always_space{every_server_open};
   int64_t partial = 0;
   std::vector<std::vector<ServerId>> replica_sets;
   replica_sets.reserve(static_cast<size_t>(config.placement_sample_blocks));

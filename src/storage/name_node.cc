@@ -17,6 +17,11 @@ NameNode::NameNode(const Cluster* cluster, std::unique_ptr<PlacementPolicy> poli
     num_racks = std::max(num_racks, server.rack + 1);
   }
   num_racks_ = static_cast<int>(num_racks);
+  open_for_create_.reserve(data_nodes_.size());
+  for (const DataNode& dn : data_nodes_) {
+    open_for_create_.push_back(dn.HasSpace() ? 1 : 0);
+  }
+  open_for_heal_ = open_for_create_;  // no rack starts partitioned
   if (options_.max_inflight_heals_per_shard > 0) {
     // One lane group per 4,096 servers, 1 to 16: a model parameter,
     // derived from the fleet alone.
@@ -72,37 +77,42 @@ void NameNode::SetRackPartitioned(RackId rack, bool partitioned, double now) {
   }
   bit = partitioned ? 1 : 0;
   partitioned_racks_ += partitioned ? 1 : -1;
-}
-
-bool NameNode::ServerHasSpace(ServerId server, BlockId block) const {
-  const DataNode& dn = data_nodes_[static_cast<size_t>(server)];
-  if (!dn.HasSpace()) {
-    return false;
-  }
-  if (block >= 0) {
-    const std::span<const ServerId> replicas = Replicas(block);
-    if (std::find(replicas.begin(), replicas.end(), server) != replicas.end()) {
-      return false;
+  // Flips are rare: one sweep over the fleet is cheaper than a rack index.
+  for (const Server& server : cluster_->servers()) {
+    if (server.rack == rack) {
+      RefreshSpaceColumns(server.id);
     }
   }
-  return true;
+}
+
+void NameNode::RefreshSpaceColumns(ServerId server) {
+  const size_t s = static_cast<size_t>(server);
+  const bool below_capacity = data_nodes_[s].HasSpace();
+  open_for_create_[s] = below_capacity ? 1 : 0;
+  open_for_heal_[s] = below_capacity && !IsPartitioned(server) ? 1 : 0;
 }
 
 void NameNode::AddReplicaToServer(BlockId block, ServerId server) {
   BlockState& state = blocks_[static_cast<size_t>(block)];
   HARVEST_CHECK(state.live < options_.replication)
       << "block " << block << " would exceed " << options_.replication << " replicas";
-  data_nodes_[static_cast<size_t>(server)].AddReplica(block);
+  DataNode& dn = data_nodes_[static_cast<size_t>(server)];
+  dn.AddReplica(block);
+  if (!dn.HasSpace()) {
+    RefreshSpaceColumns(server);
+  }
   replica_slots_[FirstSlot(block) + static_cast<size_t>(state.live++)] = server;
 }
 
 BlockId NameNode::CreateBlock(ServerId writer, double now) {
   (void)now;
   BlockId id = static_cast<BlockId>(blocks_.size());
-  auto has_space = [this](ServerId s) { return ServerHasSpace(s, -1); };
-  std::vector<ServerId> placed = policy_->Place(writer, options_.replication, has_space, *rng_);
+  const std::span<const ServerId> placement = policy_->Place(
+      writer, options_.replication, ServerSpaceFilter{open_for_create_}, *rng_);
   // De-duplicate defensively; a policy must not double-place but the NN is
   // the last line of defense for the invariant.
+  std::vector<ServerId>& placed = server_scratch_;
+  placed.assign(placement.begin(), placement.end());
   std::sort(placed.begin(), placed.end());
   placed.erase(std::unique(placed.begin(), placed.end()), placed.end());
   if (placed.empty()) {
@@ -241,6 +251,7 @@ void NameNode::OnReimage(ServerId server, double now) {
     QueueRereplication(block, now);
   }
   dn.WipeAll();
+  RefreshSpaceColumns(server);
 }
 
 void NameNode::ProcessRereplication(double now) {
@@ -270,14 +281,12 @@ void NameNode::ProcessRereplication(double now) {
     }
     // Destination: the placement policy picks a target diverse against the
     // surviving replicas (HDFS-H preserves Algorithm 2's environment and
-    // row/column constraints; stock HDFS re-runs its rack rules). Servers
-    // behind a partitioned ToR cannot receive the copy.
-    auto has_space = [this, &pending](ServerId s) {
-      return s != pending.source && !IsPartitioned(s) && ServerHasSpace(s, pending.block);
-    };
+    // row/column constraints; stock HDFS re-runs its rack rules), among the
+    // servers below capacity, not behind a partitioned ToR (open_for_heal_)
+    // and not holding a replica (the existing list, which holds the source).
     // Order the existing list so the source leads (it acts as the writer in
     // the default policy).
-    std::vector<ServerId>& existing = existing_scratch_;
+    std::vector<ServerId>& existing = server_scratch_;
     existing.clear();
     existing.push_back(pending.source);
     for (ServerId s : replicas) {
@@ -285,7 +294,7 @@ void NameNode::ProcessRereplication(double now) {
         existing.push_back(s);
       }
     }
-    ServerId destination = policy_->PlaceAdditional(existing, has_space, *rng_);
+    ServerId destination = policy_->PlaceAdditional(existing, open_for_heal_, *rng_);
     if (destination == kInvalidServer) {
       if (partitioned_racks_ > 0) {
         // Targets may exist once the partition heals: retry with backoff.
@@ -383,6 +392,19 @@ bool NameNode::AuditStateForTest(std::string* error) const {
   }
   if (heal_backlog_peak_ < heal_backlog_) {
     return fail("heal backlog peak below the current backlog");
+  }
+  for (size_t s = 0; s < data_nodes_.size(); ++s) {
+    const DataNode& dn = data_nodes_[s];
+    const bool reachable = !IsPartitioned(static_cast<ServerId>(s));
+    if ((open_for_create_[s] != 0) != dn.HasSpace() ||
+        (open_for_heal_[s] != 0) != (dn.HasSpace() && reachable)) {
+      return fail("space columns of server " + std::to_string(s) + " say create " +
+                  std::to_string(open_for_create_[s]) + ", heal " +
+                  std::to_string(open_for_heal_[s]) + " for " +
+                  std::to_string(dn.used_blocks()) + " of " +
+                  std::to_string(dn.capacity_blocks()) + " blocks" +
+                  (reachable ? "" : " behind a partitioned ToR"));
+    }
   }
   if (!rack_partitioned_.empty()) {
     int64_t partitioned = 0;

@@ -141,14 +141,15 @@ class NameNode {
   const StorageStats& stats() const { return stats_; }
   // Live blocks currently below their target replication (a running count).
   int64_t UnderReplicatedBlocks() const { return under_replicated_; }
-  DataNode& data_node(ServerId id) { return data_nodes_[static_cast<size_t>(id)]; }
+  const DataNode& data_node(ServerId id) const { return data_nodes_[static_cast<size_t>(id)]; }
   int64_t num_blocks() const { return static_cast<int64_t>(blocks_.size()); }
 
   // Test hook (mirror of ResourceManager::AuditCachesForTest): recomputes
-  // every incremental quantity -- the exact per-server indexes, the loss
-  // and under-replication aggregates, in-flight heal counts -- by dense
-  // rescan of the authoritative block map and compares exactly. Returns
-  // false and fills `error` on the first mismatch.
+  // every incremental quantity -- the exact per-server indexes, the two
+  // space columns, the loss and under-replication aggregates, in-flight heal
+  // counts -- by dense rescan of the authoritative block map, the DataNodes
+  // and the partition bits, and compares exactly. Returns false and fills
+  // `error` on the first mismatch.
   bool AuditStateForTest(std::string* error) const;
 
  private:
@@ -166,7 +167,6 @@ class NameNode {
     return {replica_slots_.data() + FirstSlot(block),
             static_cast<size_t>(blocks_[static_cast<size_t>(block)].live)};
   }
-  bool ServerHasSpace(ServerId server, BlockId block) const;
   // Queues one re-replication for `block`, choosing the least-loaded
   // reachable source. `attempts` counts prior tries (adds backoff).
   void QueueRereplication(BlockId block, double now, int attempts = 0);
@@ -175,8 +175,11 @@ class NameNode {
   // Backlog bookkeeping around every queue push / pop.
   void NoteHealQueued();
   void NoteHealPopped(double ready_time);
-  // Attaches a replica of `block` on `server`, updating the DN index.
+  // Attaches a replica of `block` on `server`, updating the DN index and,
+  // when the server fills, its space columns.
   void AddReplicaToServer(BlockId block, ServerId server);
+  // Recomputes `server`'s bytes in both space columns.
+  void RefreshSpaceColumns(ServerId server);
   bool IsUnderReplicated(const BlockState& state) const {
     return state.live > 0 && state.live < options_.replication;
   }
@@ -196,6 +199,13 @@ class NameNode {
   std::vector<ServerId> replica_slots_;
   // Earliest time each server can source its next re-replication.
   std::vector<double> source_free_at_;
+  // The space columns the placement policies read (ServerSpaceFilter::open),
+  // one byte per server: below capacity (CreateBlock's; block creation
+  // ignores partitions), and below capacity behind an unpartitioned ToR (the
+  // heal target's). They change only when a server fills, when a reimage
+  // empties it, and when its rack's partition flips.
+  std::vector<uint8_t> open_for_create_;
+  std::vector<uint8_t> open_for_heal_;
   // Live blocks below target replication (loss is stats_.blocks_lost).
   int64_t under_replicated_ = 0;
   HealQueue heal_queue_;
@@ -215,8 +225,9 @@ class NameNode {
   int64_t heal_backlog_peak_ = 0;
   double heal_backlog_cleared_at_ = 0.0;
   StorageStats stats_;
-  // Scratch for ProcessRereplication (keeps the heal path allocation-free).
-  std::vector<ServerId> existing_scratch_;
+  // Scratch for CreateBlock's placed list and ProcessRereplication's
+  // existing list (keeps the heal path allocation-free).
+  std::vector<ServerId> server_scratch_;
 };
 
 }  // namespace harvest

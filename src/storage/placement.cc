@@ -6,14 +6,14 @@ namespace harvest {
 
 namespace {
 
-bool AlreadyChosen(const std::vector<ServerId>& replicas, ServerId server) {
+bool AlreadyChosen(std::span<const ServerId> replicas, ServerId server) {
   return std::find(replicas.begin(), replicas.end(), server) != replicas.end();
 }
 
 // Picks a random server from `pool` passing `has_space` and not already in
 // `replicas`; kInvalidServer if none. Samples without building a filtered
 // copy when the pool is large.
-ServerId PickFrom(const std::vector<ServerId>& pool, const std::vector<ServerId>& replicas,
+ServerId PickFrom(const std::vector<ServerId>& pool, std::span<const ServerId> replicas,
                   const ServerSpaceFilter& has_space, Rng& rng) {
   if (pool.empty()) {
     return kInvalidServer;
@@ -38,19 +38,16 @@ ServerId PickFrom(const std::vector<ServerId>& pool, const std::vector<ServerId>
 
 }  // namespace
 
-ServerId PlacementPolicy::PlaceAdditional(const std::vector<ServerId>& existing,
-                                          const ServerSpaceFilter& has_space, Rng& rng) const {
+ServerId PlacementPolicy::PlaceAdditional(std::span<const ServerId> existing,
+                                          std::span<const uint8_t> open, Rng& rng) const {
   if (existing.empty()) {
     return kInvalidServer;
   }
-  auto filtered = [&existing, &has_space](ServerId s) {
-    return has_space(s) &&
-           std::find(existing.begin(), existing.end(), s) == existing.end();
-  };
-  std::vector<ServerId> placed =
-      Place(existing[0], static_cast<int>(existing.size()) + 1, filtered, rng);
+  const std::span<const ServerId> placed =
+      Place(existing[0], static_cast<int>(existing.size()) + 1,
+            ServerSpaceFilter{open, existing}, rng);
   for (ServerId s : placed) {
-    if (std::find(existing.begin(), existing.end(), s) == existing.end()) {
+    if (!AlreadyChosen(existing, s)) {
       return s;
     }
   }
@@ -70,9 +67,11 @@ StockPlacement::StockPlacement(const Cluster* cluster) : cluster_(cluster) {
   }
 }
 
-std::vector<ServerId> StockPlacement::Place(ServerId writer, int replication,
-                                            const ServerSpaceFilter& has_space, Rng& rng) const {
-  std::vector<ServerId> replicas;
+std::span<const ServerId> StockPlacement::Place(ServerId writer, int replication,
+                                                const ServerSpaceFilter& has_space,
+                                                Rng& rng) const {
+  std::vector<ServerId>& replicas = placed_;
+  replicas.clear();
   const RackId writer_rack = cluster_->server(writer).rack;
 
   // Replica 1: the writer's server.
@@ -120,11 +119,11 @@ RandomPlacement::RandomPlacement(const Cluster* cluster) : cluster_(cluster) {
   }
 }
 
-std::vector<ServerId> RandomPlacement::Place(ServerId writer, int replication,
-                                             const ServerSpaceFilter& has_space,
-                                             Rng& rng) const {
-  std::vector<ServerId> replicas;
-  replicas.reserve(static_cast<size_t>(replication));
+std::span<const ServerId> RandomPlacement::Place(ServerId writer, int replication,
+                                                 const ServerSpaceFilter& has_space,
+                                                 Rng& rng) const {
+  std::vector<ServerId>& replicas = placed_;
+  replicas.clear();
   if (has_space(writer)) {
     replicas.push_back(writer);
   }
@@ -143,15 +142,16 @@ HistoryPlacement::HistoryPlacement(const Cluster* cluster, ReplicaPlacer::Option
   placer_ = std::make_unique<ReplicaPlacer>(cluster_, &grid_, options);
 }
 
-std::vector<ServerId> HistoryPlacement::Place(ServerId writer, int replication,
-                                              const ServerSpaceFilter& has_space,
-                                              Rng& rng) const {
-  return placer_->Place(writer, replication, has_space, rng);
+std::span<const ServerId> HistoryPlacement::Place(ServerId writer, int replication,
+                                                  const ServerSpaceFilter& has_space,
+                                                  Rng& rng) const {
+  placed_ = placer_->Place(writer, replication, has_space, rng);
+  return placed_;
 }
 
-ServerId HistoryPlacement::PlaceAdditional(const std::vector<ServerId>& existing,
-                                           const ServerSpaceFilter& has_space, Rng& rng) const {
-  return placer_->PlaceAdditional(existing, has_space, rng);
+ServerId HistoryPlacement::PlaceAdditional(std::span<const ServerId> existing,
+                                           std::span<const uint8_t> open, Rng& rng) const {
+  return placer_->PlaceAdditional(existing, open, rng);
 }
 
 }  // namespace harvest

@@ -73,12 +73,14 @@ TEST(PlaceAdditionalTest, DefaultPolicyAvoidsExistingReplicas) {
   Cluster cluster = SmallDc(1);
   StockPlacement policy(&cluster);
   Rng rng(2);
-  auto always = [](ServerId) { return true; };
+  const std::vector<uint8_t> open(cluster.num_servers(), 1);
   for (int trial = 0; trial < 50; ++trial) {
     ServerId writer = static_cast<ServerId>(rng.NextBounded(cluster.num_servers()));
-    std::vector<ServerId> existing = policy.Place(writer, 3, always, rng);
+    // A copy: the next call reuses the buffer Place's result views.
+    const std::span<const ServerId> placed = policy.Place(writer, 3, {open}, rng);
+    const std::vector<ServerId> existing(placed.begin(), placed.end());
     ASSERT_EQ(existing.size(), 3u);
-    ServerId extra = policy.PlaceAdditional(existing, always, rng);
+    ServerId extra = policy.PlaceAdditional(existing, open, rng);
     ASSERT_NE(extra, kInvalidServer);
     EXPECT_EQ(std::count(existing.begin(), existing.end(), extra), 0);
   }
@@ -88,14 +90,14 @@ TEST(PlaceAdditionalTest, HistoryPolicyPreservesEnvironmentDiversity) {
   Cluster cluster = SmallDc(3);
   HistoryPlacement policy(&cluster);
   Rng rng(4);
-  auto always = [](ServerId) { return true; };
+  const std::vector<uint8_t> open(cluster.num_servers(), 1);
   for (int trial = 0; trial < 100; ++trial) {
     ServerId writer = static_cast<ServerId>(rng.NextBounded(cluster.num_servers()));
-    std::vector<ServerId> existing = policy.Place(writer, 3, always, rng);
+    const std::span<const ServerId> existing = policy.Place(writer, 3, {open}, rng);
     ASSERT_EQ(existing.size(), 3u);
     // Drop one replica (simulating a reimage) and heal.
     std::vector<ServerId> survivors(existing.begin() + 1, existing.end());
-    ServerId healed = policy.PlaceAdditional(survivors, always, rng);
+    ServerId healed = policy.PlaceAdditional(survivors, open, rng);
     ASSERT_NE(healed, kInvalidServer);
     std::set<EnvironmentId> envs;
     for (ServerId s : survivors) {
@@ -111,14 +113,16 @@ TEST(PlaceAdditionalTest, HistoryPolicyPrefersDisjointRowsAndColumns) {
   Cluster cluster = SmallDc(5);
   HistoryPlacement policy(&cluster);
   Rng rng(6);
-  auto always = [](ServerId) { return true; };
+  const std::vector<uint8_t> open(cluster.num_servers(), 1);
   int diverse = 0;
   const int trials = 100;
   for (int trial = 0; trial < trials; ++trial) {
     ServerId writer = static_cast<ServerId>(rng.NextBounded(cluster.num_servers()));
-    std::vector<ServerId> existing = policy.Place(writer, 2, always, rng);
+    // A copy: the next call reuses the buffer Place's result views.
+    const std::span<const ServerId> placed = policy.Place(writer, 2, {open}, rng);
+    const std::vector<ServerId> existing(placed.begin(), placed.end());
     ASSERT_EQ(existing.size(), 2u);
-    ServerId extra = policy.PlaceAdditional(existing, always, rng);
+    ServerId extra = policy.PlaceAdditional(existing, open, rng);
     ASSERT_NE(extra, kInvalidServer);
     std::set<int> rows;
     std::set<int> cols;
@@ -143,8 +147,8 @@ TEST(PlaceAdditionalTest, EmptyExistingIsRejected) {
   Cluster cluster = SmallDc(7);
   StockPlacement policy(&cluster);
   Rng rng(8);
-  auto always = [](ServerId) { return true; };
-  EXPECT_EQ(policy.PlaceAdditional({}, always, rng), kInvalidServer);
+  const std::vector<uint8_t> open(cluster.num_servers(), 1);
+  EXPECT_EQ(policy.PlaceAdditional({}, open, rng), kInvalidServer);
 }
 
 TEST(PlaceAdditionalTest, RespectsSpaceFilter) {
@@ -152,7 +156,10 @@ TEST(PlaceAdditionalTest, RespectsSpaceFilter) {
   HistoryPlacement policy(&cluster);
   Rng rng(10);
   // Only servers of tenant 0 have space; existing replica elsewhere.
-  auto only_tenant0 = [&cluster](ServerId s) { return cluster.server(s).tenant == 0; };
+  std::vector<uint8_t> only_tenant0(cluster.num_servers(), 0);
+  for (ServerId s : cluster.tenant(0).servers) {
+    only_tenant0[static_cast<size_t>(s)] = 1;
+  }
   std::vector<ServerId> existing = {cluster.tenant(1).servers[0]};
   ServerId extra = policy.PlaceAdditional(existing, only_tenant0, rng);
   if (extra != kInvalidServer) {

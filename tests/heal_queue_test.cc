@@ -4,13 +4,17 @@
 // sequences with heavy ready-time ties, pushes into the bucket being
 // drained, pushes earlier than the current minimum, signed zeros and drains
 // up to +inf must pop exactly the reference's entries in the reference's
-// order. A second test holds push and pop allocation-free once the queue
-// has grown to its working size.
+// order. A second sequence keeps thousands of ready times open at once, so
+// the bucket index grows far past the goldens' working size, and closes
+// buckets inside the index's probe runs, auditing the index as it goes. A
+// last test holds push and pop allocation-free once the queue has grown to
+// its working size.
 
 #include "src/storage/heal_queue.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdlib>
@@ -18,6 +22,7 @@
 #include <new>
 #include <queue>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "src/util/rng.h"
@@ -178,6 +183,79 @@ TEST(HealQueueTest, PopsTheReferenceOrderExactly) {
   EXPECT_GT(coverage.negative_zero_pops, 100);
   EXPECT_GT(coverage.positive_zero_pops, 100);
   EXPECT_GT(coverage.infinite_drains, 60);
+}
+
+// Whether `got` is `want`, bit for bit.
+::testing::AssertionResult SameHeal(const PendingHeal& got, const PendingHeal& want) {
+  if (std::bit_cast<uint64_t>(got.ready_time) != std::bit_cast<uint64_t>(want.ready_time) ||
+      got.block != want.block || got.source != want.source || got.attempts != want.attempts) {
+    return ::testing::AssertionFailure()
+           << "popped block " << got.block << " at " << got.ready_time
+           << ", the reference block " << want.block << " at " << want.ready_time;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(HealQueueTest, ThousandsOfOpenBucketsPopTheReferenceOrder) {
+  Rng rng(4096);
+  HealQueue queue;
+  ReferenceQueue reference;
+  BlockId next_block = 0;
+  auto push = [&](double ready_time) {
+    const PendingHeal heal{ready_time, next_block++, static_cast<ServerId>(rng.NextBounded(64)),
+                           static_cast<int>(rng.NextBounded(4))};
+    queue.Push(heal);
+    reference.Push(heal);
+  };
+  HealQueue::IndexShape shape;
+  std::string error;
+  size_t peak_open = 0;
+  size_t peak_slots = 0;
+  int64_t pops = 0;
+  int64_t shifting_closes = 0;
+  double clock = 0.0;
+  for (int round = 0; round < 6; ++round) {
+    // Mostly distinct times ahead of the clock, some on a coarse grid.
+    for (int i = 0; i < 8000; ++i) {
+      push(rng.Bernoulli(0.7) ? clock + rng.Uniform(0.0, 1e6)
+                              : clock + 120.0 * static_cast<double>(rng.NextBounded(4000)));
+    }
+    ASSERT_TRUE(queue.AuditIndexForTest(&shape, &error)) << "round " << round << ": " << error;
+    peak_open = std::max(peak_open, shape.open_buckets);
+    peak_slots = std::max(peak_slots, shape.slots);
+    // Drain about half the open times; the last round drains everything.
+    clock += 5e5;
+    const double now = round == 5 ? kInf : clock;
+    while (!queue.empty() && queue.next_ready_time() <= now) {
+      const bool audit = pops % 16 == 0;
+      if (audit) {
+        ASSERT_TRUE(queue.AuditIndexForTest(&shape, &error)) << "pop " << pops << ": " << error;
+      }
+      const PendingHeal got = queue.Pop();
+      ASSERT_FALSE(reference.empty());
+      ASSERT_TRUE(SameHeal(got, reference.top())) << "pop " << pops;
+      reference.pop();
+      ++pops;
+      const bool closed = queue.empty() || queue.next_ready_time() != got.ready_time;
+      if (audit && closed && shape.front_close_shifts) {
+        // The bucket closed inside a probe run: the run shifted back.
+        ++shifting_closes;
+        ASSERT_TRUE(queue.AuditIndexForTest(&shape, &error)) << "pop " << pops << ": " << error;
+      }
+      if (rng.Bernoulli(0.05)) {
+        push(got.ready_time);  // into the bucket being drained, or reopening it
+      }
+      if (rng.Bernoulli(0.05)) {
+        push(got.ready_time - rng.Uniform(0.0, 1000.0));  // earlier than the minimum
+      }
+    }
+    ASSERT_EQ(queue.size(), static_cast<int64_t>(reference.size()));
+  }
+  EXPECT_TRUE(queue.empty());
+  EXPECT_TRUE(reference.empty());
+  EXPECT_GE(peak_open, 4096u);
+  EXPECT_GE(peak_slots, 16384u);
+  EXPECT_GT(shifting_closes, 100);
 }
 
 TEST(HealQueueTest, SteadyStatePushAndPopDoNotAllocate) {

@@ -251,12 +251,13 @@ class ScriptedPlacement : public PlacementPolicy {
  public:
   ScriptedPlacement(std::vector<std::vector<ServerId>> blocks, ServerId spare)
       : blocks_(std::move(blocks)), spare_(spare) {}
-  std::vector<ServerId> Place(ServerId, int, const ServerSpaceFilter&, Rng&) const override {
+  std::span<const ServerId> Place(ServerId, int, const ServerSpaceFilter&,
+                                  Rng&) const override {
     return blocks_[next_++];
   }
-  ServerId PlaceAdditional(const std::vector<ServerId>&, const ServerSpaceFilter& has_space,
+  ServerId PlaceAdditional(std::span<const ServerId> existing, std::span<const uint8_t> open,
                            Rng&) const override {
-    return has_space(spare_) ? spare_ : kInvalidServer;
+    return ServerSpaceFilter{open, existing}(spare_) ? spare_ : kInvalidServer;
   }
 
  private:

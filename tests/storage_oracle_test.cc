@@ -7,6 +7,11 @@
 // a dense full rescan of the authoritative block map
 // (NameNode::AuditStateForTest).
 //
+// The audit also rescans the NameNode's two space columns (the bytes the
+// placement policies read) against the DataNodes and the partition bits; a
+// rack-kill run on small disks fills servers, empties them again and flips
+// partitions, every transition those columns follow.
+//
 // A second suite proves the replay itself: RunStorageCosim (a two-cursor
 // merge of reimages and accesses) must produce results exactly equal to a
 // dense reference that replays the same shared timeline with the same seeds
@@ -18,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -126,12 +132,46 @@ TEST(StorageOracleTest, IncrementalAccountingMatchesDenseRescanSoft) {
   RunAccountingOracle(PlacementKind::kSoft, 505);
 }
 
+// Counts servers filling up and emptying again between looks at a
+// NameNode's DataNodes.
+class FullServerTransitions {
+ public:
+  explicit FullServerTransitions(const NameNode& nn, size_t servers) {
+    full_.reserve(servers);
+    for (size_t s = 0; s < servers; ++s) {
+      full_.push_back(!nn.data_node(static_cast<ServerId>(s)).HasSpace());
+    }
+  }
+  void Observe(const NameNode& nn) {
+    for (size_t s = 0; s < full_.size(); ++s) {
+      const bool full = !nn.data_node(static_cast<ServerId>(s)).HasSpace();
+      if (full != full_[s]) {
+        ++(full ? fills : empties);
+        full_[s] = full;
+      }
+    }
+  }
+
+  int64_t fills = 0;
+  int64_t empties = 0;
+
+ private:
+  std::vector<bool> full_;
+};
+
 // Correlated-failure oracle: the same audit discipline under whole-rack
 // kills, ToR partition toggles, and heal-storm backpressure. Every bulk
 // event (a rack's servers all reimaged at one instant) is followed by a full
-// dense rescan.
-void RunRackKillOracle(PlacementKind kind, uint64_t seed) {
+// dense rescan. `disk_blocks` > 0 caps server s at 1 + s % disk_blocks
+// blocks, so servers fill and reimages empty them again.
+void RunRackKillOracle(PlacementKind kind, uint64_t seed, int64_t disk_blocks = 0) {
   Cluster cluster = BuildOracleCluster(0.3, seed);
+  if (disk_blocks > 0) {
+    for (const Server& server : cluster.servers()) {
+      Server& disk = cluster.server(server.id);
+      disk.harvestable_blocks = std::min(disk.harvestable_blocks, 1 + server.id % disk_blocks);
+    }
+  }
   std::vector<std::vector<ServerId>> rack_servers;
   for (const Server& server : cluster.servers()) {
     const size_t rack = static_cast<size_t>(server.rack);
@@ -150,6 +190,7 @@ void RunRackKillOracle(PlacementKind kind, uint64_t seed) {
   NameNode nn(&cluster, MakePlacementPolicy(kind, &cluster), options, &policy_rng);
 
   Rng op_rng(seed ^ 0xfa17c0de5ULL);
+  FullServerTransitions transitions(nn, cluster.num_servers());
   std::vector<bool> partitioned(rack_servers.size(), false);
   double t = 0.0;
   int64_t rack_kills = 0;
@@ -192,11 +233,17 @@ void RunRackKillOracle(PlacementKind kind, uint64_t seed) {
     if (!audit_ok) {
       return;
     }
+    transitions.Observe(nn);
   }
   EXPECT_GT(rack_kills, kOperationsPerKind / 10);
   EXPECT_GT(partition_flips, kOperationsPerKind / 10);
   EXPECT_GT(nn.stats().replicas_destroyed, 0);
   EXPECT_GT(nn.heal_backlog_peak(), 0);
+  if (disk_blocks > 0) {
+    // The space columns followed servers filling and emptying again.
+    EXPECT_GT(transitions.fills, 100) << PlacementKindName(kind);
+    EXPECT_GT(transitions.empties, 100) << PlacementKindName(kind);
+  }
 }
 
 TEST(StorageOracleTest, RackKillOracleMatchesDenseRescanStock) {
@@ -205,6 +252,13 @@ TEST(StorageOracleTest, RackKillOracleMatchesDenseRescanStock) {
 
 TEST(StorageOracleTest, RackKillOracleMatchesDenseRescanHistory) {
   RunRackKillOracle(PlacementKind::kHistory, 707);
+}
+
+TEST(StorageOracleTest, RackKillOracleOnSmallDisksMatchesDenseRescan) {
+  uint64_t seed = 808;
+  for (PlacementKind kind : AllPlacementKinds()) {
+    RunRackKillOracle(kind, seed++, /*disk_blocks=*/4);
+  }
 }
 
 // Dense reference for the replay: the same shared timeline, replayed in a
